@@ -38,6 +38,7 @@ from .syntax import (
     Term,
     Var,
     compose,
+    ensure_value,
     is_value,
     pattern_vars,
     subtract,
@@ -146,9 +147,9 @@ class Evaluator:
                 raise _Undecided("fuel exhausted")
             self.fuel -= 1
 
-    def _emit(self, rule: str, span: Span, text: str) -> None:
+    def _emit(self, rule: str, span: Span, value: Con) -> None:
         if self.trace is not None:
-            self.trace(f"{rule}\t{span}\t{text}")
+            self.trace(f"{rule}\t{span}\t{pretty_value(value)}")
 
     def _function(self, ref: FunRef, span: Span) -> FunDef:
         f = self.program.function(ref.base)
@@ -174,17 +175,17 @@ class Evaluator:
                         UNBOUND_VARIABLE, f"unbound variable {x!r}", span
                     )
                 v = env[x]
-                self._emit("eval-variable", span, pretty_value(v))
+                self._emit("eval-variable", span, v)
                 return v
             case Con(name, args, span):
                 v = Con(name, tuple(self.eval_down(a, env) for a in args), span)
-                self._emit("eval-constructor", span, pretty_value(v))
+                self._emit("eval-constructor", span, v)
                 return v
             case Apply(ref, arg, span):
                 if ref.inversions > 0:
                     stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
                     v = self.eval_up(Apply(stripped, arg, span), env)
-                    self._emit("eval-invert", span, pretty_value(v))
+                    self._emit("eval-invert", span, v)
                     return v
                 f = self._function(ref, span)
                 v_arg = self.eval_down(arg, env)
@@ -197,7 +198,7 @@ class Evaluator:
                         span,
                     )
                 v = self.eval_down(f.body, binding)
-                self._emit("eval-apply", span, pretty_value(v))
+                self._emit("eval-apply", span, v)
                 return v
             case Case(selector, _, branches, span):
                 v_sel = self.eval_down(selector, env)
@@ -218,7 +219,7 @@ class Evaluator:
                     # there would let a non-unique derivation pass as found.
                     if self.enforce_psi or self._search > 0:
                         self._check_psi(branches, i, v_sel, v, span)
-                    self._emit("eval-case", span, pretty_value(v))
+                    self._emit("eval-case", span, v)
                     return v
                 raise _Violation(
                     MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span
@@ -273,7 +274,7 @@ class Evaluator:
         if ref.inversions > 0:
             stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
             v = self.eval_down(Apply(stripped, arg, span), env)
-            self._emit("inverse-invert", span, pretty_value(v))
+            self._emit("inverse-invert", span, v)
             return v
         f = self._function(ref, span)
         v_out = self.eval_down(arg, env)
@@ -285,7 +286,7 @@ class Evaluator:
                 span,
             )
         v = self.eval_down(f.param, inferred)
-        self._emit("inverse-apply", span, pretty_value(v))
+        self._emit("inverse-apply", span, v)
         return v
 
     # ------------------------------------------------------------------
@@ -305,7 +306,7 @@ class Evaluator:
     def _infer_down(self, t: Term, v: Con, unique: bool) -> Env | None:
         match t:
             case Var(x, span):
-                self._emit("infer-variable", span, pretty_value(v))
+                self._emit("infer-variable", span, v)
                 return {x: v}
             case Con(name, args, span):
                 if v.name != name or len(v.args) != len(args):
@@ -325,13 +326,13 @@ class Evaluator:
                         f"variable {e.name!r} inferred more than once",
                         span,
                     )
-                self._emit("infer-constructor", span, pretty_value(v))
+                self._emit("infer-constructor", span, v)
                 return out
             case Apply(ref, arg, span):
                 if ref.inversions > 0:
                     stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
                     out = self.infer_up(Apply(stripped, arg, span), v)
-                    self._emit("infer-invert", span, pretty_value(v))
+                    self._emit("infer-invert", span, v)
                     return out
                 f = self._function(ref, span)
                 body_env = self.infer_down(f.body, v, unique)
@@ -341,7 +342,7 @@ class Evaluator:
                 if v_param is None:
                     return None
                 out = self.infer_down(arg, v_param, unique)
-                self._emit("infer-apply", span, pretty_value(v))
+                self._emit("infer-apply", span, v)
                 return out
             case Case(selector, _, branches, span):
                 return self._infer_case(selector, branches, v, unique, span)
@@ -396,7 +397,7 @@ class Evaluator:
                         f"{pretty_value(v)} is producible by more than one branch",
                         span,
                     )
-        self._emit("infer-case", span, pretty_value(v))
+        self._emit("infer-case", span, v)
         return out
 
     def _eval_in_search(self, t: Term, env: Env) -> Con | None:
@@ -432,7 +433,7 @@ class Evaluator:
         if ref.inversions > 0:
             stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
             out = self.infer_down(Apply(stripped, arg, span), v, unique=True)
-            self._emit("inverse-infer-invert", span, pretty_value(v))
+            self._emit("inverse-infer-invert", span, v)
             return out
         f = self._function(ref, span)
         param_env = self.infer_down(f.param, v, unique=True)
@@ -442,7 +443,7 @@ class Evaluator:
         if v_out is None:
             return None
         out = self.infer_down(arg, v_out, unique=True)
-        self._emit("inverse-infer-apply", span, pretty_value(v))
+        self._emit("inverse-infer-apply", span, v)
         return out
 
 
@@ -473,23 +474,27 @@ def _to_infer_result(run: Callable[[], Env | None]) -> InferResult:
 
 
 def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Outcome:
+    env = {x: ensure_value(v) for x, v in (env or {}).items()}
     ev = Evaluator(program, **opts)
-    return _to_outcome(lambda: ev.eval_down(term, env or {}))
+    return _to_outcome(lambda: ev.eval_down(term, env))
 
 
 def evaluate_up(
     program: Program, term: Apply, env: Env | None = None, **opts
 ) -> Outcome:
+    env = {x: ensure_value(v) for x, v in (env or {}).items()}
     ev = Evaluator(program, **opts)
-    return _to_outcome(lambda: ev.eval_up(term, env or {}))
+    return _to_outcome(lambda: ev.eval_up(term, env))
 
 
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
+    ensure_value(value)
     ev = Evaluator(program, **opts)
     return _to_infer_result(lambda: ev.infer_down(term, value, unique=False))
 
 
 def infer_env_up(program: Program, term: Apply, value: Con, **opts) -> InferResult:
+    ensure_value(value)
     ev = Evaluator(program, **opts)
     return _to_infer_result(lambda: ev.infer_up(term, value))
 
@@ -510,6 +515,7 @@ def run_main(
     """
     if psi_mode not in ("enforce", "skip"):
         raise ValueError("psi_mode must be 'enforce' or 'skip'")
+    ensure_value(value)
     ref = program.main.ref
     if inverted:
         ref = ref.invert()

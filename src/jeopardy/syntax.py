@@ -18,6 +18,7 @@ any overlap, even an agreeing one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import NO_SPAN, Span
 
@@ -157,25 +158,28 @@ class Program:
     functions: tuple[FunDef, ...]
     main: MainDecl
 
+    # Name indexes, built once; reversed, so the first of duplicate names wins.
+    @cached_property
+    def _functions(self) -> dict[str, FunDef]:
+        return {f.name: f for f in reversed(self.functions)}
+
+    @cached_property
+    def _datatypes(self) -> dict[str, DataDecl]:
+        return {d.name: d for d in reversed(self.datatypes)}
+
+    @cached_property
+    def _ctors(self) -> dict[str, tuple[DataDecl, Ctor]]:
+        return {c.name: (d, c) for d in reversed(self.datatypes) for c in reversed(d.ctors)}
+
     def function(self, name: str) -> FunDef | None:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        return self._functions.get(name)
 
     def datatype(self, name: str) -> DataDecl | None:
-        for d in self.datatypes:
-            if d.name == name:
-                return d
-        return None
+        return self._datatypes.get(name)
 
     def ctor(self, name: str) -> tuple[DataDecl, Ctor] | None:
         """Find a constructor and the datatype that declares it."""
-        for d in self.datatypes:
-            for c in d.ctors:
-                if c.name == name:
-                    return d, c
-        return None
+        return self._ctors.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +199,14 @@ def is_value(t: Term) -> bool:
     return isinstance(t, Con) and all(is_value(a) for a in t.args)
 
 
-def is_core(t: Term) -> bool:
-    """Core terms contain no `let` at any depth."""
-    match t:
-        case Var():
-            return True
-        case Con(_, args):
-            return all(is_core(a) for a in args)
-        case Apply(_, arg):
-            return is_core(arg)
-        case Case(sel, _, branches):
-            return is_core(sel) and all(
-                is_pattern(p) and is_core(b) for p, b in branches
-            )
-        case _:
-            return False
-
-
 def ensure_value(t: Term) -> Con:
-    if not is_value(t):
-        raise ValueError(f"not a ground value: {t!r}")
+    """Groundness check for interpreter entry; iterative, so depth is no limit."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Con):
+            raise ValueError(f"not a ground value: {node!r}")
+        stack.extend(node.args)
     assert isinstance(t, Con)
     return t
 
@@ -266,8 +258,9 @@ def subtract(env: Env, names) -> Env:
 
 
 def unify(value: Con, pattern: Term) -> Env | None:
-    """Match a value against a pattern; None when they disagree.
+    """Match a ground value against a pattern; None when they disagree.
 
+    The interpreter checks groundness once, at entry, never per match.
     A repeated pattern variable must meet the same value at every
     occurrence.  Linear programs never contain such patterns, but the
     matcher stays total either way.
@@ -284,26 +277,11 @@ def unify(value: Con, pattern: Term) -> Env | None:
             case Con(name, args):
                 if v.name != name or len(v.args) != len(args):
                     return False
-                return all(go(ensure_value(a), q) for a, q in zip(v.args, args))
+                return all(go(a, q) for a, q in zip(v.args, args))
             case _:
                 return False
 
     return env if go(value, pattern) else None
-
-
-def instantiate(pattern: Term, env: Env) -> Con:
-    """Fill a pattern's variables from an environment.
-
-    Missing variables surface as KeyError; the interpreter maps that to
-    its unbound-variable outcome.
-    """
-    match pattern:
-        case Var(x):
-            return env[x]
-        case Con(name, args, span):
-            return Con(name, tuple(instantiate(a, env) for a in args), span)
-        case _:
-            raise ValueError(f"not a pattern: {pattern!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,10 @@ CORPUS = [
     "lists.jeo",
     "swap.jeo",
 ]
+
+# `run --trace` stderr for mapsuc, captured before trace rendering
+# became lazy; the text must not change.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -132,6 +137,23 @@ class TestRun:
         assert out == "[false]\n"
         assert any(line.count("\t") == 2 for line in err.splitlines())
         assert "eval-case" in err
+
+    @pytest.mark.parametrize(
+        "flags, value, result, golden",
+        [
+            ((), "[zero] : [suc [zero]] : []",
+             "[suc [zero]] : [suc [suc [zero]]] : []", "mapsuc_forward.trace"),
+            (("--invert",), "[suc [zero]] : [suc [suc [zero]]] : []",
+             "[zero] : [suc [zero]] : []", "mapsuc_invert.trace"),
+        ],
+    )
+    def test_trace_text_is_pinned(self, capsys, corpus_dir, flags, value, result, golden):
+        source = read_corpus_file("invertibles.jeo").replace("main not.", "main mapsuc.")
+        path = corpus_dir / "mapsuc.jeo"
+        path.write_text(source, encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--trace", *flags, str(path), value)
+        assert (code, out) == (0, result + "\n")
+        assert err == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_fuel_env_var(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("JEOPARDY_FUEL", "2")

@@ -5,7 +5,8 @@ import pytest
 from jeopardy.desugar import desugar
 from jeopardy.diagnostics import SourceError
 from jeopardy.parser import parse_program
-from jeopardy.syntax import Apply, Case, Con, FunRef, Var, is_core
+from jeopardy.syntax import Apply, Case, Con, FunRef, Var
+from terms import is_core
 
 NAT = "data nat = [zero] [suc nat].\n"
 PAIR = NAT + "data pair = [pair nat nat].\n"

@@ -1,8 +1,11 @@
 """Evaluation in both directions, environment inference, fuel, psi."""
 
+import dataclasses
+
 import pytest
 
 import jeopardy
+import jeopardy.interp
 from jeopardy.interp import (
     DEFAULT_FUEL,
     LINEARITY_FAULT,
@@ -29,6 +32,14 @@ def nat(n):
 
 def pair(a, b):
     return Con("pair", (a, b))
+
+
+def ones(n):
+    """A list of n copies of [suc [zero]], which lies in mapsuc's image."""
+    v = Con("nil")
+    for _ in range(n):
+        v = Con("cons", (nat(1), v))
+    return v
 
 
 def ok_value(outcome):
@@ -303,6 +314,64 @@ class TestTrace:
         rules = {line.split("\t")[0] for line in lines}
         assert "inverse-apply" in rules
         assert "infer-constructor" in rules
+
+    @pytest.mark.parametrize(
+        "main, value, inverted",
+        [
+            ("mapsuc", "[zero] : [suc [zero]] : []", False),
+            ("mapsuc", "[suc [zero]] : [suc [suc [zero]]] : []", True),
+            ("not", "[true]", False),
+        ],
+    )
+    def test_rule_text_is_rendered_only_for_a_sink(
+        self, monkeypatch, invertibles, main, value, inverted
+    ):
+        renders = []
+        real = jeopardy.interp.pretty_value
+
+        def counting(v):
+            renders.append(v)
+            return real(v)
+
+        monkeypatch.setattr(jeopardy.interp, "pretty_value", counting)
+        program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
+        v = parse_value(value)
+        assert run_main(program, v, inverted=inverted).ok
+        assert renders == [], "tracing off must render nothing"
+        lines = []
+        assert run_main(program, v, inverted=inverted, trace=lines.append).ok
+        assert lines and len(renders) == len(lines)
+
+
+class TestGroundnessAtEntry:
+    HOLE = Con("suc", (Var("x"),))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, v: evaluate(p, Var("y"), {"y": v}),
+            lambda p, v: evaluate_up(p, Apply(FunRef("inc"), Var("y")), {"y": v}),
+            lambda p, v: infer_env_down(p, Var("y"), v),
+            lambda p, v: infer_env_up(p, Apply(FunRef("inc"), Var("y")), v),
+            lambda p, v: run_main(p, v),
+        ],
+        ids=["evaluate", "evaluate_up", "infer_env_down", "infer_env_up", "run_main"],
+    )
+    def test_non_ground_input_is_rejected_before_evaluation(self, invertibles, call):
+        with pytest.raises(ValueError):
+            call(invertibles, self.HOLE)
+
+    def test_deep_value_in_inference_hits_the_depth_guard(self, invertibles):
+        body = invertibles.function("mapsuc").body
+        res = infer_env_down(invertibles, body, ones(5000))
+        assert res.kind == "undecided"
+        assert "depth" in res.message
+
+    def test_deep_value_in_inverse_run_hits_the_depth_guard(self, invertibles):
+        program = dataclasses.replace(invertibles, main=MainDecl(FunRef("mapsuc")))
+        out = run_main(program, ones(5000), inverted=True)
+        assert out.kind == "undecided"
+        assert "depth" in out.message
 
 
 class TestRunMain:

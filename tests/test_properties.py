@@ -8,7 +8,8 @@ from jeopardy.interp import evaluate, infer_env_down, run_main
 from jeopardy.parser import parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.suites import ValueGenerator
-from jeopardy.syntax import Con, Var, compose, instantiate, pattern_vars, unify
+from jeopardy.syntax import Con, Var, compose, pattern_vars, unify
+from terms import instantiate
 
 values = st.recursive(
     st.sampled_from([Con("zero"), Con("nil")]),

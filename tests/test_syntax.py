@@ -6,14 +6,17 @@ from jeopardy.syntax import (
     Apply,
     Case,
     Con,
+    Ctor,
+    DataDecl,
     EnvClash,
+    FunDef,
     FunRef,
     Let,
+    MainDecl,
+    Program,
     Var,
     compose,
     ensure_value,
-    instantiate,
-    is_core,
     is_internal_name,
     is_pattern,
     is_valid_name,
@@ -23,6 +26,7 @@ from jeopardy.syntax import (
     unify,
 )
 from jeopardy.diagnostics import Span
+from terms import instantiate, is_core
 
 ZERO = Con("zero")
 ONE = Con("suc", (ZERO,))
@@ -125,6 +129,22 @@ class TestInstantiate:
     def test_missing_binding(self):
         with pytest.raises(KeyError):
             instantiate(Var("n"), {})
+
+
+class TestProgramLookup:
+    def test_first_declaration_wins_and_unknown_is_none(self):
+        d1 = DataDecl("nat", (Ctor("zero"), Ctor("suc", ("nat",))))
+        d2 = DataDecl("nat", (Ctor("zero", ("nat",)),))
+        f1 = FunDef("f", Var("x"), "nat", "nat", Var("x"))
+        f2 = FunDef("f", Var("y"), "nat", "nat", Var("y"))
+        prog = Program((d1, d2), (f1, f2), MainDecl(FunRef("f")))
+        assert prog.function("f") is f1
+        assert prog.datatype("nat") is d1
+        assert prog.ctor("zero") == (d1, Ctor("zero"))
+        assert prog.ctor("suc") == (d1, Ctor("suc", ("nat",)))
+        assert prog.function("g") is None
+        assert prog.datatype("list") is None
+        assert prog.ctor("nil") is None
 
 
 class TestNames:
