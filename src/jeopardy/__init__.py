@@ -8,19 +8,19 @@ usual entry points:
     program = compile_source(text)        # parse -> desugar -> validate
     report = check_program(program)       # linear and type discipline
     outcome = run_main(program, value)    # forward or inverted evaluation
+
+Everything else (syntax nodes, the `Evaluator` class, the suites, the
+AST emitter) is imported from its submodule.
 """
 
-from .astjson import ast_document, emit_ast
 from .desugar import desugar
-from .diagnostics import NO_SPAN, Diagnostic, SourceError, Span
+from .diagnostics import Diagnostic, SourceError, Span
 from .interp import (
-    DEFAULT_FUEL,
     LINEARITY_FAULT,
     MATCH_FAILURE,
     PSI_VIOLATION,
     UNBOUND_VARIABLE,
     UNKNOWN_FUNCTION,
-    Evaluator,
     InferResult,
     Outcome,
     evaluate,
@@ -30,67 +30,31 @@ from .interp import (
     run_main,
 )
 from .parser import parse_program, parse_term, parse_value
-from .pretty import pretty_program, pretty_term, pretty_value
-from .suites import compile_source, run_suites
-from .syntax import (
-    Apply,
-    Case,
-    Con,
-    DataDecl,
-    FunDef,
-    FunRef,
-    Let,
-    MainDecl,
-    Program,
-    SurfaceProgram,
-    Var,
-)
-from .typecheck import (
-    TypeReport,
-    bind_types,
-    check_inverse,
-    check_program,
-    check_term,
-    unbind_types,
-)
+from .pretty import pretty_value
+from .suites import compile_source
+from .syntax import Con, Program
+from .typecheck import TypeReport, check_program
 from .validate import validate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_FUEL",
     "LINEARITY_FAULT",
     "MATCH_FAILURE",
     "PSI_VIOLATION",
     "UNBOUND_VARIABLE",
     "UNKNOWN_FUNCTION",
-    "NO_SPAN",
-    "Apply",
-    "Case",
     "Con",
-    "DataDecl",
     "Diagnostic",
-    "Evaluator",
-    "FunDef",
-    "FunRef",
     "InferResult",
-    "Let",
-    "MainDecl",
     "Outcome",
     "Program",
     "SourceError",
     "Span",
-    "SurfaceProgram",
     "TypeReport",
-    "Var",
-    "ast_document",
-    "bind_types",
-    "check_inverse",
     "check_program",
-    "check_term",
     "compile_source",
     "desugar",
-    "emit_ast",
     "evaluate",
     "evaluate_up",
     "infer_env_down",
@@ -98,11 +62,7 @@ __all__ = [
     "parse_program",
     "parse_term",
     "parse_value",
-    "pretty_program",
-    "pretty_term",
     "pretty_value",
     "run_main",
-    "run_suites",
-    "unbind_types",
     "validate",
 ]

@@ -44,8 +44,8 @@ def _load_program(path: str) -> Program | None:
     try:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as err:
-        print(f"{path}: {err.strerror or err}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"{path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
         return None
     try:
         return compile_source(source)

@@ -103,9 +103,9 @@ class Evaluator:
 
     Fuel is shared across the whole session and decremented on every
     rule application inside inference and psi checks; evaluation outside
-    any search never consumes fuel.  The optional `step_limit` counts
-    every rule application regardless, for harness use against genuinely
-    divergent programs.
+    any search never consumes fuel.  Judgement nesting beyond
+    `DEFAULT_MAX_DEPTH` is undecided, so fuel and depth together bound
+    every run.
     """
 
     def __init__(
@@ -114,21 +114,12 @@ class Evaluator:
         *,
         fuel: int = DEFAULT_FUEL,
         enforce_psi: bool = True,
-        psi_body_check: str = "result",
         trace: Callable[[str], None] | None = None,
-        step_limit: int | None = None,
-        max_depth: int = DEFAULT_MAX_DEPTH,
     ):
-        if psi_body_check not in ("result", "selector"):
-            raise ValueError("psi_body_check must be 'result' or 'selector'")
         self.program = program
         self.fuel = fuel
         self.enforce_psi = enforce_psi
-        self.psi_body_check = psi_body_check
         self.trace = trace
-        self.step_limit = step_limit
-        self.max_depth = max_depth
-        self._steps = 0
         self._depth = 0
         self._search = 0
 
@@ -137,11 +128,8 @@ class Evaluator:
 
     def _enter(self) -> None:
         self._depth += 1
-        if self._depth > self.max_depth:
+        if self._depth > DEFAULT_MAX_DEPTH:
             raise _Undecided("recursion depth limit reached")
-        self._steps += 1
-        if self.step_limit is not None and self._steps > self.step_limit:
-            raise _Undecided("step limit exceeded")
         if self._search > 0:
             if self.fuel <= 0:
                 raise _Undecided("fuel exhausted")
@@ -218,7 +206,7 @@ class Evaluator:
                     # psi is obligatory inside inference: a skipped check
                     # there would let a non-unique derivation pass as found.
                     if self.enforce_psi or self._search > 0:
-                        self._check_psi(branches, i, v_sel, v, span)
+                        self._check_psi(branches, i, v, span)
                     self._emit("eval-case", span, v)
                     return v
                 raise _Violation(
@@ -230,7 +218,6 @@ class Evaluator:
         self,
         branches: tuple[tuple[Term, Term], ...],
         taken: int,
-        v_sel: Con,
         v_res: Con,
         span: Span,
     ) -> None:
@@ -240,12 +227,11 @@ class Evaluator:
         by first-match selection; what remains is that no earlier body
         could have produced the value being returned.
         """
-        target = v_res if self.psi_body_check == "result" else v_sel
         for j in range(taken):
-            if self._exists_derivation(branches[j][1], target):
+            if self._exists_derivation(branches[j][1], v_res):
                 raise _Violation(
                     PSI_VIOLATION,
-                    f"branch {j + 1} can also produce {pretty_value(target)}",
+                    f"branch {j + 1} can also produce {pretty_value(v_res)}",
                     span,
                 )
 

@@ -5,6 +5,14 @@ of searching for an environment split at every constructor and case,
 each term synthesizes the exact environment it consumes, bottom-up;
 callers then verify disjointness (reuse) and exact coverage (discard).
 
+One forward pass also covers the inverse reading.  By induction on the
+term, reading an accepted body backwards from its result type assigns
+every subterm exactly the environment `_synth` computed for it: a
+variable its scope type, a constructor or application its arguments'
+types, and every case branch the same residual.  For a function body
+that environment is the binding of its parameter, so a separate
+backward checker could only ever agree with the forward one.
+
 Error codes: T001 unbound variable, T002 reuse, T003 unused variable or
 branch-residual disagreement, T004 branch result-type mismatch, T005
 signature mismatch (wrong constructor/argument/annotation/result type,
@@ -82,30 +90,42 @@ def effective_signature(program: Program, ref: FunRef, span: Span) -> tuple[str,
 # Pattern binding
 
 
+def _constructor(
+    program: Program, c: Con, tau: str | None = None
+) -> tuple[str, tuple[str, ...]]:
+    """Owning type and argument types of c's constructor.
+
+    T005 if the constructor is unknown, belongs to a type other than
+    tau (when one is expected), or is applied to the wrong arity.
+    """
+    found = program.ctor(c.name)
+    if found is None:
+        raise _fail("T005", f"unknown constructor {c.name!r}", c.span)
+    owner, ctor = found
+    if tau is not None and owner.name != tau:
+        raise _fail(
+            "T005",
+            f"constructor {c.name!r} belongs to {owner.name!r}, not {tau!r}",
+            c.span,
+        )
+    if len(c.args) != len(ctor.arg_types):
+        raise _fail(
+            "T005",
+            f"constructor {c.name!r} takes {len(ctor.arg_types)} arguments",
+            c.span,
+        )
+    return owner.name, ctor.arg_types
+
+
 def bind_types(program: Program, pattern: Term, tau: str) -> TypingEnv:
     """The typing environment a pattern binds when matched at type tau."""
     match pattern:
         case Var(x):
             return {x: tau}
-        case Con(name, args, span):
-            found = program.ctor(name)
-            if found is None:
-                raise _fail("T005", f"unknown constructor {name!r}", span)
-            owner, ctor = found
-            if owner.name != tau:
-                raise _fail(
-                    "T005",
-                    f"constructor {name!r} belongs to {owner.name!r}, not {tau!r}",
-                    span,
-                )
-            if len(args) != len(ctor.arg_types):
-                raise _fail(
-                    "T005",
-                    f"constructor {name!r} takes {len(ctor.arg_types)} arguments",
-                    span,
-                )
+        case Con(_, args, span):
+            _, arg_types = _constructor(program, pattern, tau)
             out: TypingEnv = {}
-            for a, ty in zip(args, ctor.arg_types):
+            for a, ty in zip(args, arg_types):
                 out = _compose(span, out, bind_types(program, a, ty))
             return out
     raise ValueError(f"not a pattern: {pattern!r}")
@@ -123,18 +143,9 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
                 raise _fail("T001", f"unbound variable {x!r}", span)
             return {x: scope[x]}, scope[x]
         case Con(name, args, span):
-            found = program.ctor(name)
-            if found is None:
-                raise _fail("T005", f"unknown constructor {name!r}", span)
-            owner, ctor = found
-            if len(args) != len(ctor.arg_types):
-                raise _fail(
-                    "T005",
-                    f"constructor {name!r} takes {len(ctor.arg_types)} arguments",
-                    span,
-                )
+            owner, arg_types = _constructor(program, t)
             req: TypingEnv = {}
-            for a, expected in zip(args, ctor.arg_types):
+            for a, expected in zip(args, arg_types):
                 req_a, ty_a = _synth(program, scope, a)
                 if ty_a != expected:
                     raise _fail(
@@ -143,7 +154,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
                         span,
                     )
                 req = _compose(span, req, req_a)
-            return req, owner.name
+            return req, owner
         case Apply(ref, arg, span):
             t_in, t_out = effective_signature(program, ref, span)
             req_a, ty_a = _synth(program, scope, arg)
@@ -204,74 +215,6 @@ def check_term(program: Program, sigma: TypingEnv, t: Term) -> str:
         if x not in req:
             raise _fail("T003", f"variable {x!r} is never used", t.span)
     return tau
-
-
-def check_inverse(program: Program, sigma: TypingEnv, t: Apply) -> str:
-    """Type an application under inversion parity.
-
-    Even inversion counts reduce to plain checking; odd counts swap the
-    signature.  Both are exactly what `check_term` already does.
-    """
-    return check_term(program, sigma, t)
-
-
-# ---------------------------------------------------------------------------
-# Inverse inference: the environment under which t has type tau
-
-
-def unbind_types(program: Program, t: Term, tau: str) -> TypingEnv:
-    match t:
-        case Var(x):
-            return {x: tau}
-        case Con(name, args, span):
-            found = program.ctor(name)
-            if found is None:
-                raise _fail("T005", f"unknown constructor {name!r}", span)
-            owner, ctor = found
-            if owner.name != tau:
-                raise _fail(
-                    "T005",
-                    f"constructor {name!r} belongs to {owner.name!r}, not {tau!r}",
-                    span,
-                )
-            if len(args) != len(ctor.arg_types):
-                raise _fail(
-                    "T005",
-                    f"constructor {name!r} takes {len(ctor.arg_types)} arguments",
-                    span,
-                )
-            out: TypingEnv = {}
-            for a, ty in zip(args, ctor.arg_types):
-                out = _compose(span, out, unbind_types(program, a, ty))
-            return out
-        case Apply(ref, arg, span):
-            t_in, t_out = effective_signature(program, ref, span)
-            if tau != t_out:
-                raise _fail(
-                    "T005",
-                    f"application of {ref.base!r} has type {t_out!r}, not {tau!r}",
-                    span,
-                )
-            return unbind_types(program, arg, t_in)
-        case Case(selector, annotation, branches, span):
-            residual: TypingEnv | None = None
-            for p, body in branches:
-                bound = bind_types(program, p, annotation)
-                env_b = unbind_types(program, body, tau)
-                leftover = subtract(env_b, bound)  # type: ignore[arg-type]
-                if residual is None:
-                    residual = leftover
-                elif leftover != residual:
-                    off = sorted(set(leftover) ^ set(residual))[0]
-                    raise _fail(
-                        "T003",
-                        f"variable {off!r} appears in some branches only",
-                        span,
-                    )
-            assert residual is not None
-            env_sel = unbind_types(program, selector, annotation)
-            return _compose(span, residual, env_sel)
-    raise ValueError(f"not a core term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ fixed seeds.
 
 import json
 import random
+from pathlib import Path
 
 from jeopardy.cli import main
 from jeopardy.interp import run_main
@@ -21,6 +22,10 @@ from jeopardy.suites import (
 )
 from jeopardy.syntax import Con
 from jeopardy.typecheck import check_program
+
+# `jeopardy test --seed 42` stdout; it pins the "byte-identical suite
+# output" gate that every change to the toolchain must pass.
+SEED42_GOLDEN = Path(__file__).parent / "golden" / "test_seed42.txt"
 
 
 def report(label, check):
@@ -191,6 +196,7 @@ def test_deterministic_outputs(capsys, tmp_path):
             assert code == 0, captured.out
             runs.append(captured.out)
         assert runs[0] == runs[1], "summaries must be byte-identical"
+        assert runs[0] == SEED42_GOLDEN.read_text(encoding="utf-8")
 
         for name in corpus_file_names():
             path = tmp_path / name
@@ -206,6 +212,6 @@ def test_deterministic_outputs(capsys, tmp_path):
 
     report(
         "seeded test summaries and per-file ast emission are byte-identical"
-        " across repeated runs",
+        " across repeated runs, and the seed-42 summary matches its golden file",
         check,
     )

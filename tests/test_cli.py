@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import jeopardy
 from jeopardy.cli import main
 from jeopardy.suites import read_corpus_file
 
@@ -209,6 +213,28 @@ class TestAst:
         assert code == 3
         assert out == ""
         assert err != ""
+
+
+class TestUnreadableFile:
+    @pytest.mark.parametrize("argv", [["check"], ["ast"], ["run", "[zero]"]])
+    def test_non_utf8_source_exits_3_without_traceback(self, tmp_path, argv):
+        bad = tmp_path / "bad.jeo"
+        bad.write_bytes(b"\xffdata nat = [zero].\n")
+        # A separate process, so an escaping exception would show up as
+        # a traceback on stderr rather than as a failed assertion here.
+        src = str(Path(jeopardy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jeopardy.cli", argv[0], str(bad), *argv[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"{bad}: ")
 
 
 class TestTest:

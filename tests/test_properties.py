@@ -2,13 +2,13 @@
 
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jeopardy.interp import evaluate, infer_env_down, run_main
 from jeopardy.parser import parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.suites import ValueGenerator
-from jeopardy.syntax import Con, Var, compose, pattern_vars, unify
+from jeopardy.syntax import Apply, Con, FunRef, Var, compose, pattern_vars, unify
 from terms import instantiate
 
 values = st.recursive(
@@ -129,3 +129,26 @@ def test_addition_env_round_trip(arith, a, b):
 def test_addition_computes_sums_without_checks(arith, a, b):
     out = run_main(arith, Con("pair", (_nat(a), _nat(b))), psi_mode="skip")
     assert out.ok and out.value == _nat(a + b)
+
+
+FUEL_LADDER = (0, 1, 3, 10, 30, 100, 300, 1_000, 3_000, 10_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), inverted=st.booleans(), seed=st.integers(0, 2**32))
+def test_more_fuel_never_flips_a_decided_result(accepted_programs, data, inverted, seed):
+    # Fuel only cuts searches short: once some fuel decides a call, any
+    # larger fuel must reach the same verdict and the same value.
+    functions = [(p, f) for _, p in accepted_programs for f in p.functions]
+    prog, f = data.draw(st.sampled_from(functions), label="function")
+    gen = ValueGenerator(prog, random.Random(seed), max_depth=4)
+    v = gen.value(f.result_type if inverted else f.arg_type)
+    term = Apply(FunRef(f.name, int(inverted)), v)
+    decided = None
+    for fuel in FUEL_LADDER:
+        out = evaluate(prog, term, fuel=fuel)
+        got = (out.kind, out.violation, out.value)
+        if decided is not None:
+            assert got == decided, (f.name, inverted, pretty_value(v), fuel)
+        elif out.kind != "undecided":
+            decided = got

@@ -7,11 +7,9 @@ from jeopardy.diagnostics import SourceError
 from jeopardy.syntax import Apply, FunRef, Var
 from jeopardy.typecheck import (
     bind_types,
-    check_inverse,
     check_program,
     check_term,
     effective_signature,
-    unbind_types,
 )
 
 NAT = "data nat = [zero] [suc nat].\n"
@@ -88,38 +86,12 @@ class TestCheckTerm:
         )
         body = prog.function("back").body
         assert check_term(prog, {"p": "pair"}, body) == "nat"
-        assert check_inverse(prog, {"p": "pair"}, body) == "nat"
 
     def test_argument_type_mismatch(self, arith):
         term = Apply(FunRef("add"), Var("n"))
         with pytest.raises(SourceError) as exc:
             check_term(arith, {"n": "nat"}, term)
         assert exc.value.diagnostics[0].code == "T005"
-
-
-class TestUnbindTypes:
-    def test_add_body(self, arith):
-        add = arith.function("add")
-        assert unbind_types(arith, add.body, "nat") == {"%0": "pair"}
-
-    def test_map_f_iter_body(self, lists):
-        f = lists.function("map-f-iter")
-        assert unbind_types(lists, f.body, "list") == {"%0": "pair"}
-
-    def test_query_type_must_match(self, arith):
-        add = arith.function("add")
-        with pytest.raises(SourceError) as exc:
-            unbind_types(arith, add.body, "pair")
-        assert exc.value.diagnostics[0].code == "T005"
-
-    def test_agrees_with_bind_types_on_accepted_corpus(self, accepted_programs):
-        # Reading a body's requirements backwards from its result type
-        # must land on exactly the parameter binding.
-        for name, prog in accepted_programs:
-            for f in prog.functions:
-                forward = bind_types(prog, f.param, f.arg_type)
-                backward = unbind_types(prog, f.body, f.result_type)
-                assert backward == forward, f"{name}:{f.name}"
 
 
 class TestProgramVerdicts:
