@@ -1,23 +1,37 @@
-"""Tokenizer.
+"""Tokenizer: one regular expression splits a whole source text, and the
+loop in `lex` classifies the pieces and keeps line and column.
 
-The language has no literals beyond names and punctuation, so the lexer
-is a short hand-rolled scanner.  The one subtlety is the dash: it can
-continue a name (`map-f`), open a comment (`--`), or begin an arrow
-(`->`).  A dash continues a name only when the character after it could
-itself continue a name.
+The one subtlety is the dash: it continues a name (`map-f`) only when
+the character after it could itself continue a name; anywhere else it
+must open a comment (`--`) or an arrow (`->`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from itertools import takewhile
+from typing import NamedTuple
 
 from .diagnostics import Span, SourceError
 
-PUNCT = ("->", "[", "]", "(", ")", "=", ".", ":", ",", ";")
+PUNCT = frozenset(("->", "[", "]", "(", ")", "=", ".", ":", ",", ";"))
+
+# A name starts with a letter and goes on with letters, digits, `_`,
+# `'`, and dashes that are followed by one of those.  `[^\W\d_]` also
+# admits digit-like characters such as `²`; `lex` turns those away.
+_REST = r"[\w']*(?:-[\w']+)*"
+_NAME = r"[^\W\d_]" + _REST
+# Punctuation, a newline, a comment (it runs to the end of the line),
+# any other single character (always an error), or the empty end.
+_OTHER = r"->|[][()=.:,;]|\n|--[^\n]*|.|\Z"
+# Each match is (blanks, token).
+_SOURCE = re.compile(rf"([ \t\r]*)({_NAME}|{_OTHER})")
+# With `%N` names.  Their `\w` run may go on past the digits (`%1a`);
+# `lex` splits it where `str.isdigit` stops.
+_INTERNAL = re.compile(rf"([ \t\r]*)({_NAME}|%{_REST}|{_OTHER})")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "punct", "eof"
     text: str
     line: int
@@ -25,12 +39,7 @@ class Token:
 
     @property
     def span(self) -> Span:
-        end = self.col + max(len(self.text), 1)
-        return Span(self.line, self.col, self.line, end)
-
-
-def _name_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+        return Span(self.line, self.col, self.line, self.col + (len(self.text) or 1))
 
 
 def lex(source: str, allow_internal: bool = False) -> list[Token]:
@@ -40,55 +49,38 @@ def lex(source: str, allow_internal: bool = False) -> list[Token]:
     in source files but do occur when core terms are read back in.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # skips NamedTuple's Python-level `__new__`
     line, col = 1, 1
-    i, n = 0, len(source)
-
-    def err(message: str) -> SourceError:
-        return SourceError.single("L001", message, Span(line, col))
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    for blanks, text in (_INTERNAL if allow_internal else _SOURCE).findall(source):
+        col += len(blanks)
+        if text in PUNCT:
+            append(new(Token, ("punct", text, line, col)))
+        elif text[:1].isalpha():
+            append(new(Token, ("name", text, line, col)))
+        elif text == "\n":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha():
-            start, start_col = i, col
-            i += 1
-            while i < n:
-                if _name_char(source[i]):
-                    i += 1
-                elif source[i] == "-" and i + 1 < n and _name_char(source[i + 1]):
-                    i += 2
-                else:
-                    break
-            text = source[start:i]
-            col += len(text)
-            tokens.append(Token("name", text, line, start_col))
-            continue
-        if c == "%" and allow_internal and i + 1 < n and source[i + 1].isdigit():
-            start, start_col = i, col
-            i += 1
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            col += len(text)
-            tokens.append(Token("name", text, line, start_col))
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        elif text[:2] == "--":
+            continue  # a comment does not move the column: only `\n` or the end follows
+        elif not text:
+            append(new(Token, ("eof", "", line, col)))
+            break  # trailing blanks end in a second, empty match
+        elif text[0] == "%" and allow_internal:
+            digits = 1 + len(list(takewhile(str.isdigit, text[1:])))
+            if digits > 1:
+                append(new(Token, ("name", text[:digits], line, col)))
+                col += digits
+                text = text[digits:]
+            if text[:1].isalpha():
+                append(new(Token, ("name", text, line, col)))
+            elif text:
+                raise _unexpected(text[0], line, col)
         else:
-            raise err(f"unexpected character {c!r}")
-
-    tokens.append(Token("eof", "", line, col))
+            raise _unexpected(text[0], line, col)
+        col += len(text)
     return tokens
+
+
+def _unexpected(c: str, line: int, col: int) -> SourceError:
+    return SourceError.single("L001", f"unexpected character {c!r}", Span(line, col))

@@ -21,6 +21,8 @@ Grammar notes that matter here rather than in the syntax module:
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .diagnostics import SourceError
 from .lexer import Token, lex
 from .syntax import (
@@ -50,22 +52,23 @@ def _fold_cons(parts: list[Term]) -> Term:
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # `advance` stops at the eof token and `peek` looks at most two
+        # tokens ahead, so two more eofs keep every index in range.
+        self.tokens = tokens + tokens[-1:] * 2
         self.i = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
 
     def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.tokens) - 1)
-        return self.tokens[j]
+        return self.tokens[self.i + k]
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind != "eof" and t.text == text
+        # Only the eof token has empty text.
+        return self.tokens[self.i].text == text
 
     def at_name(self) -> bool:
-        t = self.peek()
+        t = self.tokens[self.i]
         return t.kind == "name" and t.text not in RESERVED
 
     def advance(self) -> Token:
@@ -85,12 +88,6 @@ class Parser:
         if not self.at(text):
             raise self.error("P001", f"expected {text!r}, found {self.describe()}")
         return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind == "name" and t.text == word:
-            return self.advance()
-        raise self.error("P001", f"expected {word!r}, found {self.describe()}")
 
     def expect_name(self, what: str) -> Token:
         t = self.peek()
@@ -146,7 +143,7 @@ class Parser:
         if self.at_name() and self._starts_atom(self.peek(1)):
             name = self.advance()
             ref = FunRef(name.text, 0, name.span)
-            return Apply(ref, self.atom(), name.span)
+            return Apply(ref, self.atom(), ref.span)
         return self.atom()
 
     def case_term(self) -> Term:
@@ -154,7 +151,7 @@ class Parser:
         selector = self.term("of")
         self.expect(":")
         ty = self.expect_name("a type name")
-        self.expect_keyword("of")
+        self.expect("of")
         branches = [self.branch()]
         while self.at(";"):
             self.advance()
@@ -175,39 +172,12 @@ class Parser:
             ty = self.expect_name("a type name").text
         self.expect("=")
         bound = self.term()
-        self.expect_keyword("in")
+        self.expect("in")
         body = self.term(closer)
         return Let(pat, ty, bound, body, kw.span)
 
     def atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "name":
-            if t.text in RESERVED:
-                raise self.error("P002", f"unexpected keyword {t.text!r}")
-            self.advance()
-            return Var(t.text, t.span)
-        if self.at("["):
-            lb = self.advance()
-            if self.at("]"):
-                self.advance()
-                return Con("nil", (), lb.span)
-            head = self.expect_name("a constructor name")
-            args = []
-            while not self.at("]"):
-                args.append(self.atom())
-            self.advance()
-            return Con(head.text, tuple(args), lb.span)
-        if self.at("("):
-            lp = self.advance()
-            first = self.term()
-            if self.at(","):
-                self.advance()
-                second = self.term()
-                self.expect(")")
-                return Con("pair", (first, second), lp.span)
-            self.expect(")")
-            return first
-        raise self.error("P001", f"expected a term, found {self.describe()}")
+        return self._bracketed(self.term, "a term")
 
     # ------------------------------------------------------------------
     # Patterns
@@ -220,34 +190,54 @@ class Parser:
         return _fold_cons(parts)
 
     def pat_atom(self) -> Term:
+        return self._bracketed(self.pattern, "a pattern")
+
+    # ------------------------------------------------------------------
+    # Atoms of either kind
+
+    def _bracketed(self, inner: Callable[[], Term], what: str) -> Term:
+        """One atom.  `[c a1 .. an]` nesting is kept on an explicit stack,
+        so its depth is not bounded by Python's."""
+        if not self.at("["):
+            return self._leaf(inner, what)
+        stack: list[tuple[Token, str, list[Term]]] = []
+        while True:
+            if stack and self.at("]"):
+                self.advance()
+                lb, head, args = stack.pop()
+                node: Term = Con(head, tuple(args), lb.span)
+            elif self.at("["):
+                lb = self.advance()
+                if not self.at("]"):
+                    stack.append((lb, self.expect_name("a constructor name").text, []))
+                    continue
+                self.advance()
+                node = Con("nil", (), lb.span)
+            else:
+                node = self._leaf(inner, what)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+
+    def _leaf(self, inner: Callable[[], Term], what: str) -> Term:
+        """A variable, or `inner` in parentheses, or a pair of two."""
         t = self.peek()
         if t.kind == "name":
             if t.text in RESERVED:
                 raise self.error("P002", f"unexpected keyword {t.text!r}")
             self.advance()
             return Var(t.text, t.span)
-        if self.at("["):
-            lb = self.advance()
-            if self.at("]"):
-                self.advance()
-                return Con("nil", (), lb.span)
-            head = self.expect_name("a constructor name")
-            args = []
-            while not self.at("]"):
-                args.append(self.pat_atom())
-            self.advance()
-            return Con(head.text, tuple(args), lb.span)
         if self.at("("):
             lp = self.advance()
-            first = self.pattern()
+            first = inner()
             if self.at(","):
                 self.advance()
-                second = self.pattern()
+                second = inner()
                 self.expect(")")
                 return Con("pair", (first, second), lp.span)
             self.expect(")")
             return first
-        raise self.error("P001", f"expected a pattern, found {self.describe()}")
+        raise self.error("P001", f"expected {what}, found {self.describe()}")
 
     # ------------------------------------------------------------------
     # Declarations
@@ -255,7 +245,7 @@ class Parser:
     def funref(self) -> FunRef:
         if self.at("("):
             lp = self.advance()
-            self.expect_keyword("invert")
+            self.expect("invert")
             inner = self.funref()
             self.expect(")")
             return FunRef(inner.base, inner.inversions + 1, lp.span)

@@ -214,12 +214,8 @@ def bundled_expectations() -> list[Expectation]:
     return parse_expectations(read_corpus_file("expectations.txt"))
 
 
-def _run_check_expectation(exp: Expectation) -> str | None:
+def _run_check_expectation(exp: Expectation, program: Program) -> str | None:
     """None when the expectation holds, otherwise a mismatch description."""
-    try:
-        program = load_corpus_program(exp.file)
-    except SourceError as err:
-        return f"did not compile: {err}"
     report = check_program(program)
     if exp.expect == "accepted":
         if report.accepted:
@@ -234,8 +230,7 @@ def _run_check_expectation(exp: Expectation) -> str | None:
     return None
 
 
-def _run_value_expectation(exp: Expectation, fuel: int | None) -> str | None:
-    program = load_corpus_program(exp.file)
+def _run_value_expectation(exp: Expectation, program: Program, fuel: int | None) -> str | None:
     value = parse_value(exp.value_text)
     opts = {} if fuel is None else {"fuel": fuel}
     outcome = run_main(
@@ -261,12 +256,22 @@ def _run_value_expectation(exp: Expectation, fuel: int | None) -> str | None:
 
 def expectation_suite(fuel: int | None = None) -> SuiteResult:
     result = SuiteResult("expectations")
+    # Each file is compiled once, however many expectations name it.
+    compiled: dict[str, Program | SourceError] = {}
     for exp in bundled_expectations():
+        if exp.file not in compiled:
+            try:
+                compiled[exp.file] = load_corpus_program(exp.file)
+            except SourceError as err:
+                compiled[exp.file] = err
+        program = compiled[exp.file]
         result.total += 1
-        if exp.direction == "check":
-            mismatch = _run_check_expectation(exp)
+        if isinstance(program, SourceError):
+            mismatch = f"did not compile: {program}"
+        elif exp.direction == "check":
+            mismatch = _run_check_expectation(exp, program)
         else:
-            mismatch = _run_value_expectation(exp, fuel)
+            mismatch = _run_value_expectation(exp, program, fuel)
         if mismatch is None:
             result.passed += 1
         else:

@@ -195,18 +195,25 @@ def is_pattern(t: Term) -> bool:
             return False
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, Con) and all(is_value(a) for a in t.args)
-
-
-def ensure_value(t: Term) -> Con:
-    """Groundness check for interpreter entry; iterative, so depth is no limit."""
+def _non_ground(t: Term) -> Term | None:
+    """A node of `t` that is not a constructor, if any; iterative, so any depth."""
     stack = [t]
     while stack:
         node = stack.pop()
         if not isinstance(node, Con):
-            raise ValueError(f"not a ground value: {node!r}")
+            return node
         stack.extend(node.args)
+    return None
+
+
+def is_value(t: Term) -> bool:
+    return _non_ground(t) is None
+
+
+def ensure_value(t: Term) -> Con:
+    """Groundness check for interpreter entry."""
+    if (bad := _non_ground(t)) is not None:
+        raise ValueError(f"not a ground value: {bad!r}")
     assert isinstance(t, Con)
     return t
 

@@ -215,26 +215,58 @@ class TestAst:
         assert err != ""
 
 
+def run_process(*argv, stdin=None):
+    """The CLI in a separate process, so an escaping exception shows up
+    as a traceback on stderr rather than as a failed assertion here."""
+    src = str(Path(jeopardy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "jeopardy.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestUnreadableFile:
     @pytest.mark.parametrize("argv", [["check"], ["ast"], ["run", "[zero]"]])
     def test_non_utf8_source_exits_3_without_traceback(self, tmp_path, argv):
         bad = tmp_path / "bad.jeo"
         bad.write_bytes(b"\xffdata nat = [zero].\n")
-        # A separate process, so an escaping exception would show up as
-        # a traceback on stderr rather than as a failed assertion here.
-        src = str(Path(jeopardy.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "jeopardy.cli", argv[0], str(bad), *argv[1:]],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_process(argv[0], str(bad), *argv[1:])
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"{bad}: ")
+
+
+# `copy` recurses once per `suc` in both directions, so a deep enough
+# nat runs into the interpreter's depth guard.
+NAT_COPY = """\
+data nat = [zero] [suc nat].
+
+copy ([zero] : nat) : nat = [zero].
+copy [suc n] = [suc (copy n)].
+
+main copy.
+"""
+
+
+class TestDeepValue:
+    @pytest.mark.parametrize("invert", [[], ["--invert"]])
+    @pytest.mark.parametrize("depth", [1_200, 100_000])
+    def test_deep_value_is_undecided_without_traceback(self, tmp_path, depth, invert):
+        program = tmp_path / "nat.jeo"
+        program.write_text(NAT_COPY, encoding="utf-8")
+        value = "[suc " * depth + "[zero]" + "]" * depth
+        if depth < 10_000:
+            proc = run_process("run", str(program), value, *invert)
+        else:  # longer than one command-line argument may be
+            proc = run_process("run", str(program), "-", *invert, stdin=value)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "undecided: recursion depth limit reached\n"
 
 
 class TestTest:

@@ -1,9 +1,18 @@
 """Token-level behaviour, mostly around dashes and comments."""
 
-import pytest
+import importlib.util
+import random
+from pathlib import Path
 
-from jeopardy.diagnostics import SourceError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jeopardy.diagnostics import SourceError, Span
 from jeopardy.lexer import lex
+from jeopardy.parser import parse_program
+from jeopardy.suites import corpus_file_names, read_corpus_file
+from jeopardy.syntax import is_internal_name
+from reference_lexer import reference_lex
 
 
 def kinds_and_texts(source, **kw):
@@ -73,3 +82,76 @@ def test_bad_character_reports_l001():
 def test_lone_dash_reports_l001():
     with pytest.raises(SourceError):
         lex("a - b")
+
+
+# ---------------------------------------------------------------------------
+# Quirks that reach users
+
+
+def test_eof_after_a_trailing_comment_keeps_the_comment_column():
+    assert lex("x -- c")[-1].col == 3
+    # ... which is where "end of input" errors point.
+    with pytest.raises(SourceError) as exc:
+        parse_program("data nat = [zero] -- c")
+    [d] = exc.value.diagnostics
+    assert (d.code, d.message) == ("P001", "expected '.', found end of input")
+    assert d.span == Span(1, 19, 1, 20)
+
+
+def test_superscript_digit_makes_an_internal_name():
+    # `str.isdigit` accepts `²`, so `%²` is a `%N` name, as the
+    # validator's `is_internal_name` agrees; outside one it is no letter.
+    assert texts("%²", allow_internal=True) == ["%²"]
+    assert is_internal_name("%²")
+    with pytest.raises(SourceError):
+        lex("%²")
+    with pytest.raises(SourceError):
+        lex("²")
+
+
+# ---------------------------------------------------------------------------
+# Agreement with a character-at-a-time scanner
+
+
+def outcome(lexer, source, allow_internal):
+    try:
+        return [(t[0], t[1], t[2], t[3]) for t in lexer(source, allow_internal=allow_internal)]
+    except SourceError as err:
+        return [(d.code, d.message, d.span) for d in err.diagnostics]
+
+
+def assert_agrees(source):
+    for allow_internal in (False, True):
+        got = outcome(lex, source, allow_internal)
+        assert got == outcome(reference_lex, source, allow_internal), (source, allow_internal)
+
+
+# Everything the scanner treats specially, and characters that only
+# Unicode-aware predicates tell apart: `²` is a digit to `str.isdigit`
+# but not to `\d`, and no letter; `½` is numeric and no digit; `é` and
+# `一` are letters.
+PIECES = [
+    "-", "--", "->", "-'", "%", *"0123456789", "²", "½", "é", "一", "_", "'",
+    " ", "\t", "\r", "\n", "@", "a", "x", "Z", "[", "]", "(", ")", "=",
+    ".", ":", ",", ";",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
+def test_lex_agrees_with_the_reference_scanner(source):
+    assert_agrees(source)
+
+
+@pytest.mark.parametrize("name", corpus_file_names())
+def test_lex_agrees_on_the_corpus(name):
+    assert_agrees(read_corpus_file(name))
+
+
+def test_lex_agrees_on_generated_programs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for program in gen.program_pool(random.Random(7)):
+        assert_agrees(program.source)

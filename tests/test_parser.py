@@ -41,6 +41,26 @@ class TestValues:
         with pytest.raises(SourceError):
             parse_value("f [zero]")
 
+    def test_bracket_nesting_is_not_bounded_by_the_python_stack(self):
+        depth = 20_000
+        v = parse_value("[suc " * depth + "[zero]" + "]" * depth)
+        for _ in range(depth):  # walked by hand: `==` would recurse
+            assert v.name == "suc"
+            (v,) = v.args
+        assert v == Con("zero")
+
+    def test_deep_non_ground_value_is_rejected(self):
+        depth = 20_000
+        with pytest.raises(SourceError) as exc:
+            parse_value("[suc " * depth + "n" + "]" * depth)
+        assert exc.value.diagnostics[0].code == "P004"
+
+    def test_unclosed_deep_bracket_reports_end_of_input(self):
+        with pytest.raises(SourceError) as exc:
+            parse_value("[suc " * 20_000 + "[zero]")
+        [d] = exc.value.diagnostics
+        assert (d.code, d.message) == ("P001", "expected a term, found end of input")
+
 
 class TestTerms:
     def test_application(self):
@@ -159,6 +179,15 @@ class TestPrograms:
             parse_program("data nat = .\nmain f.")
         d = exc.value.diagnostics[0]
         assert (d.span.line, d.span.col) == (1, 12)
+
+    def test_deep_bracket_pattern(self):
+        depth = 20_000
+        prog = parse_program(f"f ({'[suc ' * depth}n{']' * depth} : nat) : nat = n.\nmain f.")
+        p = prog.clauses[0].pattern
+        for _ in range(depth):
+            assert p.name == "suc"
+            (p,) = p.args
+        assert p == Var("n")
 
     def test_internal_names_rejected_in_source(self):
         with pytest.raises(SourceError):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from jeopardy import suites
+from jeopardy.diagnostics import SourceError
 from jeopardy.suites import (
     SuiteResult,
     ValueGenerator,
@@ -12,6 +14,7 @@ from jeopardy.suites import (
     corollary_inversion_round_trip,
     corpus_file_names,
     expectation_suite,
+    load_corpus_program,
     parse_expectations,
     parse_print_round_trip,
     run_suites,
@@ -66,6 +69,31 @@ class TestSuitesAreGreen:
         result = expectation_suite()
         assert result.ok, result.failures
         assert result.total == result.passed
+
+    def test_expectations_compile_each_file_once(self, monkeypatch):
+        loaded = []
+
+        def load(name):
+            loaded.append(name)
+            return load_corpus_program(name)
+
+        monkeypatch.setattr(suites, "load_corpus_program", load)
+        result = expectation_suite()
+        assert result.ok, result.failures
+        assert sorted(loaded) == sorted({e.file for e in bundled_expectations()})
+        assert result.total == len(bundled_expectations()) > len(loaded)
+
+    def test_file_that_does_not_compile_fails_its_expectations(self, monkeypatch):
+        def load(name):
+            if name == "arith.jeo":
+                raise SourceError.single("P001", "broken")
+            return load_corpus_program(name)
+
+        monkeypatch.setattr(suites, "load_corpus_program", load)
+        result = expectation_suite()
+        arith = [e for e in bundled_expectations() if e.file == "arith.jeo"]
+        assert result.failed == len(arith) > 1
+        assert all("did not compile" in f for f in result.failures)
 
     def test_env_inference_round_trip(self):
         result = theorem_env_round_trip(seed=11, cases=25)
