@@ -8,22 +8,17 @@ uniformly and tests can match on stable codes instead of message text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open source region, 1-based line and column."""
+class Span(NamedTuple("Span", [("line", int), ("col", int), ("end_line", int), ("end_col", int)])):
+    """Half-open source region, 1-based line and column; an end of 0
+    defaults to the start.  A tuple, as the parser makes one per node."""
 
-    line: int
-    col: int
-    end_line: int = 0
-    end_col: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.end_line == 0:
-            object.__setattr__(self, "end_line", self.line)
-        if self.end_col == 0:
-            object.__setattr__(self, "end_col", self.col)
+    def __new__(cls, line: int, col: int, end_line: int = 0, end_col: int = 0) -> "Span":
+        return tuple.__new__(cls, (line, col, end_line or line, end_col or col))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

@@ -43,6 +43,7 @@ from .syntax import (
     pattern_vars,
     subtract,
     unify,
+    value_shape,
 )
 
 DEFAULT_FUEL = 100_000
@@ -166,6 +167,9 @@ class Evaluator:
                 self._emit("eval-variable", span, v)
                 return v
             case Con(name, args, span):
+                height, count, hole = value_shape(t)
+                if hole is None:
+                    return self._literal(t, height, count)
                 v = Con(name, tuple(self.eval_down(a, env) for a in args), span)
                 self._emit("eval-constructor", span, v)
                 return v
@@ -213,6 +217,28 @@ class Evaluator:
                     MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span
                 )
         raise ValueError(f"cannot evaluate non-core term {t!r}")
+
+    def _literal(self, t: Con, height: int, count: int) -> Con:
+        """A ground term evaluates to itself.  Its rebuild by the rules costs,
+        per node below the root, one level and, in a search, one fuel: charged
+        at once if all of it fits and nothing is traced, else walked as they do."""
+        cost = count - 1 if self._search > 0 else 0
+        fits = self._depth + height - 1 <= DEFAULT_MAX_DEPTH and self.fuel >= cost
+        if fits and self.trace is None:
+            self.fuel -= cost
+        else:
+            self._walk(t)
+        return t
+
+    def _walk(self, node: Con) -> None:
+        # Recursion is bounded: `_enter` stops it at `DEFAULT_MAX_DEPTH`.
+        for a in node.args:
+            self._enter()
+            try:
+                self._walk(a)
+            finally:
+                self._depth -= 1
+        self._emit("eval-constructor", node.span, node)
 
     def _check_psi(
         self,
@@ -349,15 +375,12 @@ class Evaluator:
         value means the derivation does not exist.  In unique mode any
         later branch that could also produce v is an ambiguity fault.
         """
-        committed = None
         for i, (p, body) in enumerate(branches):
             env_body = self.infer_down(body, v, unique)
             if env_body is not None:
-                committed = (i, p, env_body)
                 break
-        if committed is None:
+        else:
             return None
-        i, p, env_body = committed
         v_sel = self._eval_in_search(p, env_body)
         if v_sel is None:
             return None

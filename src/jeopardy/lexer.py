@@ -39,7 +39,8 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> Span:
-        return Span(self.line, self.col, self.line, self.col + (len(self.text) or 1))
+        _, text, line, col = self  # all four fields known: no need for `Span.__new__`
+        return tuple.__new__(Span, (line, col, line, col + (len(text) or 1)))
 
 
 def lex(source: str, allow_internal: bool = False) -> list[Token]:

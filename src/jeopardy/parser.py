@@ -102,20 +102,15 @@ class Parser:
             raise self.error("P001", f"trailing input, found {self.describe()}")
 
     def _starts_atom(self, t: Token) -> bool:
-        if t.kind == "name":
-            return t.text not in RESERVED
-        return t.kind == "punct" and t.text in ("[", "(")
+        return t.text in ("[", "(") or (t.kind == "name" and t.text not in RESERVED)
 
     def _annotation_ahead(self, closer: str | None) -> bool:
         """At a ':' token: does `<type name> <closer>` follow it?"""
         if closer is None:
             return False
-        t1, t2 = self.peek(1), self.peek(2)
-        if t1.kind != "name" or t1.text in RESERVED:
-            return False
-        if closer == "of":
-            return t2.kind == "name" and t2.text == "of"
-        return t2.kind == "punct" and t2.text == closer
+        # The text fixes the kind: only a name reads `of`, only punctuation `)` or `=`.
+        t1 = self.peek(1)
+        return t1.kind == "name" and t1.text not in RESERVED and self.peek(2).text == closer
 
     # ------------------------------------------------------------------
     # Terms
@@ -200,19 +195,26 @@ class Parser:
         so its depth is not bounded by Python's."""
         if not self.at("["):
             return self._leaf(inner, what)
+        tokens = self.tokens
         stack: list[tuple[Token, str, list[Term]]] = []
         while True:
-            if stack and self.at("]"):
-                self.advance()
+            t = tokens[self.i]
+            if t.text == "]" and stack:
+                self.i += 1
                 lb, head, args = stack.pop()
                 node: Term = Con(head, tuple(args), lb.span)
-            elif self.at("["):
-                lb = self.advance()
-                if not self.at("]"):
-                    stack.append((lb, self.expect_name("a constructor name").text, []))
+            elif t.text == "[":
+                self.i += 1
+                name = tokens[self.i]
+                if name.text == "]":
+                    self.i += 1
+                    node = Con("nil", (), t.span)
+                else:
+                    if not self.at_name():
+                        self.expect_name("a constructor name")  # raises P001 or P002
+                    self.i += 1
+                    stack.append((t, name.text, []))
                     continue
-                self.advance()
-                node = Con("nil", (), lb.span)
             else:
                 node = self._leaf(inner, what)
             if not stack:
@@ -334,16 +336,24 @@ class Parser:
 # Entry points
 
 
+def _parse(tokens: list[Token], rule: Callable[[Parser], Term | SurfaceProgram]):
+    p = Parser(tokens)
+    # `( ... )`, `case` and `let` still nest by recursion: too deep is a P005, not a crash.
+    try:
+        out = rule(p)
+        p.expect_end()
+    except RecursionError:
+        raise p.error("P005", "nesting too deep") from None
+    return out
+
+
 def parse_program(source: str) -> SurfaceProgram:
-    return Parser(lex(source)).program()
+    return _parse(lex(source), Parser.program)
 
 
 def parse_term(source: str) -> Term:
     """Parse a single term; accepts the desugarer's `%N` names."""
-    p = Parser(lex(source, allow_internal=True))
-    t = p.term()
-    p.expect_end()
-    return t
+    return _parse(lex(source, allow_internal=True), Parser.term)
 
 
 def parse_value(source: str) -> Con:

@@ -195,24 +195,30 @@ def is_pattern(t: Term) -> bool:
             return False
 
 
-def _non_ground(t: Term) -> Term | None:
-    """A node of `t` that is not a constructor, if any; iterative, so any depth."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, Con):
-            return node
-        stack.extend(node.args)
-    return None
+def value_shape(t: Term) -> tuple[int, int, Term | None]:
+    """Height and node count of `t`, and the first node met that is not a
+    constructor (None for a value); level by level, so at any depth."""
+    level = [t]
+    height = count = 0
+    while level:
+        height += 1
+        count += len(level)
+        below: list[Term] = []
+        for node in level:
+            if not isinstance(node, Con):
+                return height, count, node
+            below += node.args
+        level = below
+    return height, count, None
 
 
 def is_value(t: Term) -> bool:
-    return _non_ground(t) is None
+    return value_shape(t)[2] is None
 
 
 def ensure_value(t: Term) -> Con:
     """Groundness check for interpreter entry."""
-    if (bad := _non_ground(t)) is not None:
+    if (bad := value_shape(t)[2]) is not None:
         raise ValueError(f"not a ground value: {bad!r}")
     assert isinstance(t, Con)
     return t

@@ -23,8 +23,11 @@ CORPUS = [
 ]
 
 # `run --trace` stderr for mapsuc, captured before trace rendering
-# became lazy; the text must not change.
+# became lazy, and for mirror, captured while ground literals were still
+# evaluated node by node; the text must not change.
 GOLDEN = Path(__file__).parent / "golden"
+TREE = "[node [node [leaf [zero]] [leaf [suc [zero]]]] [leaf [zero]]]"
+MIRRORED = "[node [leaf [zero]] [node [leaf [suc [zero]]] [leaf [zero]]]]"
 
 
 @pytest.fixture()
@@ -149,11 +152,14 @@ class TestRun:
              "[suc [zero]] : [suc [suc [zero]]] : []", "mapsuc_forward.trace"),
             (("--invert",), "[suc [zero]] : [suc [suc [zero]]] : []",
              "[zero] : [suc [zero]] : []", "mapsuc_invert.trace"),
+            ((), TREE, MIRRORED, "mirror_forward.trace"),
+            (("--invert",), TREE, MIRRORED, "mirror_invert.trace"),
         ],
     )
     def test_trace_text_is_pinned(self, capsys, corpus_dir, flags, value, result, golden):
-        source = read_corpus_file("invertibles.jeo").replace("main not.", "main mapsuc.")
-        path = corpus_dir / "mapsuc.jeo"
+        main = golden.split("_")[0]  # the function the golden file traces
+        source = read_corpus_file("invertibles.jeo").replace("main not.", f"main {main}.")
+        path = corpus_dir / f"{main}.jeo"
         path.write_text(source, encoding="utf-8")
         code, out, err = run_cli(capsys, "run", "--trace", *flags, str(path), value)
         assert (code, out) == (0, result + "\n")
@@ -267,6 +273,48 @@ class TestDeepValue:
             proc = run_process("run", str(program), "-", *invert, stdin=value)
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == "undecided: recursion depth limit reached\n"
+
+
+SAME = """\
+data nat = [zero] [suc nat].
+
+same (n : nat) : nat = n.
+
+main same.
+"""
+
+
+class TestDeepNesting:
+    """Nesting through `( … )`, `case` and `let` still recurses in the
+    parser; past what the Python stack allows it is one P005 diagnostic,
+    not a traceback."""
+
+    def assert_one_p005(self, proc):
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert "P005" in line
+
+    @pytest.mark.parametrize("depth", [1_200, 100_000])
+    def test_deep_parenthesised_value(self, tmp_path, depth):
+        program = tmp_path / "same.jeo"
+        program.write_text(SAME, encoding="utf-8")
+        value = "(" * depth + "[zero]" + ")" * depth
+        self.assert_one_p005(run_process("run", str(program), "-", stdin=value))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(" * 1_200 + "n" + ")" * 1_200,
+            "case " * 1_200 + "n" + " : nat of x -> x" * 1_200,
+            "let x = " * 1_200 + "n" + " in x" * 1_200,
+        ],
+        ids=["parentheses", "case", "let"],
+    )
+    def test_deep_body(self, tmp_path, body):
+        program = tmp_path / "deep.jeo"
+        program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")
+        self.assert_one_p005(run_process("check", str(program)))
 
 
 class TestTest:

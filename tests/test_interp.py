@@ -8,6 +8,7 @@ import jeopardy
 import jeopardy.interp
 from jeopardy.interp import (
     DEFAULT_FUEL,
+    Evaluator,
     LINEARITY_FAULT,
     MATCH_FAILURE,
     PSI_VIOLATION,
@@ -20,7 +21,7 @@ from jeopardy.interp import (
     run_main,
 )
 from jeopardy.parser import parse_term, parse_value
-from jeopardy.syntax import Apply, Con, FunRef, MainDecl, Program, Var
+from jeopardy.syntax import Apply, Con, FunRef, MainDecl, Program, Var, is_value
 
 
 def nat(n):
@@ -325,6 +326,114 @@ class TestTrace:
         lines = []
         assert run_main(program, v, inverted=inverted, trace=lines.append).ok
         assert lines and len(renders) == len(lines)
+
+
+def nat_depth(v):
+    """The k of [suc^k [zero]], without recursion (== on deep values recurses)."""
+    k = 0
+    while v.name == "suc":
+        k, v = k + 1, v.args[0]
+    assert v == Con("zero")
+    return k
+
+
+def balanced(depth):
+    if depth == 0:
+        return Con("leaf", (nat(0),))
+    return Con("node", (balanced(depth - 1), balanced(depth - 1)))
+
+
+NATS = "data nat = [zero] [suc nat].\n"
+
+# Inverting `pick` at [true] evaluates its ground pattern inside a search.
+PICK = """\
+data tree = [leaf] [node tree tree].
+data bool = [false] [true].
+pick ([node [leaf] [node [leaf] [leaf]]] : tree) : bool = [true].
+pick [leaf] = [false].
+main pick.
+"""
+
+
+class TestGroundLiteral:
+    """A ground literal evaluates in one step, yet it is charged the depth
+    and fuel its node-by-node walk cost.  The expected outcomes were
+    captured while literals were still walked node by node."""
+
+    @pytest.mark.parametrize(
+        "source, inverted, deepest, result",
+        [
+            ("same (n : nat) : nat = n.\nmain same.\n", False, 258, 0),
+            ("same (n : nat) : nat = n.\nmain same.\n", True, 257, 0),
+            ("inc (n : nat) : nat = [suc n].\nmain inc.\n", False, 258, 1),
+            ("inc (n : nat) : nat = [suc n].\nmain inc.\n", True, 257, -1),
+        ],
+        ids=["same", "same-inverted", "inc", "inc-inverted"],
+    )
+    def test_depth_charge_is_exact(self, source, inverted, deepest, result):
+        """`deepest` is the deepest literal that still evaluates; one
+        deeper runs into the depth guard."""
+        program = jeopardy.compile_source(NATS + source)
+        for k in range(255, 263):
+            out = run_main(program, nat(k), inverted=inverted)
+            if k <= deepest:
+                assert (out.kind, out.message) == ("success", "")
+                assert nat_depth(out.value) == k + result
+            else:
+                assert (out.kind, out.message) == ("undecided", "recursion depth limit reached")
+
+    # result -> (preimage, fuel a success costs, trace lines at each fuel
+    # that is too small, trace lines on success)
+    PICKED = {
+        "true": ("[node [leaf] [node [leaf] [leaf]]]", 8, [1, 1, 2, 2, 3, 3, 4, 7], 11),
+        "false": ("[leaf]", 5, [1, 1, 1, 2, 3], 7),
+    }
+
+    @pytest.mark.parametrize("result", ["true", "false"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_fuel_charge_in_a_search_is_exact(self, result, traced):
+        program = jeopardy.compile_source(PICK)
+        preimage, cost, lines_short, lines_ok = self.PICKED[result]
+        for fuel in range(21):
+            lines = []
+            ev = Evaluator(program, fuel=fuel, trace=lines.append if traced else None)
+            out = jeopardy.interp._to_outcome(
+                lambda: ev.eval_up(Apply(FunRef("pick"), Con(result)), {})
+            )
+            if fuel < cost:
+                assert (out.kind, out.message, ev.fuel) == ("undecided", "fuel exhausted", 0)
+                assert len(lines) == (lines_short[fuel] if traced else 0)
+            else:
+                assert (out.kind, out.value) == ("success", parse_value(preimage))
+                assert ev.fuel == fuel - cost
+                assert len(lines) == (lines_ok if traced else 0)
+
+    @pytest.mark.parametrize(
+        "main, small, large",
+        [("inc", nat(1), nat(200)), ("mirror", balanced(1), balanced(8))],
+    )
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_literal_costs_one_rule_application(
+        self, monkeypatch, invertibles, main, small, large, inverted
+    ):
+        calls = []
+        real = Evaluator._eval_down
+
+        def counting(self, t, env):
+            calls.append(t)
+            return real(self, t, env)
+
+        monkeypatch.setattr(Evaluator, "_eval_down", counting)
+        program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
+        counts = []
+        for value in (small, large):
+            calls.clear()
+            assert run_main(program, value, inverted=inverted).ok
+            ground = [t for t in calls if isinstance(t, Con) and is_value(t)]
+            assert len(ground) == 1 and ground[0] is value, "only the literal's root"
+            counts.append(len(calls))
+        if main == "inc":
+            assert counts[0] == counts[1], "independent of the literal's size"
 
 
 class TestGroundnessAtEntry:
