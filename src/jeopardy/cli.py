@@ -211,7 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except RecursionError:
+        # The parser reads nesting of any depth, but the passes after it
+        # still recurse once per level of a term.
+        err = SourceError.single("P005", "nesting too deep")
+        _print_source_error(err, getattr(args, "file", "jeopardy"))
+        return EXIT_SOURCE_ERROR
 
 
 if __name__ == "__main__":

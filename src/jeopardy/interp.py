@@ -17,6 +17,15 @@ evaluation's first-match selection.  The inverse-interpretation family
 (entered at every `invert` boundary) additionally demands a unique
 explanation: if any later branch could also produce the value, the
 result is a PsiViolation rather than a guess.
+
+What the program text fixes is worked out once per function, on its
+first call, into a side table kept with the `Program` and keyed by the
+`id()` of the nodes the function owns (`_compile`).  A search for a
+value whose constructor a branch body cannot produce fails after a
+fixed number of rule applications, nested a fixed depth, with no trace
+line; when both budgets cover that, it is charged instead of run
+(`_skip`), so every outcome, fuel remainder and trace line is the one
+the full search gives.
 """
 
 from __future__ import annotations
@@ -39,7 +48,6 @@ from .syntax import (
     Var,
     compose,
     ensure_value,
-    is_value,
     pattern_vars,
     subtract,
     unify,
@@ -58,6 +66,9 @@ PSI_VIOLATION = "PsiViolation"
 LINEARITY_FAULT = "LinearityFault"
 UNBOUND_VARIABLE = "UnboundVariable"
 UNKNOWN_FUNCTION = "UnknownFunction"
+
+_DEPTH_LIMIT = "recursion depth limit reached"
+_FUEL_EXHAUSTED = "fuel exhausted"
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,65 @@ class _Undecided(Exception):
         super().__init__(message)
 
 
+# ---------------------------------------------------------------------------
+# The side table.  A `Con` maps to (height, node count) when ground, else
+# None; a `Case` to one branch entry per branch; a compiled `FunDef` to
+# itself.  A branch entry is (pattern head, pattern variables, body head
+# set, cost, nesting); the head set is None when a failed search over the
+# body has no fixed cost, because a `Var` or an `Apply` lies on its path.
+
+_Branch = tuple[str | None, frozenset[str], frozenset[str] | None, int, int]
+_UNSEEN = object()
+
+
+def _branches(t: Case, failing: dict[int, tuple]) -> tuple[_Branch, ...]:
+    return tuple(
+        (
+            p.name if isinstance(p, Con) else None,
+            frozenset(pattern_vars(p)),
+            *failing.get(id(body), (None, 0, 0)),
+        )
+        for p, body in t.branches
+    )
+
+
+def _compile(f: FunDef, table: dict) -> None:
+    """Enter `f` and every node it owns into `table`, children first and
+    without recursion."""
+    order: list[Term] = []
+    stack: list[Term] = [f.param, f.body]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        if isinstance(t, Con):
+            stack += t.args
+        elif isinstance(t, Apply):
+            stack.append(t.arg)
+        elif isinstance(t, Case):
+            stack.append(t.selector)
+            for p, body in t.branches:
+                stack += (p, body)
+    # (head set, cost, nesting) of a failed search, for the nodes that have one
+    failing: dict[int, tuple[frozenset[str], int, int]] = {}
+    for t in reversed(order):
+        if isinstance(t, Con):
+            shapes = [table[id(a)] if isinstance(a, Con) else None for a in t.args]
+            table[id(t)] = None if None in shapes else (
+                1 + max((h for h, _ in shapes), default=0),
+                1 + sum(n for _, n in shapes),
+            )
+            failing[id(t)] = (frozenset((t.name,)), 1, 1)
+        elif isinstance(t, Case):
+            entries = table[id(t)] = _branches(t, failing)
+            if all(e[2] is not None for e in entries):
+                failing[id(t)] = (
+                    frozenset().union(*(e[2] for e in entries)),
+                    1 + sum(e[3] for e in entries),
+                    1 + max((e[4] for e in entries), default=0),
+                )
+    table[id(f)] = f
+
+
 class Evaluator:
     """One evaluation or inference session over a fixed program.
 
@@ -106,7 +176,7 @@ class Evaluator:
     rule application inside inference and psi checks; evaluation outside
     any search never consumes fuel.  Judgement nesting beyond
     `DEFAULT_MAX_DEPTH` is undecided, so fuel and depth together bound
-    every run.
+    every run.  Each judgement counts its own rule application on entry.
     """
 
     def __init__(
@@ -121,20 +191,15 @@ class Evaluator:
         self.fuel = fuel
         self.enforce_psi = enforce_psi
         self.trace = trace
+        self._table = program._table
         self._depth = 0
         self._search = 0
+        # `run_main`'s input and its shape, kept here: no program owns it.
+        self._input: Con | None = None
+        self._input_shape: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Accounting
-
-    def _enter(self) -> None:
-        self._depth += 1
-        if self._depth > DEFAULT_MAX_DEPTH:
-            raise _Undecided("recursion depth limit reached")
-        if self._search > 0:
-            if self.fuel <= 0:
-                raise _Undecided("fuel exhausted")
-            self.fuel -= 1
 
     def _emit(self, rule: str, span: Span, value: Con) -> None:
         if self.trace is not None:
@@ -144,79 +209,115 @@ class Evaluator:
         f = self.program.function(ref.base)
         if f is None:
             raise _Violation(UNKNOWN_FUNCTION, f"unknown function {ref.base!r}", span)
+        if id(f) not in self._table:
+            _compile(f, self._table)
         return f
+
+    def _shape(self, t: Con) -> tuple[int, int] | None:
+        """Height and node count of `t` when it is ground, else None."""
+        shape = self._table.get(id(t), _UNSEEN)
+        if shape is not _UNSEEN:
+            return shape
+        if t is self._input:
+            return self._input_shape
+        height, count, hole = value_shape(t)
+        return None if hole is not None else (height, count)
+
+    def _entries(self, t: Case) -> tuple[_Branch, ...]:
+        # A case no compiled function owns gets entries that skip nothing.
+        return self._table.get(id(t)) or _branches(t, {})
+
+    def _skip(self, entry: _Branch, v: Con) -> bool:
+        """Charge, instead of running, a search for `v` over a branch body
+        that cannot produce it, when the search fits both budgets."""
+        _, _, heads, cost, nesting = entry
+        if heads is None or v.name in heads:
+            return False
+        if self._depth + nesting > DEFAULT_MAX_DEPTH or self.fuel < cost:
+            return False
+        self.fuel -= cost
+        return True
 
     # ------------------------------------------------------------------
     # Forward evaluation
 
-    def eval_down(self, t: Term, env: Env) -> Con:
-        self._enter()
+    def _eval_down(self, t: Term, env: Env) -> Con:
+        self._depth += 1
         try:
-            return self._eval_down(t, env)
+            if self._depth > DEFAULT_MAX_DEPTH:
+                raise _Undecided(_DEPTH_LIMIT)
+            if self._search:
+                if self.fuel <= 0:
+                    raise _Undecided(_FUEL_EXHAUSTED)
+                self.fuel -= 1
+            match t:
+                case Var(x, span):
+                    if x not in env:
+                        raise _Violation(
+                            UNBOUND_VARIABLE, f"unbound variable {x!r}", span
+                        )
+                    v = env[x]
+                    self._emit("eval-variable", span, v)
+                    return v
+                case Con(name, args, span):
+                    shape = self._shape(t)
+                    if shape is not None:
+                        return self._literal(t, *shape)
+                    v = Con(name, tuple(self._eval_down(a, env) for a in args), span)
+                    self._emit("eval-constructor", span, v)
+                    return v
+                case Apply(ref, arg, span):
+                    if ref.inversions > 0:
+                        stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
+                        v = self._eval_up(Apply(stripped, arg, span), env)
+                        self._emit("eval-invert", span, v)
+                        return v
+                    f = self._function(ref, span)
+                    v_arg = self._eval_down(arg, env)
+                    binding = unify(v_arg, f.param)
+                    if binding is None:
+                        raise _Violation(
+                            MATCH_FAILURE,
+                            f"argument {pretty_value(v_arg)} does not match"
+                            f" the parameter of {ref.base!r}",
+                            span,
+                        )
+                    v = self._eval_down(f.body, binding)
+                    self._emit("eval-apply", span, v)
+                    return v
+                case Case(selector, _, branches, span):
+                    v_sel = self._eval_down(selector, env)
+                    entries = self._entries(t)
+                    for i, (p, body) in enumerate(branches):
+                        head = entries[i][0]
+                        if head is not None and head != v_sel.name:
+                            continue
+                        binding = unify(v_sel, p)
+                        if binding is None:
+                            continue
+                        try:
+                            branch_env = compose(env, binding)
+                        except EnvClash as e:
+                            raise _Violation(
+                                LINEARITY_FAULT,
+                                f"variable {e.name!r} rebound by a branch pattern",
+                                span,
+                            )
+                        v = self._eval_down(body, branch_env)
+                        # psi is obligatory inside inference: a skipped check
+                        # there would let a non-unique derivation pass as found.
+                        if self.enforce_psi or self._search > 0:
+                            self._check_psi(branches, entries, i, v, span)
+                        self._emit("eval-case", span, v)
+                        return v
+                    raise _Violation(
+                        MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span
+                    )
+            raise ValueError(f"cannot evaluate non-core term {t!r}")
         finally:
             self._depth -= 1
 
-    def _eval_down(self, t: Term, env: Env) -> Con:
-        match t:
-            case Var(x, span):
-                if x not in env:
-                    raise _Violation(
-                        UNBOUND_VARIABLE, f"unbound variable {x!r}", span
-                    )
-                v = env[x]
-                self._emit("eval-variable", span, v)
-                return v
-            case Con(name, args, span):
-                height, count, hole = value_shape(t)
-                if hole is None:
-                    return self._literal(t, height, count)
-                v = Con(name, tuple(self.eval_down(a, env) for a in args), span)
-                self._emit("eval-constructor", span, v)
-                return v
-            case Apply(ref, arg, span):
-                if ref.inversions > 0:
-                    stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                    v = self.eval_up(Apply(stripped, arg, span), env)
-                    self._emit("eval-invert", span, v)
-                    return v
-                f = self._function(ref, span)
-                v_arg = self.eval_down(arg, env)
-                binding = unify(v_arg, f.param)
-                if binding is None:
-                    raise _Violation(
-                        MATCH_FAILURE,
-                        f"argument {pretty_value(v_arg)} does not match"
-                        f" the parameter of {ref.base!r}",
-                        span,
-                    )
-                v = self.eval_down(f.body, binding)
-                self._emit("eval-apply", span, v)
-                return v
-            case Case(selector, _, branches, span):
-                v_sel = self.eval_down(selector, env)
-                for i, (p, body) in enumerate(branches):
-                    binding = unify(v_sel, p)
-                    if binding is None:
-                        continue
-                    try:
-                        branch_env = compose(env, binding)
-                    except EnvClash as e:
-                        raise _Violation(
-                            LINEARITY_FAULT,
-                            f"variable {e.name!r} rebound by a branch pattern",
-                            span,
-                        )
-                    v = self.eval_down(body, branch_env)
-                    # psi is obligatory inside inference: a skipped check
-                    # there would let a non-unique derivation pass as found.
-                    if self.enforce_psi or self._search > 0:
-                        self._check_psi(branches, i, v, span)
-                    self._emit("eval-case", span, v)
-                    return v
-                raise _Violation(
-                    MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span
-                )
-        raise ValueError(f"cannot evaluate non-core term {t!r}")
+    eval_down = _eval_down
 
     def _literal(self, t: Con, height: int, count: int) -> Con:
         """A ground term evaluates to itself.  Its rebuild by the rules costs,
@@ -231,10 +332,16 @@ class Evaluator:
         return t
 
     def _walk(self, node: Con) -> None:
-        # Recursion is bounded: `_enter` stops it at `DEFAULT_MAX_DEPTH`.
+        # Recursion is bounded: the depth check stops it at `DEFAULT_MAX_DEPTH`.
         for a in node.args:
-            self._enter()
+            self._depth += 1
             try:
+                if self._depth > DEFAULT_MAX_DEPTH:
+                    raise _Undecided(_DEPTH_LIMIT)
+                if self._search:
+                    if self.fuel <= 0:
+                        raise _Undecided(_FUEL_EXHAUSTED)
+                    self.fuel -= 1
                 self._walk(a)
             finally:
                 self._depth -= 1
@@ -243,6 +350,7 @@ class Evaluator:
     def _check_psi(
         self,
         branches: tuple[tuple[Term, Term], ...],
+        entries: tuple[_Branch, ...],
         taken: int,
         v_res: Con,
         span: Span,
@@ -254,120 +362,123 @@ class Evaluator:
         could have produced the value being returned.
         """
         for j in range(taken):
-            if self._exists_derivation(branches[j][1], v_res):
+            if self._exists_derivation(branches[j][1], entries[j], v_res):
                 raise _Violation(
                     PSI_VIOLATION,
                     f"branch {j + 1} can also produce {pretty_value(v_res)}",
                     span,
                 )
 
-    def _exists_derivation(self, t: Term, v: Con) -> bool:
+    def _exists_derivation(self, t: Term, entry: _Branch, v: Con) -> bool:
         """Can t evaluate to v under some environment?
 
-        A ground body is decided by equality without touching the fuel;
-        anything else runs plain environment inference.
+        A ground body is decided by equality without touching the fuel, and
+        one whose head set excludes v by `_skip`; anything else runs plain
+        environment inference.
         """
-        if is_value(t):
+        if isinstance(t, Con) and self._shape(t) is not None:
             return t == v
-        return self.infer_down(t, v, unique=False) is not None
+        if self._skip(entry, v):
+            return False
+        return self._infer_down(t, v, False) is not None
 
     # ------------------------------------------------------------------
     # Inverse evaluation
 
-    def eval_up(self, t: Apply, env: Env) -> Con:
-        self._enter()
+    def _eval_up(self, t: Apply, env: Env) -> Con:
+        self._depth += 1
         try:
-            return self._eval_up(t, env)
+            if self._depth > DEFAULT_MAX_DEPTH:
+                raise _Undecided(_DEPTH_LIMIT)
+            if self._search:
+                if self.fuel <= 0:
+                    raise _Undecided(_FUEL_EXHAUSTED)
+                self.fuel -= 1
+            ref, arg, span = t.ref, t.arg, t.span
+            if ref.inversions > 0:
+                stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
+                v = self._eval_down(Apply(stripped, arg, span), env)
+                self._emit("inverse-invert", span, v)
+                return v
+            f = self._function(ref, span)
+            v_out = self._eval_down(arg, env)
+            inferred = self._infer_down(f.body, v_out, True)
+            if inferred is None:
+                raise _Violation(
+                    MATCH_FAILURE,
+                    f"no preimage: {ref.base!r} cannot produce {pretty_value(v_out)}",
+                    span,
+                )
+            v = self._eval_down(f.param, inferred)
+            self._emit("inverse-apply", span, v)
+            return v
         finally:
             self._depth -= 1
 
-    def _eval_up(self, t: Apply, env: Env) -> Con:
-        ref, arg, span = t.ref, t.arg, t.span
-        if ref.inversions > 0:
-            stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-            v = self.eval_down(Apply(stripped, arg, span), env)
-            self._emit("inverse-invert", span, v)
-            return v
-        f = self._function(ref, span)
-        v_out = self.eval_down(arg, env)
-        inferred = self.infer_down(f.body, v_out, unique=True)
-        if inferred is None:
-            raise _Violation(
-                MATCH_FAILURE,
-                f"no preimage: {ref.base!r} cannot produce {pretty_value(v_out)}",
-                span,
-            )
-        v = self.eval_down(f.param, inferred)
-        self._emit("inverse-apply", span, v)
-        return v
+    eval_up = _eval_up
 
     # ------------------------------------------------------------------
     # Environment inference
 
-    def infer_down(self, t: Term, v: Con, unique: bool) -> Env | None:
+    def _infer_down(self, t: Term, v: Con, unique: bool) -> Env | None:
         self._search += 1
+        self._depth += 1
         try:
-            self._enter()
-            try:
-                return self._infer_down(t, v, unique)
-            finally:
-                self._depth -= 1
+            if self._depth > DEFAULT_MAX_DEPTH:
+                raise _Undecided(_DEPTH_LIMIT)
+            if self.fuel <= 0:
+                raise _Undecided(_FUEL_EXHAUSTED)
+            self.fuel -= 1
+            match t:
+                case Var(x, span):
+                    self._emit("infer-variable", span, v)
+                    return {x: v}
+                case Con(name, args, span):
+                    if v.name != name or len(v.args) != len(args):
+                        return None
+                    envs = []
+                    for a, va in zip(args, v.args):
+                        assert isinstance(va, Con)
+                        e = self._infer_down(a, va, unique)
+                        if e is None:
+                            return None
+                        envs.append(e)
+                    try:
+                        out = compose(*envs)
+                    except EnvClash as e:
+                        raise _Violation(
+                            LINEARITY_FAULT,
+                            f"variable {e.name!r} inferred more than once",
+                            span,
+                        )
+                    self._emit("infer-constructor", span, v)
+                    return out
+                case Apply(ref, arg, span):
+                    if ref.inversions > 0:
+                        stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
+                        out = self._infer_up(Apply(stripped, arg, span), v)
+                        self._emit("infer-invert", span, v)
+                        return out
+                    f = self._function(ref, span)
+                    body_env = self._infer_down(f.body, v, unique)
+                    if body_env is None:
+                        return None
+                    v_param = self._eval_in_search(f.param, body_env)
+                    if v_param is None:
+                        return None
+                    out = self._infer_down(arg, v_param, unique)
+                    self._emit("infer-apply", span, v)
+                    return out
+                case Case():
+                    return self._infer_case(t, v, unique)
+            raise ValueError(f"cannot infer over non-core term {t!r}")
         finally:
+            self._depth -= 1
             self._search -= 1
 
-    def _infer_down(self, t: Term, v: Con, unique: bool) -> Env | None:
-        match t:
-            case Var(x, span):
-                self._emit("infer-variable", span, v)
-                return {x: v}
-            case Con(name, args, span):
-                if v.name != name or len(v.args) != len(args):
-                    return None
-                envs = []
-                for a, va in zip(args, v.args):
-                    assert isinstance(va, Con)
-                    e = self.infer_down(a, va, unique)
-                    if e is None:
-                        return None
-                    envs.append(e)
-                try:
-                    out = compose(*envs)
-                except EnvClash as e:
-                    raise _Violation(
-                        LINEARITY_FAULT,
-                        f"variable {e.name!r} inferred more than once",
-                        span,
-                    )
-                self._emit("infer-constructor", span, v)
-                return out
-            case Apply(ref, arg, span):
-                if ref.inversions > 0:
-                    stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                    out = self.infer_up(Apply(stripped, arg, span), v)
-                    self._emit("infer-invert", span, v)
-                    return out
-                f = self._function(ref, span)
-                body_env = self.infer_down(f.body, v, unique)
-                if body_env is None:
-                    return None
-                v_param = self._eval_in_search(f.param, body_env)
-                if v_param is None:
-                    return None
-                out = self.infer_down(arg, v_param, unique)
-                self._emit("infer-apply", span, v)
-                return out
-            case Case(selector, _, branches, span):
-                return self._infer_case(selector, branches, v, unique, span)
-        raise ValueError(f"cannot infer over non-core term {t!r}")
+    infer_down = _infer_down
 
-    def _infer_case(
-        self,
-        selector: Term,
-        branches: tuple[tuple[Term, Term], ...],
-        v: Con,
-        unique: bool,
-        span: Span,
-    ) -> Env | None:
+    def _infer_case(self, t: Case, v: Con, unique: bool) -> Env | None:
         """Branch search: commit to the first body able to produce v.
 
         The committed branch must then survive its remaining premises
@@ -375,8 +486,12 @@ class Evaluator:
         value means the derivation does not exist.  In unique mode any
         later branch that could also produce v is an ambiguity fault.
         """
+        branches = t.branches
+        entries = self._entries(t)
         for i, (p, body) in enumerate(branches):
-            env_body = self.infer_down(body, v, unique)
+            if self._skip(entries[i], v):
+                continue
+            env_body = self._infer_down(body, v, unique)
             if env_body is not None:
                 break
         else:
@@ -387,26 +502,26 @@ class Evaluator:
         for j in range(i):
             if unify(v_sel, branches[j][0]) is not None:
                 return None
-        env_sel = self.infer_down(selector, v_sel, unique)
+        env_sel = self._infer_down(t.selector, v_sel, unique)
         if env_sel is None:
             return None
         try:
-            out = compose(subtract(env_body, pattern_vars(p)), env_sel)
+            out = compose(subtract(env_body, entries[i][1]), env_sel)
         except EnvClash as e:
             raise _Violation(
                 LINEARITY_FAULT,
                 f"variable {e.name!r} inferred more than once",
-                span,
+                t.span,
             )
         if unique:
             for j in range(i + 1, len(branches)):
-                if self._exists_derivation(branches[j][1], v):
+                if self._exists_derivation(branches[j][1], entries[j], v):
                     raise _Violation(
                         PSI_VIOLATION,
                         f"{pretty_value(v)} is producible by more than one branch",
-                        span,
+                        t.span,
                     )
-        self._emit("infer-case", span, v)
+        self._emit("infer-case", t.span, v)
         return out
 
     def _eval_in_search(self, t: Term, env: Env) -> Con | None:
@@ -417,7 +532,7 @@ class Evaluator:
         program-level faults keep propagating.
         """
         try:
-            return self.eval_down(t, env)
+            return self._eval_down(t, env)
         except _Violation as e:
             if e.kind in (LINEARITY_FAULT, UNKNOWN_FUNCTION):
                 raise
@@ -426,34 +541,36 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Inverse environment inference
 
-    def infer_up(self, t: Apply, v: Con) -> Env | None:
+    def _infer_up(self, t: Apply, v: Con) -> Env | None:
         self._search += 1
+        self._depth += 1
         try:
-            self._enter()
-            try:
-                return self._infer_up(t, v)
-            finally:
-                self._depth -= 1
+            if self._depth > DEFAULT_MAX_DEPTH:
+                raise _Undecided(_DEPTH_LIMIT)
+            if self.fuel <= 0:
+                raise _Undecided(_FUEL_EXHAUSTED)
+            self.fuel -= 1
+            ref, arg, span = t.ref, t.arg, t.span
+            if ref.inversions > 0:
+                stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
+                out = self._infer_down(Apply(stripped, arg, span), v, True)
+                self._emit("inverse-infer-invert", span, v)
+                return out
+            f = self._function(ref, span)
+            param_env = self._infer_down(f.param, v, True)
+            if param_env is None:
+                return None
+            v_out = self._eval_in_search(f.body, param_env)
+            if v_out is None:
+                return None
+            out = self._infer_down(arg, v_out, True)
+            self._emit("inverse-infer-apply", span, v)
+            return out
         finally:
+            self._depth -= 1
             self._search -= 1
 
-    def _infer_up(self, t: Apply, v: Con) -> Env | None:
-        ref, arg, span = t.ref, t.arg, t.span
-        if ref.inversions > 0:
-            stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-            out = self.infer_down(Apply(stripped, arg, span), v, unique=True)
-            self._emit("inverse-infer-invert", span, v)
-            return out
-        f = self._function(ref, span)
-        param_env = self.infer_down(f.param, v, unique=True)
-        if param_env is None:
-            return None
-        v_out = self._eval_in_search(f.body, param_env)
-        if v_out is None:
-            return None
-        out = self.infer_down(arg, v_out, unique=True)
-        self._emit("inverse-infer-apply", span, v)
-        return out
+    infer_up = _infer_up
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +641,13 @@ def run_main(
     """
     if psi_mode not in ("enforce", "skip"):
         raise ValueError("psi_mode must be 'enforce' or 'skip'")
-    ensure_value(value)
+    # One walk both checks groundness and gives the literal's shape.
+    height, count, hole = value_shape(value)
+    if hole is not None:
+        raise ValueError(f"not a ground value: {hole!r}")
     ref = program.main.ref
     if inverted:
         ref = ref.invert()
-    term = Apply(ref, value, value.span)
-    return evaluate(program, term, {}, enforce_psi=psi_mode == "enforce", **opts)
+    ev = Evaluator(program, enforce_psi=psi_mode == "enforce", **opts)
+    ev._input, ev._input_shape = value, (height, count)
+    return _to_outcome(lambda: ev.eval_down(Apply(ref, value, value.span), {}))

@@ -171,6 +171,15 @@ class Program:
     def _ctors(self) -> dict[str, tuple[DataDecl, Ctor]]:
         return {c.name: (d, c) for d in reversed(self.datatypes) for c in reversed(d.ctors)}
 
+    @cached_property
+    def _table(self) -> dict:
+        """The interpreter's side table, filled one function at a time (see
+        `interp`).  It is keyed by `id()`, so a copy starts without it."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_table"}
+
     def function(self, name: str) -> FunDef | None:
         return self._functions.get(name)
 
@@ -278,23 +287,23 @@ def unify(value: Con, pattern: Term) -> Env | None:
     occurrence.  Linear programs never contain such patterns, but the
     matcher stays total either way.
     """
+    if isinstance(pattern, Var):
+        return {pattern.name: value}
     env: Env = {}
-
-    def go(v: Con, p: Term) -> bool:
-        match p:
-            case Var(x):
-                if x in env:
-                    return env[x] == v
-                env[x] = v
-                return True
-            case Con(name, args):
-                if v.name != name or len(v.args) != len(args):
-                    return False
-                return all(go(a, q) for a, q in zip(v.args, args))
-            case _:
-                return False
-
-    return env if go(value, pattern) else None
+    todo = [(value, pattern)]
+    while todo:
+        v, p = todo.pop()
+        if isinstance(p, Var):
+            if p.name not in env:
+                env[p.name] = v
+            elif env[p.name] != v:
+                return None
+        elif isinstance(p, Con) and v.name == p.name and len(v.args) == len(p.args):
+            # Reversed, so the leftmost pair is matched next: pre-order.
+            todo += zip(reversed(v.args), reversed(p.args))
+        else:
+            return None
+    return env
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,8 @@ main same.
 
 class TestDeepNesting:
     """Nesting through `( … )`, `case` and `let` still recurses in the
-    parser; past what the Python stack allows it is one P005 diagnostic,
-    not a traceback."""
+    parser, and any nesting in the passes after it; past what the Python
+    stack allows it is one P005 diagnostic, not a traceback."""
 
     def assert_one_p005(self, proc):
         assert (proc.returncode, proc.stdout) == (3, "")
@@ -315,6 +315,20 @@ class TestDeepNesting:
         program = tmp_path / "deep.jeo"
         program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")
         self.assert_one_p005(run_process("check", str(program)))
+
+    @pytest.mark.parametrize("argv", [["check"], ["ast"], ["run", "[zero]"]])
+    def test_deep_constructor_body(self, tmp_path, argv):
+        program = tmp_path / "deep.jeo"
+        body = "[suc " * 1_000 + "n" + "]" * 1_000
+        program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")
+        self.assert_one_p005(run_process(argv[0], str(program), *argv[1:]))
+
+    def test_deep_parameter_pattern_in_ast(self, tmp_path):
+        program = tmp_path / "deep.jeo"
+        pattern = "[suc " * 700 + "n" + "]" * 700
+        program.write_text(SAME.replace("(n : nat)", f"({pattern} : nat)"), encoding="utf-8")
+        assert run_process("check", str(program)).returncode == 0
+        self.assert_one_p005(run_process("ast", str(program)))
 
 
 class TestTest:
