@@ -21,10 +21,11 @@ Grammar notes that matter here rather than in the syntax module:
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 
-from .diagnostics import SourceError
-from .lexer import Token, lex
+from .diagnostics import Span, SourceError
+from .lexer import _NAME, Token, lex
 from .syntax import (
     RESERVED,
     Apply,
@@ -280,6 +281,9 @@ class Parser:
 
     def clause(self) -> Clause:
         name = self.expect_name("a function name")
+        if not self.at("("):
+            # The annotated form would fail at its `(` having read nothing.
+            return self._clause_bare(name)
         mark = self.i
         try:
             return self._clause_annotated(name)
@@ -357,8 +361,126 @@ def parse_term(source: str) -> Term:
 
 
 def parse_value(source: str) -> Con:
+    """Parse a ground value.  Text the value reader refuses goes through
+    `parse_term`, which gives every diagnostic."""
+    if (v := _read_value(source)) is not None:
+        return v
     t = parse_term(source)
     if not is_value(t):
         raise SourceError.single("P004", "expected a ground value")
     assert isinstance(t, Con)
     return t
+
+
+# ---------------------------------------------------------------------------
+# The value reader
+
+# Value tokens, split where `lex` splits them: an opening bracket with the
+# constructor name right after it, a name, a run of `]`, the other
+# punctuation a value uses, a newline, a comment, any other character (never
+# part of a value) or the empty end.  Each match is (blanks, name, token).
+_VALUE_TOKEN = re.compile(
+    rf"([ \t\r]*)(?:\[({_NAME})|({_NAME}|\]+|[\[(),:]|\n|--[^\n]*|.|\Z))"
+)
+
+# What the reader expects next: an atom in a cons chain, a constructor's
+# next argument or its `]`, a `:` or the chain's end, or the name after `[`.
+_ATOM, _ARGS, _NEXT, _HEAD = 0, 1, 2, 3
+
+
+def _read_value(source: str) -> Con | None:
+    """Read `[c v ..]`, `[]`, `(v)`, `(v, w)` and `v : w` in one pass over an
+    explicit stack, giving each node the span `Parser.term` gives it; None
+    for any other text.
+
+    A frame is `[span, name, args]` for an open bracket, or `[span, None,
+    parts, first]` for a cons chain: the whole value (span None) or one in
+    parentheses, where `first` holds the part before a pair's comma.
+    """
+    new = tuple.__new__  # all four fields known: no need for `Span.__new__`
+    line = col = 1
+    top: list = [None, None, [], None]
+    frames = [top]
+    items = top[2]  # the top frame's arguments or chain parts
+    mode = _ATOM
+    lb = None  # the span of the last `[`
+    for blanks, name, tok in _VALUE_TOKEN.findall(source):
+        col += len(blanks)
+        if name:
+            if mode > _ARGS:
+                return None
+            lb = new(Span, (line, col, line, col + 1))
+            col += 1
+        elif mode == _HEAD and tok[:1].isalpha():
+            name = tok  # after `[` and a newline, blanks or a comment
+        if name:
+            if name in RESERVED or not name[0].isalpha():
+                return None
+            top = [lb, name, []]
+            frames.append(top)
+            items = top[2]
+            mode = _ARGS
+            col += len(name)
+            continue
+        if tok[:1] == "]":
+            for _ in tok:
+                if mode == _ARGS:
+                    span, name, args = frames.pop()
+                    node = Con(name, tuple(args), span)
+                    top = frames[-1]
+                    items = top[2]
+                elif mode == _HEAD:
+                    node = Con("nil", (), lb)
+                else:
+                    return None
+                items.append(node)
+                mode = _NEXT if top[1] is None else _ARGS
+            col += len(tok)
+            continue
+        if tok == ":":
+            if mode != _NEXT:
+                return None
+            mode = _ATOM
+        elif tok == "[":
+            if mode > _ARGS:
+                return None
+            lb = new(Span, (line, col, line, col + 1))
+            mode = _HEAD
+        elif tok == "(":
+            if mode > _ARGS:
+                return None
+            top = [new(Span, (line, col, line, col + 1)), None, [], None]
+            frames.append(top)
+            items = top[2]
+            mode = _ATOM
+        elif tok == ",":
+            if mode != _NEXT or top[0] is None or top[3] is not None:
+                return None
+            top[3] = _fold_cons(items)
+            items = top[2] = []
+            mode = _ATOM
+        elif tok == ")":
+            if mode != _NEXT or top[0] is None:
+                return None
+            span, _, parts, first = frames.pop()
+            node = _fold_cons(parts)
+            if first is not None:
+                node = Con("pair", (first, node), span)
+            top = frames[-1]
+            items = top[2]
+            items.append(node)
+            mode = _NEXT if top[1] is None else _ARGS
+        elif tok == "\n":
+            line += 1
+            col = 1
+            continue
+        elif tok[:2] == "--":
+            continue  # as in `lex`: only `\n` or the end follows
+        elif tok or mode != _NEXT or top[0] is not None:
+            return None
+        else:  # the end
+            out = _fold_cons(items)
+            assert isinstance(out, Con)
+            return out
+        col += 1
+    return None

@@ -29,25 +29,44 @@ from .syntax import (
 
 
 def pretty_value(v: Con) -> str:
-    return _value(v, False)
-
-
-def _value(v: Con, atom: bool) -> str:
-    if v.name == "nil" and not v.args:
-        return "[]"
-    if v.name == "pair" and len(v.args) == 2:
-        a, b = v.args
-        assert isinstance(a, Con) and isinstance(b, Con)
-        return f"({_value(a, False)}, {_value(b, False)})"
-    if v.name == "cons" and len(v.args) == 2:
-        h, t = v.args
-        assert isinstance(h, Con) and isinstance(t, Con)
-        s = f"{_value(h, True)} : {_value(t, False)}"
-        return f"({s})" if atom else s
-    if not v.args:
-        return f"[{v.name}]"
-    args = " ".join(_value(a, True) for a in v.args if isinstance(a, Con))
-    return f"[{v.name} {args}]"
+    """One loop over an explicit stack of nodes still to print and text to
+    emit after them, so a value prints at any depth."""
+    out: list[str] = []
+    todo: list[Con | str] = [v]
+    emit, push = out.append, todo.append
+    while todo:
+        node = todo.pop()
+        if node.__class__ is str:
+            emit(node)
+            continue
+        name, args = node.name, node.args
+        # A cons chain in an atom position (a cons head or a constructor's
+        # argument) is parenthesised; a pair's parts and a tail are not.
+        if not args:
+            emit("[]" if name == "nil" else f"[{name}]")
+        elif len(args) == 2 and name == "pair":
+            emit("(")
+            todo += (")", args[1], ", ", args[0])
+        elif len(args) == 2 and name == "cons":
+            todo += (args[1], " : ")
+            a = args[0]
+            if a.name == "cons" and len(a.args) == 2:
+                todo += (")", a, "(")
+            else:
+                push(a)
+        else:
+            emit(f"[{name} ")
+            push("]")
+            blank = False
+            for a in reversed(args):
+                if blank:
+                    push(" ")
+                blank = True
+                if a.name == "cons" and len(a.args) == 2:
+                    todo += (")", a, "(")
+                else:
+                    push(a)
+    return "".join(out)
 
 
 def pretty_fun_ref(ref: FunRef) -> str:

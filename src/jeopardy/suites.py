@@ -28,7 +28,7 @@ from .interp import (
 )
 from .parser import parse_program, parse_value
 from .pretty import pretty_program, pretty_value
-from .syntax import Apply, Con, Env, FunRef, Program
+from .syntax import Apply, Con, Ctor, Env, FunRef, Program
 from .typecheck import bind_types, check_program
 from .validate import validate
 
@@ -91,6 +91,8 @@ class ValueGenerator:
         self.rng = rng
         self.max_depth = max_depth
         self._heights = self._min_heights(program)
+        # The constructors that fit each (type, budget), worked out once.
+        self._feasible: dict[tuple[str, int], list[Ctor]] = {}
 
     @staticmethod
     def _min_heights(program: Program) -> dict[str, float]:
@@ -110,14 +112,16 @@ class ValueGenerator:
         return self._draw(type_name, self.max_depth)
 
     def _draw(self, type_name: str, budget: int) -> Con:
-        decl = self.program.datatype(type_name)
-        if decl is None:
-            raise ValueError(f"unknown datatype {type_name!r}")
-        feasible = [
-            c
-            for c in decl.ctors
-            if 1 + max((self._heights[t] for t in c.arg_types), default=0) <= budget
-        ]
+        feasible = self._feasible.get((type_name, budget))
+        if feasible is None:
+            decl = self.program.datatype(type_name)
+            if decl is None:
+                raise ValueError(f"unknown datatype {type_name!r}")
+            feasible = self._feasible[type_name, budget] = [
+                c
+                for c in decl.ctors
+                if 1 + max((self._heights[t] for t in c.arg_types), default=0) <= budget
+            ]
         if not feasible:
             raise ValueError(f"no value of type {type_name!r} fits depth {budget}")
         ctor = self.rng.choice(feasible)

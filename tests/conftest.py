@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from jeopardy.suites import (
@@ -35,3 +38,13 @@ def lists():
 @pytest.fixture(scope="session")
 def fibpair():
     return load_corpus_program("fibpair.jeo")
+
+
+@pytest.fixture(scope="session")
+def bench_gen():
+    """The benchmark's input generator, `bench/gen.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

@@ -1,5 +1,6 @@
 """Term helpers that only the tests need: a `let`-freeness check for
-desugarer output, and pattern instantiation as an oracle for `unify`."""
+desugarer output, pattern instantiation as an oracle for `unify`, and a
+value comparison that also compares spans."""
 
 from jeopardy.syntax import Apply, Case, Con, Env, Term, Var, is_pattern
 
@@ -30,3 +31,15 @@ def instantiate(pattern: Term, env: Env) -> Con:
             return Con(name, tuple(instantiate(a, env) for a in args), span)
         case _:
             raise ValueError(f"not a pattern: {pattern!r}")
+
+
+def same_tree(a: Con, b: Con) -> bool:
+    """Equal values with equal spans at every node, walked on an explicit
+    stack: `==` ignores spans and recurses once per level."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if (x.name, len(x.args), x.span) != (y.name, len(y.args), y.span):
+            return False
+        todo += zip(x.args, y.args)
+    return True

@@ -1,8 +1,6 @@
 """Token-level behaviour, mostly around dashes and comments."""
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,10 +146,6 @@ def test_lex_agrees_on_the_corpus(name):
     assert_agrees(read_corpus_file(name))
 
 
-def test_lex_agrees_on_generated_programs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    for program in gen.program_pool(random.Random(7)):
+def test_lex_agrees_on_generated_programs(bench_gen):
+    for program in bench_gen.program_pool(random.Random(7)):
         assert_agrees(program.source)

@@ -1,9 +1,13 @@
 """Surface syntax, including the tuple/list sugar and annotations."""
 
+import dataclasses
+import random
+import re
+
 import pytest
 
 from jeopardy.diagnostics import SourceError
-from jeopardy.parser import parse_program, parse_term, parse_value
+from jeopardy.parser import Parser, parse_program, parse_term, parse_value
 from jeopardy.syntax import Apply, Case, Con, FunRef, Let, Var
 
 
@@ -192,3 +196,54 @@ class TestPrograms:
     def test_internal_names_rejected_in_source(self):
         with pytest.raises(SourceError):
             parse_program("f (%0 : nat) : nat = %0.\nmain f.")
+
+
+def backtracking_clause(self):
+    """The annotated form first, even when no `(` follows the function
+    name, then the bare form: the reference for `Parser.clause`."""
+    name = self.expect_name("a function name")
+    mark = self.i
+    try:
+        return self._clause_annotated(name)
+    except SourceError as annotated_err:
+        annotated_far = self.i
+        self.i = mark
+        try:
+            return self._clause_bare(name)
+        except SourceError:
+            if annotated_far > self.i:
+                raise annotated_err from None
+            raise
+
+
+def dump(x):
+    """A parse tree as plain data, spans included (`==` skips them)."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(dump(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(dump(a) for a in x)
+    return x
+
+
+def parse_outcome(source):
+    try:
+        return dump(parse_program(source))
+    except SourceError as err:
+        return [(d.code, d.message, d.span) for d in err.diagnostics]
+
+
+def test_clauses_parse_as_with_backtracking(monkeypatch, bench_gen):
+    rng = random.Random(11)
+    sources = []
+    for program in sorted(bench_gen.program_pool(random.Random(7)), key=lambda p: p.lines)[:4]:
+        sources.append(program.source)
+        pieces = re.split(r"(\s+|[][()=.:,;])", program.source)
+        for _ in range(10):  # drop, double or swap one token
+            mutant = pieces[:]
+            i = rng.randrange(len(mutant) - 1)
+            a, b = mutant[i : i + 2]
+            mutant[i : i + 2] = rng.choice([[b], [a, a, b], [b, a]])
+            sources.append("".join(mutant))
+    got = [parse_outcome(s) for s in sources]
+    monkeypatch.setattr(Parser, "clause", backtracking_clause)
+    assert got == [parse_outcome(s) for s in sources]
