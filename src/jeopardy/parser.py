@@ -361,11 +361,11 @@ def parse_term(source: str) -> Term:
 
 
 def parse_value(source: str) -> Con:
-    """Parse a ground value.  Text the value reader refuses goes through
-    `parse_term`, which gives every diagnostic."""
+    """Parse a ground value.  Text the value reader refuses goes to the
+    parser, without `%N` names, which gives every diagnostic."""
     if (v := _read_value(source)) is not None:
         return v
-    t = parse_term(source)
+    t = _parse(lex(source), Parser.term)
     if not is_value(t):
         raise SourceError.single("P004", "expected a ground value")
     assert isinstance(t, Con)

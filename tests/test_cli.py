@@ -124,6 +124,15 @@ class TestRun:
         assert code == 3
         assert "P004" in err
 
+    @pytest.mark.parametrize("value", ["[%1]", "[true %1]"])
+    def test_internal_name_in_value_is_a_lexical_error(self, corpus_dir, value):
+        """`%N` names belong to the desugarer: a value refuses them as a
+        program source does."""
+        proc = run_process("run", str(corpus_dir / "invertibles.jeo"), value)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("<value>:1:") and "error[L001]" in line
+
     def test_skip_psi_banner_and_result(self, capsys, corpus_dir):
         code, out, err = run_cli(
             capsys,

@@ -21,7 +21,7 @@ from jeopardy.interp import (
     run_main,
 )
 from jeopardy.parser import parse_term, parse_value
-from jeopardy.syntax import Apply, Con, FunRef, MainDecl, Program, Var, is_value
+from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value
 
 
 def nat(n):
@@ -41,6 +41,12 @@ def ones(n):
     for _ in range(n):
         v = Con("cons", (nat(1), v))
     return v
+
+
+def balanced(depth):
+    if depth == 0:
+        return Con("leaf", (nat(0),))
+    return Con("node", (balanced(depth - 1), balanced(depth - 1)))
 
 
 def ok_value(outcome):
@@ -327,6 +333,49 @@ class TestTrace:
         assert run_main(program, v, inverted=inverted, trace=lines.append).ok
         assert lines and len(renders) == len(lines)
 
+    @pytest.mark.parametrize(
+        "main, value, inverted, traced_lines",
+        [
+            ("mirror", balanced(6), False, 1141),
+            ("mirror", balanced(6), True, 1712),
+            ("mapsuc", ones(60), False, 725),
+            ("mapsuc", ones(60), True, 1028),
+        ],
+    )
+    def test_untraced_run_makes_no_trace_call(
+        self, monkeypatch, invertibles, main, value, inverted, traced_lines
+    ):
+        """Tracing costs nothing when it is off: not even a call to `_emit`."""
+        calls = []
+        real = Evaluator._emit
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(Evaluator, "_emit", counting)
+        program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
+        assert run_main(program, value, inverted=inverted).ok
+        assert calls == []
+        lines = []
+        assert run_main(program, value, inverted=inverted, trace=lines.append).ok
+        assert len(calls) == len(lines) == traced_lines
+
+
+class TestNonCoreTerms:
+    """Only the desugarer's core reaches the judgements; anything else is a
+    caller's bug, reported as such rather than evaluated."""
+
+    LET = Let(Var("x"), None, Con("zero"), Var("x"))
+
+    def test_evaluate_refuses_a_let(self, arith):
+        with pytest.raises(ValueError, match="^cannot evaluate non-core term Let"):
+            evaluate(arith, self.LET)
+
+    def test_inference_refuses_a_let(self, arith):
+        with pytest.raises(ValueError, match="^cannot infer over non-core term Let"):
+            infer_env_down(arith, self.LET, nat(0))
+
 
 def nat_depth(v):
     """The k of [suc^k [zero]], without recursion (== on deep values recurses)."""
@@ -335,12 +384,6 @@ def nat_depth(v):
         k, v = k + 1, v.args[0]
     assert v == Con("zero")
     return k
-
-
-def balanced(depth):
-    if depth == 0:
-        return Con("leaf", (nat(0),))
-    return Con("node", (balanced(depth - 1), balanced(depth - 1)))
 
 
 NATS = "data nat = [zero] [suc nat].\n"

@@ -1,8 +1,9 @@
 """`parse_value`'s own reader and the iterative `pretty_value`.
 
-The reader must give exactly what `parse_term` and the groundness check
-give, spans included, and refuse everything else to them, so that they
-stay the only source of diagnostics."""
+The reader must give exactly what the term parser (without the
+desugarer's `%N` names) and the groundness check give, spans included,
+and refuse everything else to them, so that they stay the only source of
+diagnostics."""
 
 import random
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from jeopardy import parser
 from jeopardy.diagnostics import Span, SourceError
-from jeopardy.parser import parse_term, parse_value
+from jeopardy.lexer import lex
+from jeopardy.parser import Parser, parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.syntax import Con, is_value
 from terms import same_tree
@@ -19,7 +21,7 @@ from terms import same_tree
 
 def parse_value_by_parser(text):
     """`parse_value` through the parser alone: the reference for the reader."""
-    t = parse_term(text)
+    t = parser._parse(lex(text), Parser.term)
     if not is_value(t):
         raise SourceError.single("P004", "expected a ground value")
     return t
@@ -161,10 +163,10 @@ def test_values_never_reach_the_parser(monkeypatch, bench_gen):
             texts += [req.text, req.forward_text]
     want = [parse_value_by_parser(t) for t in texts]
 
-    def refuse(source):
-        raise AssertionError(f"parse_term called on {source[:40]!r}")
+    def refuse(tokens, rule):
+        raise AssertionError(f"the parser was called on {tokens[:4]!r}")
 
-    monkeypatch.setattr(parser, "parse_term", refuse)
+    monkeypatch.setattr(parser, "_parse", refuse)
     for text, value in zip(texts, want):
         assert same_tree(parse_value(text), value)
 
