@@ -24,12 +24,10 @@ from .interp import (
     InferResult,
     Outcome,
     evaluate,
-    evaluate_up,
     infer_env_down,
-    infer_env_up,
     run_main,
 )
-from .parser import parse_program, parse_term, parse_value
+from .parser import parse_program, parse_value
 from .pretty import pretty_value
 from .suites import compile_source
 from .syntax import Con, Program
@@ -56,11 +54,8 @@ __all__ = [
     "compile_source",
     "desugar",
     "evaluate",
-    "evaluate_up",
     "infer_env_down",
-    "infer_env_up",
     "parse_program",
-    "parse_term",
     "parse_value",
     "pretty_value",
     "run_main",

@@ -13,7 +13,8 @@ Schema (version 1): the document is an object with `schemaVersion`,
   case  {kind, selector, type, branches: [{pattern, body}]}
 
 Keys are emitted sorted with fixed indentation, so equal programs
-serialize byte-identically.
+serialize byte-identically.  Pattern trees are built and written on
+explicit stacks: a pattern may nest deeper than Python's stack.
 """
 
 from __future__ import annotations
@@ -24,12 +25,19 @@ from .syntax import Apply, Case, Con, FunRef, Program, Term, Var, is_pattern
 
 
 def _pattern_tree(p: Term) -> dict:
-    match p:
-        case Var(x):
-            return {"kind": "var", "name": x}
-        case Con(name, args):
-            return {"kind": "con", "name": name, "args": [_pattern_tree(a) for a in args]}
-    raise ValueError(f"not a pattern: {p!r}")
+    root: dict = {}
+    todo = [(p, root)]
+    while todo:
+        p, node = todo.pop()
+        if isinstance(p, Var):
+            node.update(kind="var", name=p.name)
+        elif isinstance(p, Con):
+            args = [{} for _ in p.args]
+            node.update(kind="con", name=p.name, args=args)
+            todo += zip(p.args, args)
+        else:
+            raise ValueError(f"not a pattern: {p!r}")
+    return root
 
 
 def _pat(p: Term) -> dict:
@@ -86,5 +94,30 @@ def ast_document(program: Program) -> dict:
     }
 
 
+def _dumps(doc: dict) -> str:
+    """What `json.dumps(doc, indent=2, sort_keys=True)` writes; that nests a call per level."""
+    out: list[str] = []
+    todo: list = [(doc, "\n")]  # text, or a value with the line break before it
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, pad = item
+        if not value or not isinstance(value, (dict, list)):
+            out.append(json.dumps(value))  # a scalar, `[]` or `{}`
+            continue
+        inner = pad + "  "
+        if isinstance(value, dict):
+            entries = [(f"{inner}{json.dumps(k)}: ", value[k]) for k in sorted(value)]
+        else:
+            entries = [(inner, v) for v in value]
+        out.append("{" if isinstance(value, dict) else "[")
+        todo.append(pad + ("}" if isinstance(value, dict) else "]"))
+        for k in reversed(range(len(entries))):
+            todo += [(entries[k][1], inner), ("," if k else "") + entries[k][0]]
+    return "".join(out)
+
+
 def emit_ast(program: Program) -> str:
-    return json.dumps(ast_document(program), indent=2, sort_keys=True) + "\n"
+    return _dumps(ast_document(program)) + "\n"

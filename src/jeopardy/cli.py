@@ -58,12 +58,6 @@ def _print_type_report(report: TypeReport, filename: str) -> None:
     for verdict in report.functions:
         for d in verdict.diagnostics:
             print(d.render(filename), file=sys.stderr)
-    if not any(v.name == report.main_base for v in report.functions):
-        print(
-            f"{filename}: error[T005]: main refers to"
-            f" undeclared function {report.main_base!r}",
-            file=sys.stderr,
-        )
 
 
 def _resolve_fuel(flag_value: int | None) -> int | None:

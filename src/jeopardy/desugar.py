@@ -133,12 +133,8 @@ class Desugarer:
                     return t
                 selector = self.term(arg)
                 v = self.fresh()
-                return Case(
-                    selector,
-                    self._input_type(ref, span),
-                    ((v, Apply(ref, v, span)),),
-                    span,
-                )
+                arg_t, _ = self._signature_of(ref, span)
+                return Case(selector, arg_t, ((v, Apply(ref, v, span)),), span)
             case Case(selector, ty, branches, span):
                 return Case(
                     self.term(selector),
@@ -179,24 +175,18 @@ class Desugarer:
             out = Case(selector, ty, ((v, out),), span)
         return out
 
-    def _input_type(self, ref: FunRef, span: Span) -> str:
+    def _signature_of(self, ref: FunRef, span: Span) -> tuple[str, str]:
+        """Input and output type of a callee, swapped by an odd `invert`."""
         sig = self.signatures.get(ref.base)
         if sig is None:
             raise SourceError.single("D006", f"unknown function {ref.base!r}", span)
-        arg_t, res_t = sig
-        return res_t if ref.inverted else arg_t
+        return sig[::-1] if ref.inverted else sig
 
     def _let_type(self, bound: Term, span: Span) -> str:
         """Annotation for an unannotated let, read off the bound term."""
         match bound:
             case Apply(ref, _, s):
-                sig = self.signatures.get(ref.base)
-                if sig is None:
-                    raise SourceError.single(
-                        "D006", f"unknown function {ref.base!r}", s
-                    )
-                arg_t, res_t = sig
-                return arg_t if ref.inverted else res_t
+                return self._signature_of(ref, s)[1]
             case Con(name, _, s):
                 found = self.ctors.get(name)
                 if found is None:

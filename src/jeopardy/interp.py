@@ -427,8 +427,6 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    eval_up = _eval_up
-
     # ------------------------------------------------------------------
     # Environment inference
 
@@ -590,11 +588,10 @@ class Evaluator:
             self._depth -= 1
             self._search -= 1
 
-    infer_up = _infer_up
-
 
 # ---------------------------------------------------------------------------
-# Outcome-level entry points
+# Outcome-level entry points.  The inverse judgements are reached through an
+# `invert`: `evaluate` or `infer_env_down` on `Apply(FunRef(f, 1), arg)`.
 
 
 def _to_outcome(run: Callable[[], Con]) -> Outcome:
@@ -625,24 +622,10 @@ def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Ou
     return _to_outcome(lambda: ev.eval_down(term, env))
 
 
-def evaluate_up(
-    program: Program, term: Apply, env: Env | None = None, **opts
-) -> Outcome:
-    env = {x: ensure_value(v) for x, v in (env or {}).items()}
-    ev = Evaluator(program, **opts)
-    return _to_outcome(lambda: ev.eval_up(term, env))
-
-
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
     ensure_value(value)
     ev = Evaluator(program, **opts)
     return _to_infer_result(lambda: ev.infer_down(term, value, unique=False))
-
-
-def infer_env_up(program: Program, term: Apply, value: Con, **opts) -> InferResult:
-    ensure_value(value)
-    ev = Evaluator(program, **opts)
-    return _to_infer_result(lambda: ev.infer_up(term, value))
 
 
 def run_main(

@@ -7,12 +7,10 @@ Grammar notes that matter here rather than in the syntax module:
   * The colon is overloaded: cons sugar, case annotation, let
     annotation, and clause annotation.  The parser commits to the
     annotation reading exactly when the colon is followed by a type
-    name and then the closing token of the enclosing form (`of`, `=`,
-    or `)`).  A cons pattern sitting in one of those spots needs
-    parentheses.
-  * Clause headers are ambiguous between the annotated and the bare
-    form, so both are tried with backtracking; on a double failure the
-    attempt that consumed more tokens reports its error.
+    name and then the closing token of the enclosing form (`of` or
+    `=`), or in a clause head `f (p : t) : r =` by all of `t ) : r =`.
+    A cons pattern sitting in one of those spots needs parentheses.
+    So lookahead decides a clause's form, and it is parsed once.
   * The pair, cons, and nil sugar is expanded right here into plain
     constructor terms.  No constructor is built in: a program using the
     sugar must declare `pair`, `cons`, or `nil` itself, and validation
@@ -44,6 +42,10 @@ from .syntax import (
 )
 
 
+# `_annotation_ahead`'s closer for a clause head: `: t ) : r =`.
+_HEAD = "):"
+
+
 def _fold_cons(parts: list[Term]) -> Term:
     out = parts[-1]
     for p in reversed(parts[:-1]):
@@ -53,9 +55,9 @@ def _fold_cons(parts: list[Term]) -> Term:
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        # `advance` stops at the eof token and `peek` looks at most two
-        # tokens ahead, so two more eofs keep every index in range.
-        self.tokens = tokens + tokens[-1:] * 2
+        # `advance` stops at the eof token and `peek` looks at most five
+        # tokens ahead, so five more eofs keep every index in range.
+        self.tokens = tokens + tokens[-1:] * 5
         self.i = 0
 
     # ------------------------------------------------------------------
@@ -105,13 +107,22 @@ class Parser:
     def _starts_atom(self, t: Token) -> bool:
         return t.text in ("[", "(") or (t.kind == "name" and t.text not in RESERVED)
 
-    def _annotation_ahead(self, closer: str | None) -> bool:
-        """At a ':' token: does `<type name> <closer>` follow it?"""
+    def _annotation_ahead(self, closer: str | None, k: int = 0) -> bool:
+        """At a ':' token k tokens on: does `<type name> <closer>` follow it?
+        The closer `_HEAD` stands for a clause head's `) : <type name> =`."""
         if closer is None:
             return False
         # The text fixes the kind: only a name reads `of`, only punctuation `)` or `=`.
-        t1 = self.peek(1)
-        return t1.kind == "name" and t1.text not in RESERVED and self.peek(2).text == closer
+        t1 = self.peek(k + 1)
+        if t1.kind != "name" or t1.text in RESERVED:
+            return False
+        if closer == _HEAD:
+            return (
+                self.peek(k + 2).text == ")"
+                and self.peek(k + 3).text == ":"
+                and self._annotation_ahead("=", k + 3)
+            )
+        return self.peek(k + 2).text == closer
 
     # ------------------------------------------------------------------
     # Terms
@@ -178,8 +189,8 @@ class Parser:
     # ------------------------------------------------------------------
     # Patterns
 
-    def pattern(self, closer: str | None = None) -> Term:
-        parts = [self.pat_atom()]
+    def pattern(self, closer: str | None = None, first: Term | None = None) -> Term:
+        parts = [self.pat_atom() if first is None else first]
         while self.at(":") and not self._annotation_ahead(closer):
             self.advance()
             parts.append(self.pat_atom())
@@ -232,15 +243,18 @@ class Parser:
             return Var(t.text, t.span)
         if self.at("("):
             lp = self.advance()
-            first = inner()
-            if self.at(","):
-                self.advance()
-                second = inner()
-                self.expect(")")
-                return Con("pair", (first, second), lp.span)
-            self.expect(")")
-            return first
+            return self._group(lp, inner(), inner)
         raise self.error("P001", f"expected {what}, found {self.describe()}")
+
+    def _group(self, lp: Token, first: Term, inner: Callable[[], Term]) -> Term:
+        """The rest of `(first)` or of the pair `(first, second)`."""
+        if self.at(","):
+            self.advance()
+            second = inner()
+            self.expect(")")
+            return Con("pair", (first, second), lp.span)
+        self.expect(")")
+        return first
 
     # ------------------------------------------------------------------
     # Declarations
@@ -281,41 +295,23 @@ class Parser:
 
     def clause(self) -> Clause:
         name = self.expect_name("a function name")
+        arg_ty = res_ty = None
         if not self.at("("):
-            # The annotated form would fail at its `(` having read nothing.
-            return self._clause_bare(name)
-        mark = self.i
-        try:
-            return self._clause_annotated(name)
-        except SourceError as annotated_err:
-            annotated_far = self.i
-            self.i = mark
-            try:
-                return self._clause_bare(name)
-            except SourceError:
-                if annotated_far > self.i:
-                    raise annotated_err from None
-                raise
-
-    def _clause_annotated(self, name: Token) -> Clause:
-        self.expect("(")
-        pat = self.pattern(")")
-        self.expect(":")
-        arg_ty = self.expect_name("a type name")
-        self.expect(")")
-        self.expect(":")
-        res_ty = self.expect_name("a type name")
+            pat = self.pattern()
+        else:
+            # A bare `(p)` reads the same tokens as an annotated head up to
+            # its `: t )`, so the pattern stops only before `: t ) : r =`.
+            lp = self.advance()
+            pat = self.pattern(_HEAD)
+            if self.at(":"):
+                arg_ty, res_ty = self.peek(1).text, self.peek(4).text
+                self.i += 5
+            else:
+                pat = self.pattern(first=self._group(lp, pat, self.pattern))
         self.expect("=")
         body = self.term()
         self.expect(".")
-        return Clause(name.text, pat, arg_ty.text, res_ty.text, body, name.span)
-
-    def _clause_bare(self, name: Token) -> Clause:
-        pat = self.pattern()
-        self.expect("=")
-        body = self.term()
-        self.expect(".")
-        return Clause(name.text, pat, None, None, body, name.span)
+        return Clause(name.text, pat, arg_ty, res_ty, body, name.span)
 
     def program(self) -> SurfaceProgram:
         datatypes: list[DataDecl] = []
@@ -356,16 +352,15 @@ def parse_program(source: str) -> SurfaceProgram:
 
 
 def parse_term(source: str) -> Term:
-    """Parse a single term; accepts the desugarer's `%N` names."""
-    return _parse(lex(source, allow_internal=True), Parser.term)
+    return _parse(lex(source), Parser.term)
 
 
 def parse_value(source: str) -> Con:
     """Parse a ground value.  Text the value reader refuses goes to the
-    parser, without `%N` names, which gives every diagnostic."""
+    parser, which gives every diagnostic."""
     if (v := _read_value(source)) is not None:
         return v
-    t = _parse(lex(source), Parser.term)
+    t = parse_term(source)
     if not is_value(t):
         raise SourceError.single("P004", "expected a ground value")
     assert isinstance(t, Con)

@@ -1,4 +1,4 @@
-"""Rendering programs, terms, and values back to concrete syntax.
+"""Rendering surface programs, terms, and values back to concrete syntax.
 
 Ground constructor trees print with the pair/cons/nil sugar; everything
 else prints in plain bracket form.  The output re-parses to a
@@ -16,11 +16,8 @@ from .syntax import (
     Clause,
     Con,
     DataDecl,
-    FunDef,
     FunRef,
     Let,
-    MainDecl,
-    Program,
     SurfaceProgram,
     Term,
     Var,
@@ -138,21 +135,8 @@ def _clause(c: Clause) -> str:
     return f"{head} = {pretty_term(c.body)}."
 
 
-def _fun(f: FunDef) -> str:
-    head = f"{f.name} ({pretty_term(f.param)} : {f.arg_type}) : {f.result_type}"
-    return f"{head} = {pretty_term(f.body)}."
-
-
-def _main(m: MainDecl) -> str:
-    return f"main {pretty_fun_ref(m.ref)}."
-
-
-def pretty_program(p: Program | SurfaceProgram) -> str:
+def pretty_program(p: SurfaceProgram) -> str:
     lines = [_data(d) for d in p.datatypes]
-    if isinstance(p, SurfaceProgram):
-        lines += [_clause(c) for c in p.clauses]
-        lines += [_main(m) for m in p.mains]
-    else:
-        lines += [_fun(f) for f in p.functions]
-        lines.append(_main(p.main))
+    lines += [_clause(c) for c in p.clauses]
+    lines += [f"main {pretty_fun_ref(m.ref)}." for m in p.mains]
     return "\n".join(lines) + "\n"

@@ -309,14 +309,8 @@ def unify(value: Con, pattern: Term) -> Env | None:
 # ---------------------------------------------------------------------------
 # Names
 
-def is_internal_name(name: str) -> bool:
-    """Names minted by the desugarer: `%0`, `%1`, ..."""
-    return name.startswith("%") and name[1:].isdigit()
-
-
 def is_valid_name(name: str) -> bool:
-    if is_internal_name(name):
-        return True
+    """A name a source file can declare; the desugarer's `%N` is none."""
     if not name or name in RESERVED:
         return False
     if not name[0].isalpha() or not name[0].islower():

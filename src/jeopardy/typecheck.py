@@ -50,19 +50,10 @@ class FunctionVerdict:
 @dataclass(frozen=True)
 class TypeReport:
     functions: tuple[FunctionVerdict, ...]
-    main_base: str
 
     @property
     def accepted(self) -> bool:
-        if not all(v.accepted for v in self.functions):
-            return False
-        return any(v.name == self.main_base for v in self.functions)
-
-    def verdict(self, name: str) -> FunctionVerdict | None:
-        for v in self.functions:
-            if v.name == name:
-                return v
-        return None
+        return all(v.accepted for v in self.functions)
 
 
 def _fail(code: str, message: str, span: Span) -> SourceError:
@@ -237,4 +228,4 @@ def check_program(program: Program) -> TypeReport:
         except SourceError as e:
             diags = tuple(e.diagnostics)
         verdicts.append(FunctionVerdict(f.name, not diags, diags))
-    return TypeReport(tuple(verdicts), program.main.ref.base)
+    return TypeReport(tuple(verdicts))

@@ -16,7 +16,6 @@ from .syntax import (
     Program,
     Term,
     Var,
-    is_internal_name,
     is_valid_name,
 )
 
@@ -46,13 +45,13 @@ class Validator:
 
     def _collect(self) -> None:
         for d in self.program.datatypes:
-            if not is_valid_name(d.name) or is_internal_name(d.name):
+            if not is_valid_name(d.name):
                 self.report("V007", f"invalid type name {d.name!r}", d.span)
             if d.name in self.types:
                 self.report("V001", f"duplicate datatype {d.name!r}", d.span)
             self.types.add(d.name)
             for c in d.ctors:
-                if not is_valid_name(c.name) or is_internal_name(c.name):
+                if not is_valid_name(c.name):
                     self.report("V007", f"invalid constructor name {c.name!r}", d.span)
                 if c.name in self.ctor_arity:
                     self.report(
@@ -71,7 +70,7 @@ class Validator:
                             d.span,
                         )
         for f in self.program.functions:
-            if not is_valid_name(f.name) or is_internal_name(f.name):
+            if not is_valid_name(f.name):
                 self.report("V007", f"invalid function name {f.name!r}", f.span)
             if f.name in self.functions:
                 self.report("V003", f"duplicate function {f.name!r}", f.span)

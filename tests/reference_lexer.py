@@ -14,7 +14,7 @@ def _name_char(c):
     return c.isalnum() or c in "_'"
 
 
-def reference_lex(source, allow_internal=False):
+def reference_lex(source):
     tokens = []
     line, col = 1, 1
     i, n = 0, len(source)
@@ -40,10 +40,6 @@ def reference_lex(source, allow_internal=False):
                     i += 2
                 else:
                     break
-        elif c == "%" and allow_internal and i + 1 < n and source[i + 1].isdigit():
-            i += 1
-            while i < n and source[i].isdigit():
-                i += 1
         else:
             p = next((p for p in PUNCT if source.startswith(p, i)), None)
             if p is None:

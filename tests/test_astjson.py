@@ -38,10 +38,14 @@ def test_identity_function_node():
 
 
 def test_emit_is_valid_json_with_sorted_keys():
-    text = emit_ast(tiny_program())
-    assert text.endswith("\n")
-    doc = json.loads(text)
-    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # The standard encoder, which recurses per level, is the reference for
+    # the explicit-stack writer behind `emit_ast`.
+    for prog in [tiny_program()] + [load_corpus_program(n) for n in corpus_file_names()]:
+        text = emit_ast(prog)
+        assert text.endswith("\n")
+        doc = json.loads(text)
+        assert doc == ast_document(prog)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_inversions_counted_in_refs(invertibles):

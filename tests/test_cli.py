@@ -335,11 +335,16 @@ class TestDeepNesting:
         self.assert_one_p005(run_process(argv[0], str(program), *argv[1:]))
 
     def test_deep_parameter_pattern_in_ast(self, tmp_path):
+        # `ast` builds and writes a pattern's tree on explicit stacks, so it
+        # takes every pattern `check` takes.
         program = tmp_path / "deep.jeo"
-        pattern = "[suc " * 700 + "n" + "]" * 700
+        pattern = "[suc " * 900 + "n" + "]" * 900
         program.write_text(SAME.replace("(n : nat)", f"({pattern} : nat)"), encoding="utf-8")
-        assert run_process("check", str(program)).returncode == 0
-        self.assert_one_p005(run_process("ast", str(program)))
+        check = run_process("check", str(program))
+        assert (check.returncode, check.stdout, check.stderr) == (0, "", "")
+        ast = run_process("ast", str(program))
+        assert (ast.returncode, ast.stderr) == (0, "")
+        assert ast.stdout.count('"kind": "con"') == 900
 
 
 class TestTest:

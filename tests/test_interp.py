@@ -15,9 +15,7 @@ from jeopardy.interp import (
     UNBOUND_VARIABLE,
     UNKNOWN_FUNCTION,
     evaluate,
-    evaluate_up,
     infer_env_down,
-    infer_env_up,
     run_main,
 )
 from jeopardy.parser import parse_term, parse_value
@@ -187,7 +185,7 @@ class TestInverseEvaluation:
         assert out.violation == LINEARITY_FAULT
 
     def test_unknown_function_in_inverse(self, arith):
-        out = evaluate_up(arith, Apply(FunRef("ghost"), nat(0)))
+        out = evaluate(arith, Apply(FunRef("ghost", 1), nat(0)))
         assert out.violation == UNKNOWN_FUNCTION
 
 
@@ -222,19 +220,20 @@ class TestInference:
         res = infer_env_down(arith, add.body, v)
         assert res.found and res.env == env
 
+    # Inference over an `invert` is inverse inference on the callable inside.
     def test_inverse_inference_runs_body_forward(self, invertibles):
-        term = Apply(FunRef("inc"), Var("y"))
-        res = infer_env_up(invertibles, term, nat(0))
+        term = Apply(FunRef("inc", 1), Var("y"))
+        res = infer_env_down(invertibles, term, nat(0))
         assert res.found and res.env == {"y": nat(1)}
 
     def test_inverse_inference_through_invert_requires_preimage(self, invertibles):
-        term = Apply(FunRef("inc", 1), Var("y"))
-        res = infer_env_up(invertibles, term, nat(0))
+        term = Apply(FunRef("inc", 2), Var("y"))
+        res = infer_env_down(invertibles, term, nat(0))
         assert res.kind == "none", "nothing increments to [zero]"
 
     def test_inverse_inference_through_invert(self, invertibles):
-        term = Apply(FunRef("inc", 1), Var("y"))
-        res = infer_env_up(invertibles, term, nat(1))
+        term = Apply(FunRef("inc", 2), Var("y"))
+        res = infer_env_down(invertibles, term, nat(1))
         assert res.found and res.env == {"y": nat(0)}
 
 
@@ -441,7 +440,7 @@ class TestGroundLiteral:
             lines = []
             ev = Evaluator(program, fuel=fuel, trace=lines.append if traced else None)
             out = jeopardy.interp._to_outcome(
-                lambda: ev.eval_up(Apply(FunRef("pick"), Con(result)), {})
+                lambda: ev._eval_up(Apply(FunRef("pick"), Con(result)), {})
             )
             if fuel < cost:
                 assert (out.kind, out.message, ev.fuel) == ("undecided", "fuel exhausted", 0)
@@ -486,12 +485,10 @@ class TestGroundnessAtEntry:
         "call",
         [
             lambda p, v: evaluate(p, Var("y"), {"y": v}),
-            lambda p, v: evaluate_up(p, Apply(FunRef("inc"), Var("y")), {"y": v}),
             lambda p, v: infer_env_down(p, Var("y"), v),
-            lambda p, v: infer_env_up(p, Apply(FunRef("inc"), Var("y")), v),
             lambda p, v: run_main(p, v),
         ],
-        ids=["evaluate", "evaluate_up", "infer_env_down", "infer_env_up", "run_main"],
+        ids=["evaluate", "infer_env_down", "run_main"],
     )
     def test_non_ground_input_is_rejected_before_evaluation(self, invertibles, call):
         with pytest.raises(ValueError):

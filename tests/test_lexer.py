@@ -9,16 +9,15 @@ from jeopardy.diagnostics import SourceError, Span
 from jeopardy.lexer import lex
 from jeopardy.parser import parse_program
 from jeopardy.suites import corpus_file_names, read_corpus_file
-from jeopardy.syntax import is_internal_name
 from reference_lexer import reference_lex
 
 
-def kinds_and_texts(source, **kw):
-    return [(t.kind, t.text) for t in lex(source, **kw)]
+def kinds_and_texts(source):
+    return [(t.kind, t.text) for t in lex(source)]
 
 
-def texts(source, **kw):
-    return [t.text for t in lex(source, **kw) if t.kind != "eof"]
+def texts(source):
+    return [t.text for t in lex(source) if t.kind != "eof"]
 
 
 def test_plain_declaration():
@@ -66,9 +65,11 @@ def test_eof_token_is_last():
 
 
 def test_internal_names_are_gated():
-    with pytest.raises(SourceError):
-        lex("%0")
-    assert texts("%0", allow_internal=True) == ["%0"]
+    # The desugarer's `%N` names never come from text.
+    for source in ("%0", "x%1", "[%1]"):
+        with pytest.raises(SourceError) as exc:
+            lex(source)
+        assert exc.value.diagnostics[0].message == "unexpected character '%'"
 
 
 def test_bad_character_reports_l001():
@@ -96,32 +97,28 @@ def test_eof_after_a_trailing_comment_keeps_the_comment_column():
     assert d.span == Span(1, 19, 1, 20)
 
 
-def test_superscript_digit_makes_an_internal_name():
-    # `str.isdigit` accepts `²`, so `%²` is a `%N` name, as the
-    # validator's `is_internal_name` agrees; outside one it is no letter.
-    assert texts("%²", allow_internal=True) == ["%²"]
-    assert is_internal_name("%²")
+def test_superscript_digit_starts_no_name():
+    # `str.isdigit` accepts `²`, but it is no letter, so no name starts with it.
     with pytest.raises(SourceError):
         lex("%²")
     with pytest.raises(SourceError):
         lex("²")
+    assert texts("x²") == ["x²"]
 
 
 # ---------------------------------------------------------------------------
 # Agreement with a character-at-a-time scanner
 
 
-def outcome(lexer, source, allow_internal):
+def outcome(lexer, source):
     try:
-        return [(t[0], t[1], t[2], t[3]) for t in lexer(source, allow_internal=allow_internal)]
+        return [(t[0], t[1], t[2], t[3]) for t in lexer(source)]
     except SourceError as err:
         return [(d.code, d.message, d.span) for d in err.diagnostics]
 
 
 def assert_agrees(source):
-    for allow_internal in (False, True):
-        got = outcome(lex, source, allow_internal)
-        assert got == outcome(reference_lex, source, allow_internal), (source, allow_internal)
+    assert outcome(lex, source) == outcome(reference_lex, source), source
 
 
 # Everything the scanner treats specially, and characters that only

@@ -1,11 +1,14 @@
-"""The package's public surface matches what README documents."""
+"""The package's public surface matches what README documents, and the
+package or its benchmark uses every exported name."""
 
+import ast
 import re
 from pathlib import Path
 
 import jeopardy
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_exports():
@@ -23,3 +26,17 @@ def test_readme_lists_exactly_the_exports():
     documented = readme_exports()
     assert len(documented) == len(set(documented)), "listed twice"
     assert set(documented) == set(jeopardy.__all__)
+
+
+def test_every_export_is_used_outside_the_tests():
+    """A name only tests reach is no public API: each export is read (not
+    just defined) in a package module other than `__init__`, or in bench."""
+    sources = [p for p in (ROOT / "src" / "jeopardy").glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(jeopardy.__all__) - used) == []

@@ -8,7 +8,7 @@ import pytest
 
 from jeopardy.diagnostics import SourceError
 from jeopardy.parser import Parser, parse_program, parse_term, parse_value
-from jeopardy.syntax import Apply, Case, Con, FunRef, Let, Var
+from jeopardy.syntax import Apply, Case, Clause, Con, FunRef, Let, Var
 
 
 def nat(n):
@@ -200,16 +200,33 @@ class TestPrograms:
 
 def backtracking_clause(self):
     """The annotated form first, even when no `(` follows the function
-    name, then the bare form: the reference for `Parser.clause`."""
+    name, then the bare form; on a double failure the attempt that read
+    further reports.  The reference for `Parser.clause`."""
+
+    def annotated():
+        self.expect("(")
+        pat = self.pattern(")")
+        self.expect(":")
+        arg_ty = self.expect_name("a type name").text
+        self.expect(")")
+        self.expect(":")
+        return pat, arg_ty, self.expect_name("a type name").text
+
+    def clause(head):
+        pat, arg_ty, res_ty = head()
+        self.expect("=")
+        body = self.term()
+        self.expect(".")
+        return Clause(name.text, pat, arg_ty, res_ty, body, name.span)
+
     name = self.expect_name("a function name")
     mark = self.i
     try:
-        return self._clause_annotated(name)
+        return clause(annotated)
     except SourceError as annotated_err:
-        annotated_far = self.i
-        self.i = mark
+        annotated_far, self.i = self.i, mark
         try:
-            return self._clause_bare(name)
+            return clause(lambda: (self.pattern(), None, None))
         except SourceError:
             if annotated_far > self.i:
                 raise annotated_err from None
@@ -232,18 +249,51 @@ def parse_outcome(source):
         return [(d.code, d.message, d.span) for d in err.diagnostics]
 
 
+# Tokens to put into a clause head: every way an annotated head can stop
+# short, and bare `(`-patterns that read like one.
+HEAD_TOKENS = [":", ")", "(", ",", "=", "[", "]", "nat", "of", "x", ". ", ": nat", ") : nat", "[]"]
+
+
+def mutants(source, rng, heads_only):
+    """Drop, double, swap or replace one to three tokens: anywhere, or only
+    between a clause's function name and its `=`."""
+    pieces = re.split(r"(\s+|[][()=.:,;])", source)
+    spans = [(0, len(pieces) - 2)]
+    if heads_only:
+        names = [i for i, s in enumerate(pieces) if s[:1].isalpha() and pieces[i - 1].endswith("\n")]
+        spans = [(i + 1, pieces.index("=", i)) for i in names if pieces[i] not in ("data", "main")]
+    for _ in range(20):
+        mutant = pieces[:]
+        a, b = rng.choice(spans)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(a, b)
+            op = rng.randrange(4)
+            if op == 0:
+                mutant[i] = ""
+            elif op == 1:
+                mutant[i] *= 2
+            elif op == 2:
+                mutant[i : i + 2] = mutant[i + 1 : i + 2] + mutant[i : i + 1]
+            else:
+                mutant[i] = rng.choice(HEAD_TOKENS)
+        yield "".join(mutant)
+
+
 def test_clauses_parse_as_with_backtracking(monkeypatch, bench_gen):
     rng = random.Random(11)
-    sources = []
+    sources = [
+        f"f {head} = x.\nmain f."
+        for head in (
+            "(x : t)", "(x : t) : r", "(x : t) : [c]", "(x : t) : r : s", "((x : t)) : r",
+            "(a, b : t) : r", "(a : t, b)", "(x : of) : r", "(x : t) : of", "(x : xs : t) : r",
+            "(x) : r", "(x)", "((a, b) : t) : r", "(x : t) : r x", "(x : t", "(", "()",
+            "(x : t] : r", "(x : t x : r", "(x : t) : (", "(x : t) : ] =",
+        )
+    ]
     for program in sorted(bench_gen.program_pool(random.Random(7)), key=lambda p: p.lines)[:4]:
         sources.append(program.source)
-        pieces = re.split(r"(\s+|[][()=.:,;])", program.source)
-        for _ in range(10):  # drop, double or swap one token
-            mutant = pieces[:]
-            i = rng.randrange(len(mutant) - 1)
-            a, b = mutant[i : i + 2]
-            mutant[i : i + 2] = rng.choice([[b], [a, a, b], [b, a]])
-            sources.append("".join(mutant))
+        sources += mutants(program.source, rng, heads_only=False)
+        sources += mutants(program.source, rng, heads_only=True)
     got = [parse_outcome(s) for s in sources]
     monkeypatch.setattr(Parser, "clause", backtracking_clause)
     assert got == [parse_outcome(s) for s in sources]

@@ -87,11 +87,6 @@ class TestPrograms:
         surface = parse_program(src)
         assert pretty_program(surface) == src
 
-    def test_core_program_prints_and_mentions_internals(self, arith):
-        printed = pretty_program(arith)
-        assert "add (%0 : pair) : nat = case %0 : pair of" in printed
-        assert printed.endswith("main add.\n")
-
     def test_multi_clause_surface_form(self):
         src = (
             "data bool = [true] [false].\n"

@@ -17,7 +17,6 @@ from jeopardy.syntax import (
     Var,
     compose,
     ensure_value,
-    is_internal_name,
     is_pattern,
     is_valid_name,
     is_value,
@@ -157,8 +156,6 @@ class TestNames:
         assert not is_valid_name("3x")
 
     def test_internal_names(self):
-        assert is_internal_name("%0")
-        assert is_internal_name("%12")
-        assert not is_internal_name("%x")
-        assert not is_internal_name("x")
-        assert is_valid_name("%0"), "internal names are usable once minted"
+        # The desugarer's fresh names are variables, never declared names.
+        assert not is_valid_name("%0")
+        assert not is_valid_name("%12")

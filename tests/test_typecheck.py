@@ -4,6 +4,7 @@ import pytest
 
 import jeopardy
 from jeopardy.diagnostics import SourceError
+from jeopardy.parser import parse_term
 from jeopardy.syntax import Apply, FunRef, Var
 from jeopardy.typecheck import (
     bind_types,
@@ -20,10 +21,12 @@ def compile(src):
     return jeopardy.compile_source(src)
 
 
+def by_name(report):
+    return {v.name: v for v in report.functions}
+
+
 def codes_of(report, name):
-    verdict = report.verdict(name)
-    assert verdict is not None
-    return sorted({d.code for d in verdict.diagnostics})
+    return sorted({d.code for d in by_name(report)[name].diagnostics})
 
 
 class TestBindTypes:
@@ -31,18 +34,18 @@ class TestBindTypes:
         assert bind_types(arith, Var("x"), "nat") == {"x": "nat"}
 
     def test_pattern_distributes_declared_types(self, arith):
-        pattern = jeopardy.parse_term("[pair [suc k] n]")
+        pattern = parse_term("[pair [suc k] n]")
         assert bind_types(arith, pattern, "pair") == {"k": "nat", "n": "nat"}
 
     def test_duplicate_variable_is_reuse(self, arith):
-        pattern = jeopardy.parse_term("[pair a a]")
+        pattern = parse_term("[pair a a]")
         with pytest.raises(SourceError) as exc:
             bind_types(arith, pattern, "pair")
         assert exc.value.diagnostics[0].code == "T002"
 
     def test_wrong_owner_type(self, arith):
         with pytest.raises(SourceError) as exc:
-            bind_types(arith, jeopardy.parse_term("[suc n]"), "pair")
+            bind_types(arith, parse_term("[suc n]"), "pair")
         assert exc.value.diagnostics[0].code == "T005"
 
 
@@ -111,8 +114,8 @@ class TestProgramVerdicts:
     def test_fibber_duplicates_m(self, fibpair):
         report = check_program(fibpair)
         assert codes_of(report, "fibber") == ["T002"]
-        assert report.verdict("add").accepted
-        assert report.verdict("fib-pair").accepted
+        assert by_name(report)["add"].accepted
+        assert by_name(report)["fib-pair"].accepted
 
     def test_swap_reuses_p_and_projections_discard(self):
         from jeopardy.suites import load_corpus_program
@@ -149,7 +152,7 @@ class TestProgramVerdicts:
             + "main f."
         )
         report = check_program(compile(src))
-        assert report.verdict("f").accepted
+        assert by_name(report)["f"].accepted
         assert "T003" in codes_of(report, "g")
 
     def test_declared_result_type_enforced(self):
@@ -166,10 +169,12 @@ class TestProgramVerdicts:
         assert "T005" in codes_of(report, "f")
 
     def test_acceptance_requires_main_function(self):
-        # main must name a declared function; synthesize the broken
-        # program directly since the pipeline rejects it earlier.
+        # main must name a declared function: validation refuses it before
+        # any check, so no program `check_program` sees lacks one.
         from jeopardy.syntax import FunRef, MainDecl, Program
 
         prog = compile(NAT + "f (n : nat) : nat = n.\nmain f.")
         broken = Program(prog.datatypes, prog.functions, MainDecl(FunRef("ghost")))
-        assert not check_program(broken).accepted
+        with pytest.raises(SourceError) as exc:
+            jeopardy.validate(broken)
+        assert [d.code for d in exc.value.diagnostics] == ["V006"]
