@@ -23,7 +23,6 @@ from .syntax import (
     Case,
     Clause,
     Con,
-    Ctor,
     FunDef,
     FunRef,
     Let,
@@ -31,6 +30,7 @@ from .syntax import (
     SurfaceProgram,
     Term,
     Var,
+    ctor_table,
     is_pattern,
 )
 
@@ -38,10 +38,7 @@ from .syntax import (
 class Desugarer:
     def __init__(self, surface: SurfaceProgram):
         self.surface = surface
-        self.ctors: dict[str, tuple[str, Ctor]] = {}
-        for d in surface.datatypes:
-            for c in d.ctors:
-                self.ctors.setdefault(c.name, (d.name, c))
+        self.ctors = ctor_table(surface.datatypes)
         self.signatures: dict[str, tuple[str, str]] = {}
         self._counter = 0
 
@@ -193,7 +190,7 @@ class Desugarer:
                     raise SourceError.single(
                         "D005", f"unknown constructor {name!r}", s
                     )
-                return found[0]
+                return found[0].name
             case Let(_, _, _, body, _):
                 return self._let_type(body, span)
         raise SourceError.single(

@@ -338,12 +338,13 @@ class Parser:
 
 def _parse(tokens: list[Token], rule: Callable[[Parser], Term | SurfaceProgram]):
     p = Parser(tokens)
-    # `( ... )`, `case` and `let` still nest by recursion: too deep is a P005, not a crash.
+    # `( ... )`, `case` and `let` still nest by recursion: too deep is a P005,
+    # not a crash.  It has no span: where the stack ran out depends on the caller.
     try:
         out = rule(p)
         p.expect_end()
     except RecursionError:
-        raise p.error("P005", "nesting too deep") from None
+        raise SourceError.single("P005", "nesting too deep") from None
     return out
 
 

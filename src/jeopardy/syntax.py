@@ -152,6 +152,12 @@ class SurfaceProgram:
     mains: tuple[MainDecl, ...]
 
 
+def ctor_table(datatypes: tuple[DataDecl, ...]) -> dict[str, tuple[DataDecl, Ctor]]:
+    """Each constructor with the datatype declaring it; reversed, so the
+    first declaration of a name wins."""
+    return {c.name: (d, c) for d in reversed(datatypes) for c in reversed(d.ctors)}
+
+
 @dataclass(frozen=True)
 class Program:
     datatypes: tuple[DataDecl, ...]
@@ -169,7 +175,7 @@ class Program:
 
     @cached_property
     def _ctors(self) -> dict[str, tuple[DataDecl, Ctor]]:
-        return {c.name: (d, c) for d in reversed(self.datatypes) for c in reversed(d.ctors)}
+        return ctor_table(self.datatypes)
 
     @cached_property
     def _table(self) -> dict:

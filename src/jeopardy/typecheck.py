@@ -13,10 +13,14 @@ types, and every case branch the same residual.  For a function body
 that environment is the binding of its parameter, so a separate
 backward checker could only ever agree with the forward one.
 
+The checker takes what `validate` (or `compile_source`) returns: every
+name resolves and every constructor has its declared arity, so nothing
+here looks a name up twice or reports one missing.
+
 Error codes: T001 unbound variable, T002 reuse, T003 unused variable or
 branch-residual disagreement, T004 branch result-type mismatch, T005
-signature mismatch (wrong constructor/argument/annotation/result type,
-unknown names at type level).
+type mismatch (a constructor of the wrong type, or a wrong argument,
+annotation or result type).
 """
 
 from __future__ import annotations
@@ -67,11 +71,10 @@ def _compose(span: Span, *envs: TypingEnv) -> TypingEnv:
         raise _fail("T002", f"variable {e.name!r} is consumed more than once", span)
 
 
-def effective_signature(program: Program, ref: FunRef, span: Span) -> tuple[str, str]:
+def effective_signature(program: Program, ref: FunRef) -> tuple[str, str]:
     """Input and output type of a callable, swapped once per `invert`."""
     f = program.function(ref.base)
-    if f is None:
-        raise _fail("T005", f"unknown function {ref.base!r}", span)
+    assert f is not None, "validate resolves every function name"
     if ref.inverted:
         return f.result_type, f.arg_type
     return f.arg_type, f.result_type
@@ -84,25 +87,17 @@ def effective_signature(program: Program, ref: FunRef, span: Span) -> tuple[str,
 def _constructor(
     program: Program, c: Con, tau: str | None = None
 ) -> tuple[str, tuple[str, ...]]:
-    """Owning type and argument types of c's constructor.
-
-    T005 if the constructor is unknown, belongs to a type other than
-    tau (when one is expected), or is applied to the wrong arity.
+    """Owning type and argument types of c's constructor, which `validate`
+    has resolved with the right arity.  T005 if it belongs to a type other
+    than tau (when one is expected).
     """
     found = program.ctor(c.name)
-    if found is None:
-        raise _fail("T005", f"unknown constructor {c.name!r}", c.span)
+    assert found is not None, "validate resolves every constructor"
     owner, ctor = found
     if tau is not None and owner.name != tau:
         raise _fail(
             "T005",
             f"constructor {c.name!r} belongs to {owner.name!r}, not {tau!r}",
-            c.span,
-        )
-    if len(c.args) != len(ctor.arg_types):
-        raise _fail(
-            "T005",
-            f"constructor {c.name!r} takes {len(ctor.arg_types)} arguments",
             c.span,
         )
     return owner.name, ctor.arg_types
@@ -147,7 +142,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
                 req = _compose(span, req, req_a)
             return req, owner
         case Apply(ref, arg, span):
-            t_in, t_out = effective_signature(program, ref, span)
+            t_in, t_out = effective_signature(program, ref)
             req_a, ty_a = _synth(program, scope, arg)
             if ty_a != t_in:
                 raise _fail(

@@ -51,18 +51,14 @@ class TestBindTypes:
 
 class TestSignatures:
     def test_parity(self, invertibles):
-        span = Var("x").span
-        assert effective_signature(invertibles, FunRef("inc"), span) == ("nat", "nat")
-        assert effective_signature(invertibles, FunRef("swp", 1), span) == (
-            "pair",
-            "pair",
-        )
+        assert effective_signature(invertibles, FunRef("inc")) == ("nat", "nat")
+        assert effective_signature(invertibles, FunRef("swp", 1)) == ("pair", "pair")
         prog = compile(
             PAIR + "wrap (n : nat) : pair = (n, [zero]).\nmain wrap."
         )
-        assert effective_signature(prog, FunRef("wrap"), span) == ("nat", "pair")
-        assert effective_signature(prog, FunRef("wrap", 1), span) == ("pair", "nat")
-        assert effective_signature(prog, FunRef("wrap", 2), span) == ("nat", "pair")
+        assert effective_signature(prog, FunRef("wrap")) == ("nat", "pair")
+        assert effective_signature(prog, FunRef("wrap", 1)) == ("pair", "nat")
+        assert effective_signature(prog, FunRef("wrap", 2)) == ("nat", "pair")
 
 
 class TestCheckTerm:

@@ -43,10 +43,11 @@ def test_duplicate_function():
         + "f ([suc k] : nat) : nat = k.\n"
         + "main f."
     )
-    # Non-consecutive duplicate groups are already a lowering error, so
-    # build the duplicate via two complete single-clause groups instead.
-    with pytest.raises(SourceError):
+    # Non-consecutive clauses of one name are already a lowering error, so
+    # source text never reaches V003; a hand-built duplicate does (below).
+    with pytest.raises(SourceError) as exc:
         run(src)
+    assert codes(exc) == ["D004"]
 
 
 def test_duplicate_function_definition_reported():
@@ -117,3 +118,36 @@ def test_all_problems_reported_together():
     got = codes(exc)
     assert got.count("V004") == 2
     assert "V006" in got
+
+
+def test_constructor_arity_comes_from_its_first_declaration():
+    # The desugarer and the checker read a doubly-declared constructor's
+    # first declaration; so does validation.
+    src = (
+        NAT
+        + "data box = [suc].\n"
+        + "f (n : nat) : nat = [suc n].\n"
+        + "g (b : box) : box = [suc].\n"
+        + "main f."
+    )
+    with pytest.raises(SourceError) as exc:
+        run(src)
+    [dup, arity] = exc.value.diagnostics
+    assert dup.code == "V002"
+    assert (arity.code, arity.span.line, arity.span.col) == ("V005", 4, 21)
+    assert arity.message == "constructor 'suc' takes 1 arguments, got 0"
+
+
+def test_deep_terms_do_not_exhaust_the_stack():
+    from jeopardy.syntax import Con, Ctor, DataDecl, FunDef, FunRef, MainDecl, Program, Var
+
+    nat = DataDecl("nat", (Ctor("zero", ()), Ctor("suc", ("nat",))))
+    deep = Var("n")
+    for _ in range(100_000):
+        deep = Con("suc", (deep,))
+    prog = Program((nat,), (FunDef("f", deep, "nat", "nat", deep),), MainDecl(FunRef("f")))
+    assert validate(prog) is prog
+    broken = Program((nat,), (FunDef("f", deep, "nat", "nat", Con("box", (deep,))),), prog.main)
+    with pytest.raises(SourceError) as exc:
+        validate(broken)
+    assert codes(exc) == ["V005"]
