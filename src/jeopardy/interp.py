@@ -11,12 +11,16 @@ able to produce it).  Body-producibility is semi-decidable, so those
 checks run under a fuel budget; exhaustion surfaces as a distinct
 `undecided` outcome, never as a wrong answer.
 
-Inference runs in one of two modes.  Plain inference commits to the
-first branch whose body can produce the sought value, mirroring
-evaluation's first-match selection.  The inverse-interpretation family
-(entered at every `invert` boundary) additionally demands a unique
-explanation: if any later branch could also produce the value, the
-result is a PsiViolation rather than a guess.
+Inference has one mode: the first-match policy of RFun (Yokoyama,
+Axelsen & Glück, RC 2011) read backwards.  It commits to the first
+branch whose body can produce the sought value, then checks that the
+selector value it rebuilds matches no earlier pattern; later branches
+are never searched.  That is sound: forward psi rejects every input
+whose output an earlier body could produce, so a later body yields that
+output only from inputs outside forward's domain.  And when forward
+takes a branch to a value, no earlier body can produce it, so inference
+commits to that same branch.  A decided inversion therefore returns
+exactly the input forward maps to the output.
 
 What the program text fixes is worked out once per function, on its
 first call, into a side table kept with the `Program` and keyed by the
@@ -326,8 +330,6 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    eval_down = _eval_down
-
     def _literal(self, t: Con, height: int, count: int) -> Con:
         """A ground term evaluates to itself.  Its rebuild by the rules costs,
         per node below the root, one level and, in a search, one fuel: charged
@@ -383,14 +385,14 @@ class Evaluator:
         """Can t evaluate to v under some environment?
 
         A ground body is decided by equality without touching the fuel, and
-        one whose head set excludes v by `_skip`; anything else runs plain
+        one whose head set excludes v by `_skip`; anything else runs
         environment inference.
         """
         if isinstance(t, Con) and self._shape(t) is not None:
             return t == v
         if self._skip(entry, v):
             return False
-        return self._infer_down(t, v, False) is not None
+        return self._infer_down(t, v) is not None
 
     # ------------------------------------------------------------------
     # Inverse evaluation
@@ -413,7 +415,7 @@ class Evaluator:
                 return v
             f = self._function(ref, span)
             v_out = self._eval_down(arg, env)
-            inferred = self._infer_down(f.body, v_out, True)
+            inferred = self._infer_down(f.body, v_out)
             if inferred is None:
                 raise _Violation(
                     MATCH_FAILURE,
@@ -430,7 +432,7 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Environment inference
 
-    def _infer_down(self, t: Term, v: Con, unique: bool) -> Env | None:
+    def _infer_down(self, t: Term, v: Con) -> Env | None:
         self._search += 1
         self._depth += 1
         try:
@@ -450,7 +452,7 @@ class Evaluator:
                 envs = []
                 for a, va in zip(t.args, v.args):
                     assert isinstance(va, Con)
-                    e = self._infer_down(a, va, unique)
+                    e = self._infer_down(a, va)
                     if e is None:
                         return None
                     envs.append(e)
@@ -474,39 +476,36 @@ class Evaluator:
                         self._emit("infer-invert", span, v)
                     return out
                 f = self._function(ref, span)
-                body_env = self._infer_down(f.body, v, unique)
+                body_env = self._infer_down(f.body, v)
                 if body_env is None:
                     return None
                 v_param = self._eval_in_search(f.param, body_env)
                 if v_param is None:
                     return None
-                out = self._infer_down(t.arg, v_param, unique)
+                out = self._infer_down(t.arg, v_param)
                 if self.trace is not None:
                     self._emit("infer-apply", span, v)
                 return out
             if cls is Case:
-                return self._infer_case(t, v, unique)
+                return self._infer_case(t, v)
             raise ValueError(f"cannot infer over non-core term {t!r}")
         finally:
             self._depth -= 1
             self._search -= 1
 
-    infer_down = _infer_down
-
-    def _infer_case(self, t: Case, v: Con, unique: bool) -> Env | None:
+    def _infer_case(self, t: Case, v: Con) -> Env | None:
         """Branch search: commit to the first body able to produce v.
 
         The committed branch must then survive its remaining premises
         without backtracking; an earlier pattern capturing the selector
-        value means the derivation does not exist.  In unique mode any
-        later branch that could also produce v is an ambiguity fault.
+        value means the derivation does not exist.
         """
         branches = t.branches
         entries = self._entries(t)
         for i, (p, body) in enumerate(branches):
             if self._skip(entries[i], v):
                 continue
-            env_body = self._infer_down(body, v, unique)
+            env_body = self._infer_down(body, v)
             if env_body is not None:
                 break
         else:
@@ -517,7 +516,7 @@ class Evaluator:
         for j in range(i):
             if unify(v_sel, branches[j][0]) is not None:
                 return None
-        env_sel = self._infer_down(t.selector, v_sel, unique)
+        env_sel = self._infer_down(t.selector, v_sel)
         if env_sel is None:
             return None
         try:
@@ -528,14 +527,6 @@ class Evaluator:
                 f"variable {e.name!r} inferred more than once",
                 t.span,
             )
-        if unique:
-            for j in range(i + 1, len(branches)):
-                if self._exists_derivation(branches[j][1], entries[j], v):
-                    raise _Violation(
-                        PSI_VIOLATION,
-                        f"{pretty_value(v)} is producible by more than one branch",
-                        t.span,
-                    )
         if self.trace is not None:
             self._emit("infer-case", t.span, v)
         return out
@@ -569,18 +560,18 @@ class Evaluator:
             ref, arg, span = t.ref, t.arg, t.span
             if ref.inversions > 0:
                 stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                out = self._infer_down(Apply(stripped, arg, span), v, True)
+                out = self._infer_down(Apply(stripped, arg, span), v)
                 if self.trace is not None:
                     self._emit("inverse-infer-invert", span, v)
                 return out
             f = self._function(ref, span)
-            param_env = self._infer_down(f.param, v, True)
+            param_env = self._infer_down(f.param, v)
             if param_env is None:
                 return None
             v_out = self._eval_in_search(f.body, param_env)
             if v_out is None:
                 return None
-            out = self._infer_down(arg, v_out, True)
+            out = self._infer_down(arg, v_out)
             if self.trace is not None:
                 self._emit("inverse-infer-apply", span, v)
             return out
@@ -619,13 +610,13 @@ def _to_infer_result(run: Callable[[], Env | None]) -> InferResult:
 def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Outcome:
     env = {x: ensure_value(v) for x, v in (env or {}).items()}
     ev = Evaluator(program, **opts)
-    return _to_outcome(lambda: ev.eval_down(term, env))
+    return _to_outcome(lambda: ev._eval_down(term, env))
 
 
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
     ensure_value(value)
     ev = Evaluator(program, **opts)
-    return _to_infer_result(lambda: ev.infer_down(term, value, unique=False))
+    return _to_infer_result(lambda: ev._infer_down(term, value))
 
 
 def run_main(
@@ -653,4 +644,4 @@ def run_main(
         ref = ref.invert()
     ev = Evaluator(program, enforce_psi=psi_mode == "enforce", **opts)
     ev._input, ev._input_shape = value, (height, count)
-    return _to_outcome(lambda: ev.eval_down(Apply(ref, value, value.span), {}))
+    return _to_outcome(lambda: ev._eval_down(Apply(ref, value, value.span), {}))

@@ -183,7 +183,7 @@ class TestRun:
 
     def test_fuel_flag_beats_env_var(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("JEOPARDY_FUEL", "2")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             "run",
             "--invert",
@@ -192,8 +192,7 @@ class TestRun:
             str(corpus_dir / "arith.jeo"),
             "[suc [zero]]",
         )
-        assert code == 1
-        assert "PsiViolation" in err
+        assert (code, out, err) == (0, "([zero], [suc [zero]])\n", "")
 
     def test_garbage_fuel_env_var_is_ignored_with_warning(
         self, capsys, corpus_dir, monkeypatch

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -28,7 +29,7 @@ def observe(program, term, fuel, psi, traced):
     ev = Evaluator(
         program, fuel=fuel, enforce_psi=psi, trace=lines.append if traced else None
     )
-    out = _to_outcome(lambda: ev.eval_down(term, {}))
+    out = _to_outcome(lambda: ev._eval_down(term, {}))
     return out.kind, out.violation, out.message, out.span, out.value, ev.fuel, lines
 
 
@@ -157,14 +158,15 @@ def with_main(program, name):
 
 
 def psi_searches(monkeypatch):
-    """Count the plain (non-unique) searches: in `run_main` only psi checks start them."""
+    """Count the searches psi checks start: the `_infer_down` calls made by
+    `_exists_derivation` itself, not those nested inside a search."""
     calls = []
     real = Evaluator._infer_down
 
-    def counting(self, t, v, unique):
-        if not unique:
+    def counting(self, t, v):
+        if sys._getframe(1).f_code is Evaluator._exists_derivation.__code__:
             calls.append(t)
-        return real(self, t, v, unique)
+        return real(self, t, v)
 
     monkeypatch.setattr(Evaluator, "_infer_down", counting)
     return calls
@@ -194,10 +196,15 @@ class TestSkipped:
 
     @pytest.mark.parametrize("fuel", [0, 1, 2, 5, 10, 30, 100, 10_000])
     def test_inverting_add_never_succeeds(self, arith, fuel):
-        # Every [suc ..] has several preimages; only [zero] has one.
-        for n in range(1, 7):
+        """Never with a preimage forward rejects: inverting `add` on n gives
+        `([zero], n)`, the one input forward maps to n, once fuel suffices."""
+        for n in range(7):
             out = run_main(arith, nat(n), inverted=True, fuel=fuel)
-            assert out.kind != "success", (n, fuel)
+            if fuel < 10:
+                assert out.kind == "undecided", (n, fuel)
+                continue
+            assert out.value == pair(nat(0), nat(n)), (n, fuel)
+            assert run_main(arith, out.value).value == nat(n)
 
     def test_head_sets_and_costs(self, invertibles):
         program = with_main(invertibles, "mirror")
