@@ -49,20 +49,18 @@ def _ref(ref: FunRef) -> dict:
 
 
 def _term(t: Term) -> dict:
+    kind = type(t)
+    if kind is Apply:
+        return {"kind": "app", "ref": _ref(t.ref), "arg": _term(t.arg)}
+    if kind is Case:
+        return {
+            "kind": "case",
+            "selector": _term(t.selector),
+            "type": t.type_name,
+            "branches": [{"pattern": _pat(p), "body": _term(b)} for p, b in t.branches],
+        }
     if is_pattern(t):
         return _pat(t)
-    match t:
-        case Apply(ref, arg):
-            return {"kind": "app", "ref": _ref(ref), "arg": _term(arg)}
-        case Case(selector, ty, branches):
-            return {
-                "kind": "case",
-                "selector": _term(selector),
-                "type": ty,
-                "branches": [
-                    {"pattern": _pat(p), "body": _term(b)} for p, b in branches
-                ],
-            }
     raise ValueError(f"not a core term: {t!r}")
 
 

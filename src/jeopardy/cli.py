@@ -208,8 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except RecursionError:
-        # The parser reads nesting of any depth, but the passes after it
-        # still recurse once per level of a term.
+        # The parser reads `[ … ]` at any depth and raises P005 itself for
+        # `( … )`, `case` and `let`, which it still reads by recursion; the
+        # passes after it recurse once per level of a term.
         err = SourceError.single("P005", "nesting too deep")
         _print_source_error(err, getattr(args, "file", "jeopardy"))
         return EXIT_SOURCE_ERROR

@@ -74,34 +74,34 @@ def pretty_fun_ref(ref: FunRef) -> str:
 
 
 def pretty_term(t: Term) -> str:
-    match t:
-        case Var(x):
-            return x
-        case Con() if is_value(t):
+    kind = type(t)
+    if kind is Var:
+        return t.name
+    if kind is Con:
+        if is_value(t):
             return pretty_value(t)
-        case Con(name, args):
-            if not args:
-                return f"[{name}]"
-            return f"[{name} " + " ".join(_atom(a) for a in args) + "]"
-        case Apply(ref, arg):
-            return f"{pretty_fun_ref(ref)} {_atom(arg)}"
-        case Case(selector, ty, branches):
-            sel = pretty_term(selector)
-            if isinstance(selector, (Case, Let)):
-                sel = f"({sel})"
-            rendered = []
-            for k, (p, b) in enumerate(branches):
-                body = pretty_term(b)
-                if k + 1 < len(branches) and isinstance(b, (Case, Let)):
-                    body = f"({body})"
-                rendered.append(f"{pretty_term(p)} -> {body}")
-            return f"case {sel} : {ty} of " + " ; ".join(rendered)
-        case Let(p, ty, bound, body):
-            ann = f" : {ty}" if ty else ""
-            return (
-                f"let {pretty_term(p)}{ann} = {pretty_term(bound)}"
-                f" in {pretty_term(body)}"
-            )
+        if not t.args:
+            return f"[{t.name}]"
+        return f"[{t.name} " + " ".join(_atom(a) for a in t.args) + "]"
+    if kind is Apply:
+        return f"{pretty_fun_ref(t.ref)} {_atom(t.arg)}"
+    if kind is Case:
+        sel = pretty_term(t.selector)
+        if isinstance(t.selector, (Case, Let)):
+            sel = f"({sel})"
+        rendered = []
+        for k, (p, b) in enumerate(t.branches):
+            body = pretty_term(b)
+            if k + 1 < len(t.branches) and isinstance(b, (Case, Let)):
+                body = f"({body})"
+            rendered.append(f"{pretty_term(p)} -> {body}")
+        return f"case {sel} : {t.type_name} of " + " ; ".join(rendered)
+    if kind is Let:
+        ann = f" : {t.type_name}" if t.type_name else ""
+        return (
+            f"let {pretty_term(t.pattern)}{ann} = {pretty_term(t.bound)}"
+            f" in {pretty_term(t.body)}"
+        )
     raise AssertionError(f"unhandled term {t!r}")
 
 

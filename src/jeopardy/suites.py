@@ -48,16 +48,19 @@ def compile_source(source: str) -> Program:
 # Bundled corpus
 
 
+# Resolved once, since `resources.files` costs tens of microseconds a call;
+# it also reads the corpus from a zipped install.
+_CORPUS = resources.files(__package__).joinpath("corpus")
+
+
 def corpus_file_names() -> list[str]:
-    root = resources.files(__package__).joinpath("corpus")
     return sorted(
-        entry.name for entry in root.iterdir() if entry.name.endswith(".jeo")
+        entry.name for entry in _CORPUS.iterdir() if entry.name.endswith(".jeo")
     )
 
 
 def read_corpus_file(name: str) -> str:
-    root = resources.files(__package__).joinpath("corpus")
-    return root.joinpath(name).read_text(encoding="utf-8")
+    return _CORPUS.joinpath(name).read_text(encoding="utf-8")
 
 
 def load_corpus_program(name: str) -> Program:

@@ -201,13 +201,13 @@ class Program:
 # Classification
 
 def is_pattern(t: Term) -> bool:
-    match t:
-        case Var():
-            return True
-        case Con(_, args):
-            return all(is_pattern(a) for a in args)
-        case _:
-            return False
+    kind = type(t)
+    if kind is Con:
+        for a in t.args:
+            if not is_pattern(a):
+                return False
+        return True
+    return kind is Var
 
 
 def value_shape(t: Term) -> tuple[int, int, Term | None]:
@@ -241,16 +241,15 @@ def ensure_value(t: Term) -> Con:
 
 def pattern_vars(p: Term) -> list[str]:
     """Variable occurrences in order, with repeats kept."""
-    match p:
-        case Var(x):
-            return [x]
-        case Con(_, args):
-            out: list[str] = []
-            for a in args:
-                out.extend(pattern_vars(a))
-            return out
-        case _:
-            raise ValueError(f"not a pattern: {p!r}")
+    kind = type(p)
+    if kind is Var:
+        return [p.name]
+    if kind is not Con:
+        raise ValueError(f"not a pattern: {p!r}")
+    out: list[str] = []
+    for a in p.args:
+        out += pattern_vars(a)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ The checker takes what `validate` (or `compile_source`) returns: every
 name resolves and every constructor has its declared arity, so nothing
 here looks a name up twice or reports one missing.
 
+It dispatches on `type(t)`, not `match`, and merges two environments in
+place, for measured cost: twice as fast on the benchmark's programs.
+
 Error codes: T001 unbound variable, T002 reuse, T003 unused variable or
 branch-residual disagreement, T004 branch result-type mismatch, T005
 type mismatch (a constructor of the wrong type, or a wrong argument,
@@ -32,12 +35,10 @@ from .syntax import (
     Apply,
     Case,
     Con,
-    EnvClash,
     FunRef,
     Program,
     Term,
     Var,
-    compose,
     subtract,
 )
 
@@ -64,11 +65,13 @@ def _fail(code: str, message: str, span: Span) -> SourceError:
     return SourceError.single(code, message, span)
 
 
-def _compose(span: Span, *envs: TypingEnv) -> TypingEnv:
-    try:
-        return compose(*envs)  # type: ignore[arg-type]
-    except EnvClash as e:
-        raise _fail("T002", f"variable {e.name!r} is consumed more than once", span)
+def _merge(into: TypingEnv, env: TypingEnv, span: Span) -> None:
+    """Add env to into, disjointly: T002 names the first variable of env
+    that into already has."""
+    for x in env:
+        if x in into:
+            raise _fail("T002", f"variable {x!r} is consumed more than once", span)
+        into[x] = env[x]
 
 
 def effective_signature(program: Program, ref: FunRef) -> tuple[str, str]:
@@ -105,16 +108,16 @@ def _constructor(
 
 def bind_types(program: Program, pattern: Term, tau: str) -> TypingEnv:
     """The typing environment a pattern binds when matched at type tau."""
-    match pattern:
-        case Var(x):
-            return {x: tau}
-        case Con(_, args, span):
-            _, arg_types = _constructor(program, pattern, tau)
-            out: TypingEnv = {}
-            for a, ty in zip(args, arg_types):
-                out = _compose(span, out, bind_types(program, a, ty))
-            return out
-    raise ValueError(f"not a pattern: {pattern!r}")
+    kind = type(pattern)
+    if kind is Var:
+        return {pattern.name: tau}
+    if kind is not Con:
+        raise ValueError(f"not a pattern: {pattern!r}")
+    _, arg_types = _constructor(program, pattern, tau)
+    out: TypingEnv = {}
+    for a, ty in zip(pattern.args, arg_types):
+        _merge(out, bind_types(program, a, ty), pattern.span)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,75 +126,73 @@ def bind_types(program: Program, pattern: Term, tau: str) -> TypingEnv:
 
 def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]:
     """Exact environment consumed by t, and t's type, under scope."""
-    match t:
-        case Var(x, span):
-            if x not in scope:
-                raise _fail("T001", f"unbound variable {x!r}", span)
-            return {x: scope[x]}, scope[x]
-        case Con(name, args, span):
-            owner, arg_types = _constructor(program, t)
-            req: TypingEnv = {}
-            for a, expected in zip(args, arg_types):
-                req_a, ty_a = _synth(program, scope, a)
-                if ty_a != expected:
-                    raise _fail(
-                        "T005",
-                        f"argument of {name!r} has type {ty_a!r}, expected {expected!r}",
-                        span,
-                    )
-                req = _compose(span, req, req_a)
-            return req, owner
-        case Apply(ref, arg, span):
-            t_in, t_out = effective_signature(program, ref)
-            req_a, ty_a = _synth(program, scope, arg)
-            if ty_a != t_in:
+    kind = type(t)
+    if kind is Var:
+        x = t.name
+        if x not in scope:
+            raise _fail("T001", f"unbound variable {x!r}", t.span)
+        return {x: scope[x]}, scope[x]
+    if kind is Con:
+        owner, arg_types = _constructor(program, t)
+        req: TypingEnv = {}
+        for a, expected in zip(t.args, arg_types):
+            req_a, ty_a = _synth(program, scope, a)
+            if ty_a != expected:
                 raise _fail(
                     "T005",
-                    f"argument to {ref.base!r} has type {ty_a!r}, expected {t_in!r}",
-                    span,
+                    f"argument of {t.name!r} has type {ty_a!r}, expected {expected!r}",
+                    t.span,
                 )
-            return req_a, t_out
-        case Case(selector, annotation, branches, span):
-            req_sel, ty_sel = _synth(program, scope, selector)
-            if ty_sel != annotation:
-                raise _fail(
-                    "T005",
-                    f"selector has type {ty_sel!r}, annotation says {annotation!r}",
-                    span,
-                )
-            residual: TypingEnv | None = None
-            result: str | None = None
-            for p, body in branches:
-                bound = bind_types(program, p, annotation)
-                inner = dict(scope)
-                inner.update(bound)
-                req_b, ty_b = _synth(program, inner, body)
-                if result is None:
-                    result = ty_b
-                elif ty_b != result:
-                    raise _fail(
-                        "T004",
-                        f"branch bodies disagree: {result!r} vs {ty_b!r}",
-                        span,
-                    )
-                for x in bound:
-                    if x not in req_b:
-                        raise _fail(
-                            "T003", f"pattern variable {x!r} is never used", span
-                        )
-                leftover = subtract(req_b, bound)  # type: ignore[arg-type]
-                if residual is None:
-                    residual = leftover
-                elif leftover != residual:
-                    off = sorted(set(leftover) ^ set(residual))[0]
-                    raise _fail(
-                        "T003",
-                        f"variable {off!r} is consumed in some branches only",
-                        span,
-                    )
-            assert residual is not None and result is not None
-            return _compose(span, residual, req_sel), result
-    raise ValueError(f"not a core term: {t!r}")
+            _merge(req, req_a, t.span)
+        return req, owner
+    if kind is Apply:
+        ref = t.ref
+        t_in, t_out = effective_signature(program, ref)
+        req_a, ty_a = _synth(program, scope, t.arg)
+        if ty_a != t_in:
+            raise _fail(
+                "T005",
+                f"argument to {ref.base!r} has type {ty_a!r}, expected {t_in!r}",
+                t.span,
+            )
+        return req_a, t_out
+    if kind is not Case:
+        raise ValueError(f"not a core term: {t!r}")
+    annotation, span = t.type_name, t.span
+    req_sel, ty_sel = _synth(program, scope, t.selector)
+    if ty_sel != annotation:
+        raise _fail(
+            "T005",
+            f"selector has type {ty_sel!r}, annotation says {annotation!r}",
+            span,
+        )
+    residual: TypingEnv | None = None
+    result: str | None = None
+    for p, body in t.branches:
+        bound = bind_types(program, p, annotation)
+        inner = dict(scope)
+        inner.update(bound)
+        req_b, ty_b = _synth(program, inner, body)
+        if result is None:
+            result = ty_b
+        elif ty_b != result:
+            raise _fail(
+                "T004", f"branch bodies disagree: {result!r} vs {ty_b!r}", span
+            )
+        for x in bound:
+            if x not in req_b:
+                raise _fail("T003", f"pattern variable {x!r} is never used", span)
+        leftover = subtract(req_b, bound)  # type: ignore[arg-type]
+        if residual is None:
+            residual = leftover
+        elif leftover != residual:
+            off = sorted(set(leftover) ^ set(residual))[0]
+            raise _fail(
+                "T003", f"variable {off!r} is consumed in some branches only", span
+            )
+    assert residual is not None and result is not None
+    _merge(residual, req_sel, span)
+    return residual, result
 
 
 def check_term(program: Program, sigma: TypingEnv, t: Term) -> str:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from jeopardy.desugar import desugar
+from jeopardy.desugar import Desugarer, desugar
 from jeopardy.diagnostics import SourceError
 from jeopardy.parser import parse_program
 from jeopardy.syntax import Apply, Case, Con, FunRef, Var
@@ -252,3 +252,31 @@ def test_exactly_one_main_required():
     with pytest.raises(SourceError) as exc:
         lower(NAT + "f (n : nat) : nat = n.\nmain f.\nmain f.")
     assert exc.value.diagnostics[0].code == "D007"
+
+
+def patternhood_visits(monkeypatch, depth):
+    """Calls of the desugarer's patternhood check while lowering a body
+    `[suc .. [suc (f n)] ..]` that nests `depth` constructors."""
+    visits = 0
+    decide = Desugarer._is_pattern
+
+    def counted(self, t):
+        nonlocal visits
+        visits += 1
+        return decide(self, t)
+
+    monkeypatch.setattr(Desugarer, "_is_pattern", counted)
+    body = "[suc " * depth + "(f n)" + "]" * depth
+    lower(NAT + f"f (n : nat) : nat = {body}.\nmain f.")
+    return visits
+
+
+def test_desugaring_is_linear_in_nesting_depth(monkeypatch):
+    """Every constructor on the path down to `(f n)` is lifted, and each
+    lift asks whether its argument is a pattern.  Deciding that once per
+    node keeps the visits linear; walking the subtree at every level made
+    them quadratic (4x for twice the depth)."""
+    shallow = patternhood_visits(monkeypatch, 100)
+    deep = patternhood_visits(monkeypatch, 200)
+    assert shallow >= 100
+    assert deep <= 2.1 * shallow

@@ -6,7 +6,9 @@ compiles, each function verdict of `check_program`.  The inputs are the
 corpus files, the four shortest programs of the benchmark's pool, and
 seeded mutants of all of them that rename a name, drop a name, duplicate a
 line or drop a line, so unknown names, wrong arities, duplicates and type
-mismatches all show.  To pin new behaviour on purpose, regenerate it with
+mismatches all show.  Last come small hand-written programs, one for each
+code the mutants never raise, and one whose first fault decides between
+D005 and D006.  To pin new behaviour on purpose, regenerate it with
 
     PYTHONPATH=src python tests/test_diagnostics_golden.py > tests/golden/diagnostics.txt
 """
@@ -25,6 +27,19 @@ GOLDEN = Path(__file__).parent / "golden" / "diagnostics.txt"
 NAME = re.compile(r"[a-z][\w'-]*")
 KINDS = ("rename", "drop-name", "dup-line", "drop-line")
 PER_KIND = 4
+
+# Hand-written inputs for the codes no mutant raises, each a program over
+# `HEADER`'s types.
+HEADER = "data nat = [zero] [suc nat].\ndata pair = [pair nat nat].\n"
+HAND_WRITTEN = [
+    ("P003", "f (n : nat) : nat = (invert f).\n"),
+    ("D002", "f ([zero] : nat) : nat = [zero].\nf ([suc n] : nat) : pair = ([zero], n).\n"),
+    ("D003", "f (n : nat) : nat = let m = n in m.\n"),
+    ("D004", "f ([zero] : nat) : nat = [zero].\ng (n : nat) : nat = n.\nf [suc n] = [suc n].\n"),
+    ("D006", "f (n : nat) : nat = g (f n).\n"),
+    ("D005 before D006", "f (n : nat) : nat = [wat (g (f n))].\n"),
+    ("T004", "f (n : nat) : nat = case n : nat of [zero] -> [zero] ; [suc m] -> ([zero], m).\n"),
+]
 
 
 def mutant(source, kind, rng):
@@ -49,6 +64,8 @@ def inputs(gen):
             rng = random.Random(f"{label}:{kind}")
             for k in range(PER_KIND):
                 yield f"{label} {kind} {k}", mutant(source, kind, rng)
+    for label, clauses in HAND_WRITTEN:
+        yield label, HEADER + clauses + "main f.\n"
 
 
 def render(d):

