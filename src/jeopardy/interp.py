@@ -24,12 +24,13 @@ exactly the input forward maps to the output.
 
 What the program text fixes is worked out once per function, on its
 first call, into a side table kept with the `Program` and keyed by the
-`id()` of the nodes the function owns (`_compile`).  A search for a
-value whose constructor a branch body cannot produce fails after a
-fixed number of rule applications, nested a fixed depth, with no trace
-line; when both budgets cover that, it is charged instead of run
-(`_skip`), so every outcome, fuel remainder and trace line is the one
-the full search gives.
+`id()` of the nodes the function owns (`_compile`).  What it settles costs
+nothing.  A ground term evaluates to itself in one rule application,
+whatever its size; traced, it still shows one line per node.  A search
+for a value whose constructor a branch body cannot produce fails without
+being run.  Fuel and depth are spent only by the rules that do run, so the
+table can only leave more of them: a decided outcome is the one an
+unbounded run gives, and an undecided one can only become decided.
 
 The judgements dispatch on `type(t)`, not `match`, and call `_emit` only
 when traced, for measured cost: that cut a `mirror` round trip by a third.
@@ -55,10 +56,10 @@ from .syntax import (
     Var,
     compose,
     ensure_value,
+    first_hole,
     pattern_vars,
     subtract,
     unify,
-    value_shape,
 )
 
 DEFAULT_FUEL = 100_000
@@ -118,22 +119,20 @@ class _Undecided(Exception):
 
 
 # ---------------------------------------------------------------------------
-# The side table.  A `Con` maps to (height, node count) when ground, else
-# None; a `Case` to one branch entry per branch; a compiled `FunDef` to
-# itself.  A branch entry is (pattern head, pattern variables, body head
-# set, cost, nesting); the head set is None when a failed search over the
-# body has no fixed cost, because a `Var` or an `Apply` lies on its path.
+# The side table.  A `Con` maps to whether it is ground; a `Case` to one
+# branch entry per branch; a compiled `FunDef` to itself.  A branch entry is
+# (pattern head, pattern variables, body head set); the head set is None
+# when a `Var` or an `Apply` lies on the body's result path.
 
-_Branch = tuple[str | None, frozenset[str], frozenset[str] | None, int, int]
-_UNSEEN = object()
+_Branch = tuple[str | None, frozenset[str], frozenset[str] | None]
 
 
-def _branches(t: Case, failing: dict[int, tuple]) -> tuple[_Branch, ...]:
+def _branches(t: Case, heads: dict[int, frozenset[str]]) -> tuple[_Branch, ...]:
     return tuple(
         (
             p.name if isinstance(p, Con) else None,
             frozenset(pattern_vars(p)),
-            *failing.get(id(body), (None, 0, 0)),
+            heads.get(id(body)),
         )
         for p, body in t.branches
     )
@@ -155,24 +154,15 @@ def _compile(f: FunDef, table: dict) -> None:
             stack.append(t.selector)
             for p, body in t.branches:
                 stack += (p, body)
-    # (head set, cost, nesting) of a failed search, for the nodes that have one
-    failing: dict[int, tuple[frozenset[str], int, int]] = {}
+    heads: dict[int, frozenset[str]] = {}  # for the nodes that have a head set
     for t in reversed(order):
         if isinstance(t, Con):
-            shapes = [table[id(a)] if isinstance(a, Con) else None for a in t.args]
-            table[id(t)] = None if None in shapes else (
-                1 + max((h for h, _ in shapes), default=0),
-                1 + sum(n for _, n in shapes),
-            )
-            failing[id(t)] = (frozenset((t.name,)), 1, 1)
+            table[id(t)] = all(type(a) is Con and table[id(a)] for a in t.args)
+            heads[id(t)] = frozenset((t.name,))
         elif isinstance(t, Case):
-            entries = table[id(t)] = _branches(t, failing)
+            entries = table[id(t)] = _branches(t, heads)
             if all(e[2] is not None for e in entries):
-                failing[id(t)] = (
-                    frozenset().union(*(e[2] for e in entries)),
-                    1 + sum(e[3] for e in entries),
-                    1 + max((e[4] for e in entries), default=0),
-                )
+                heads[id(t)] = frozenset().union(*(e[2] for e in entries))
     table[id(f)] = f
 
 
@@ -183,7 +173,9 @@ class Evaluator:
     rule application inside inference and psi checks; evaluation outside
     any search never consumes fuel.  Judgement nesting beyond
     `DEFAULT_MAX_DEPTH` is undecided, so fuel and depth together bound
-    every run.  Each judgement counts its own rule application on entry.
+    every run.  Each judgement counts its own rule application on entry,
+    and only the rules spend either budget: a literal's nodes below its
+    root and a search the side table rules out spend none.
     """
 
     def __init__(
@@ -201,9 +193,8 @@ class Evaluator:
         self._table = program._table
         self._depth = 0
         self._search = 0
-        # `run_main`'s input and its shape, kept here: no program owns it.
+        # `run_main`'s input, already checked ground: no program owns it.
         self._input: Con | None = None
-        self._input_shape: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Accounting
@@ -219,30 +210,16 @@ class Evaluator:
             _compile(f, self._table)
         return f
 
-    def _shape(self, t: Con) -> tuple[int, int] | None:
-        """Height and node count of `t` when it is ground, else None."""
-        shape = self._table.get(id(t), _UNSEEN)
-        if shape is not _UNSEEN:
-            return shape
-        if t is self._input:
-            return self._input_shape
-        height, count, hole = value_shape(t)
-        return None if hole is not None else (height, count)
+    def _ground(self, t: Con) -> bool:
+        """Whether `t` is ground: from the table, else by a walk."""
+        ground = self._table.get(id(t))
+        if ground is None:
+            ground = t is self._input or first_hole(t) is None
+        return ground
 
     def _entries(self, t: Case) -> tuple[_Branch, ...]:
         # A case no compiled function owns gets entries that skip nothing.
         return self._table.get(id(t)) or _branches(t, {})
-
-    def _skip(self, entry: _Branch, v: Con) -> bool:
-        """Charge, instead of running, a search for `v` over a branch body
-        that cannot produce it, when the search fits both budgets."""
-        _, _, heads, cost, nesting = entry
-        if heads is None or v.name in heads:
-            return False
-        if self._depth + nesting > DEFAULT_MAX_DEPTH or self.fuel < cost:
-            return False
-        self.fuel -= cost
-        return True
 
     # ------------------------------------------------------------------
     # Forward evaluation
@@ -267,9 +244,10 @@ class Evaluator:
                     self._emit("eval-variable", t.span, v)
                 return v
             if cls is Con:
-                shape = self._shape(t)
-                if shape is not None:
-                    return self._literal(t, *shape)
+                if self._ground(t):
+                    if self.trace is not None:
+                        self._emit_literal(t)
+                    return t
                 v = Con(t.name, tuple([self._eval_down(a, env) for a in t.args]), t.span)
                 if self.trace is not None:
                     self._emit("eval-constructor", t.span, v)
@@ -330,33 +308,17 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    def _literal(self, t: Con, height: int, count: int) -> Con:
-        """A ground term evaluates to itself.  Its rebuild by the rules costs,
-        per node below the root, one level and, in a search, one fuel: charged
-        at once if all of it fits and nothing is traced, else walked as they do."""
-        cost = count - 1 if self._search > 0 else 0
-        fits = self._depth + height - 1 <= DEFAULT_MAX_DEPTH and self.fuel >= cost
-        if fits and self.trace is None:
-            self.fuel -= cost
-        else:
-            self._walk(t)
-        return t
-
-    def _walk(self, node: Con) -> None:
-        # Recursion is bounded: the depth check stops it at `DEFAULT_MAX_DEPTH`.
-        for a in node.args:
-            self._depth += 1
-            try:
-                if self._depth > DEFAULT_MAX_DEPTH:
-                    raise _Undecided(_DEPTH_LIMIT)
-                if self._search:
-                    if self.fuel <= 0:
-                        raise _Undecided(_FUEL_EXHAUSTED)
-                    self.fuel -= 1
-                self._walk(a)
-            finally:
-                self._depth -= 1
-        if self.trace is not None:
+    def _emit_literal(self, t: Con) -> None:
+        """Trace a literal as the rules would rebuild it: one line per node,
+        children first.  The reverse of a pre-order that takes the last
+        child first is that post-order."""
+        order = []
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack += node.args
+        for node in reversed(order):
             self._emit("eval-constructor", node.span, node)
 
     def _check_psi(
@@ -384,13 +346,14 @@ class Evaluator:
     def _exists_derivation(self, t: Term, entry: _Branch, v: Con) -> bool:
         """Can t evaluate to v under some environment?
 
-        A ground body is decided by equality without touching the fuel, and
-        one whose head set excludes v by `_skip`; anything else runs
-        environment inference.
+        A ground body is decided by equality and one whose head set
+        excludes v fails, both without touching the budgets; anything
+        else runs environment inference.
         """
-        if isinstance(t, Con) and self._shape(t) is not None:
+        if isinstance(t, Con) and self._ground(t):
             return t == v
-        if self._skip(entry, v):
+        heads = entry[2]
+        if heads is not None and v.name not in heads:
             return False
         return self._infer_down(t, v) is not None
 
@@ -503,7 +466,8 @@ class Evaluator:
         branches = t.branches
         entries = self._entries(t)
         for i, (p, body) in enumerate(branches):
-            if self._skip(entries[i], v):
+            heads = entries[i][2]
+            if heads is not None and v.name not in heads:
                 continue
             env_body = self._infer_down(body, v)
             if env_body is not None:
@@ -635,13 +599,10 @@ def run_main(
     """
     if psi_mode not in ("enforce", "skip"):
         raise ValueError("psi_mode must be 'enforce' or 'skip'")
-    # One walk both checks groundness and gives the literal's shape.
-    height, count, hole = value_shape(value)
-    if hole is not None:
-        raise ValueError(f"not a ground value: {hole!r}")
+    ensure_value(value)  # the one walk of the input
     ref = program.main.ref
     if inverted:
         ref = ref.invert()
     ev = Evaluator(program, enforce_psi=psi_mode == "enforce", **opts)
-    ev._input, ev._input_shape = value, (height, count)
+    ev._input = value
     return _to_outcome(lambda: ev._eval_down(Apply(ref, value, value.span), {}))

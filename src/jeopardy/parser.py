@@ -377,7 +377,7 @@ _VALUE_TOKEN = re.compile(
 
 # What the reader expects next: an atom in a cons chain, a constructor's
 # next argument or its `]`, a `:` or the chain's end, or the name after `[`.
-_ATOM, _ARGS, _NEXT, _HEAD = 0, 1, 2, 3
+_ATOM, _ARGS, _NEXT, _OPENED = 0, 1, 2, 3
 
 
 def _read_value(source: str) -> Con | None:
@@ -403,7 +403,7 @@ def _read_value(source: str) -> Con | None:
                 return None
             lb = new(Span, (line, col, line, col + 1))
             col += 1
-        elif mode == _HEAD and tok[:1].isalpha():
+        elif mode == _OPENED and tok[:1].isalpha():
             name = tok  # after `[` and a newline, blanks or a comment
         if name:
             if name in RESERVED or not name[0].isalpha():
@@ -421,7 +421,7 @@ def _read_value(source: str) -> Con | None:
                     node = Con(name, tuple(args), span)
                     top = frames[-1]
                     items = top[2]
-                elif mode == _HEAD:
+                elif mode == _OPENED:
                     node = Con("nil", (), lb)
                 else:
                     return None
@@ -437,7 +437,7 @@ def _read_value(source: str) -> Con | None:
             if mode > _ARGS:
                 return None
             lb = new(Span, (line, col, line, col + 1))
-            mode = _HEAD
+            mode = _OPENED
         elif tok == "(":
             if mode > _ARGS:
                 return None

@@ -74,7 +74,7 @@ class Apply:
 @dataclass(frozen=True)
 class Case:
     selector: "Term"
-    type_name: str
+    type_name: str | None  # None where the desugarer met an unknown name
     branches: tuple[tuple["Term", "Term"], ...]  # (pattern, body) pairs
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
@@ -210,30 +210,27 @@ def is_pattern(t: Term) -> bool:
     return kind is Var
 
 
-def value_shape(t: Term) -> tuple[int, int, Term | None]:
-    """Height and node count of `t`, and the first node met that is not a
-    constructor (None for a value); level by level, so at any depth."""
+def first_hole(t: Term) -> Term | None:
+    """The first node of `t`, level by level, that is not a constructor;
+    None when `t` is a value.  No recursion, so at any depth."""
     level = [t]
-    height = count = 0
     while level:
-        height += 1
-        count += len(level)
         below: list[Term] = []
         for node in level:
-            if not isinstance(node, Con):
-                return height, count, node
+            if type(node) is not Con:
+                return node
             below += node.args
         level = below
-    return height, count, None
+    return None
 
 
 def is_value(t: Term) -> bool:
-    return value_shape(t)[2] is None
+    return first_hole(t) is None
 
 
 def ensure_value(t: Term) -> Con:
     """Groundness check for interpreter entry."""
-    if (bad := value_shape(t)[2]) is not None:
+    if (bad := first_hole(t)) is not None:
         raise ValueError(f"not a ground value: {bad!r}")
     assert isinstance(t, Con)
     return t

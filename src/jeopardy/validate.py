@@ -84,7 +84,8 @@ def validate(program: Program) -> Program:
             if program.function(t.base) is None:
                 report("V006", f"unknown function {t.base!r}", t.span)
         elif kind is tuple:
-            if program.datatype(t[0]) is None:
+            # A None annotation stands for a name reported where it is used.
+            if t[0] is not None and program.datatype(t[0]) is None:
                 report("V004", f"unknown type {t[0]!r}", t[1])
         else:
             report("V008", f"surface form survived desugaring: {t!r}", t.span)

@@ -268,6 +268,9 @@ main copy.
 """
 
 
+NAT_INC = "data nat = [zero] [suc nat].\ninc (n : nat) : nat = [suc n].\nmain inc.\n"
+
+
 class TestDeepValue:
     @pytest.mark.parametrize("invert", [[], ["--invert"]])
     @pytest.mark.parametrize("depth", [1_200, 100_000])
@@ -281,6 +284,18 @@ class TestDeepValue:
             proc = run_process("run", str(program), "-", *invert, stdin=value)
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == "undecided: recursion depth limit reached\n"
+
+    @pytest.mark.parametrize("invert, shift", [([], 1), (["--invert"], -1)])
+    def test_deep_literal_decides(self, tmp_path, invert, shift):
+        """A literal costs no depth: `inc` maps one 100,000 deep either way."""
+        program = tmp_path / "inc.jeo"
+        program.write_text(NAT_INC, encoding="utf-8")
+        depth = 100_000
+        value = "[suc " * depth + "[zero]" + "]" * depth
+        proc = run_process("run", str(program), "-", *invert, stdin=value)
+        k = depth + shift
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[suc " * k + "[zero]" + "]" * k + "\n"
 
 
 SAME = """\

@@ -5,6 +5,7 @@ import pytest
 from jeopardy.desugar import Desugarer, desugar
 from jeopardy.diagnostics import SourceError
 from jeopardy.parser import parse_program
+from jeopardy.suites import compile_source
 from jeopardy.syntax import Apply, Case, Con, FunRef, Var
 from terms import is_core
 
@@ -224,18 +225,37 @@ def test_reappearing_clause_group_is_rejected():
     assert exc.value.diagnostics[0].code == "D004"
 
 
-def test_unknown_constructor_in_lift_is_rejected():
+def codes(source):
     with pytest.raises(SourceError) as exc:
-        lower(NAT + "f (n : nat) : nat = [box (f n)].\nmain f.")
-    assert exc.value.diagnostics[0].code == "D005"
+        compile_source(source)
+    return [(d.code, d.message) for d in exc.value.diagnostics]
+
+
+def test_unknown_constructor_in_lift_is_rejected():
+    # The desugarer annotates the lifted case None; `validate` reports the name.
+    source = NAT + "f (n : nat) : nat = [box (f n)].\nmain f."
+    assert fn(lower(source), "f").body.type_name is None
+    assert codes(source) == [("V005", "unknown constructor 'box'")]
 
 
 def test_unknown_callee_in_lift_is_rejected():
-    # Lifting g (f n) needs g's input type, so the lowering itself
-    # trips over the missing declaration.
-    with pytest.raises(SourceError) as exc:
-        lower(NAT + "f (n : nat) : nat = g (f n).\nmain f.")
-    assert exc.value.diagnostics[0].code == "D006"
+    # Lifting g (f n) needs g's input type: unknown, so the case is annotated None.
+    source = NAT + "f (n : nat) : nat = g (f n).\nmain f."
+    assert fn(lower(source), "f").body.type_name is None
+    assert codes(source) == [("V006", "unknown function 'g'")]
+
+
+def test_one_code_for_one_mistake_in_every_function():
+    """A lifted argument does not hide or recode another function's error."""
+    source = (
+        NAT
+        + "f (n : nat) : nat = [zero n].\n"
+        + "g (n : nat) : nat = [zero (f n)].\n"
+        + "h (n : nat) : nat = let m = [wat n] in m.\n"
+        + "main f."
+    )
+    arity = ("V005", "constructor 'zero' takes 0 arguments, got 1")
+    assert codes(source) == [arity, arity, ("V005", "unknown constructor 'wat'")]
 
 
 def test_unknown_inner_callee_survives_lowering():

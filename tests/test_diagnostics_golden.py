@@ -7,8 +7,8 @@ corpus files, the four shortest programs of the benchmark's pool, and
 seeded mutants of all of them that rename a name, drop a name, duplicate a
 line or drop a line, so unknown names, wrong arities, duplicates and type
 mismatches all show.  Last come small hand-written programs, one for each
-code the mutants never raise, and one whose first fault decides between
-D005 and D006.  To pin new behaviour on purpose, regenerate it with
+code the mutants never raise, and two whose unknown names sit inside a
+lifted argument, which `validate` reports, not the desugarer.  To pin new behaviour on purpose, regenerate it with
 
     PYTHONPATH=src python tests/test_diagnostics_golden.py > tests/golden/diagnostics.txt
 """
@@ -36,8 +36,8 @@ HAND_WRITTEN = [
     ("D002", "f ([zero] : nat) : nat = [zero].\nf ([suc n] : nat) : pair = ([zero], n).\n"),
     ("D003", "f (n : nat) : nat = let m = n in m.\n"),
     ("D004", "f ([zero] : nat) : nat = [zero].\ng (n : nat) : nat = n.\nf [suc n] = [suc n].\n"),
-    ("D006", "f (n : nat) : nat = g (f n).\n"),
-    ("D005 before D006", "f (n : nat) : nat = [wat (g (f n))].\n"),
+    ("V006 in a lifted call", "f (n : nat) : nat = g (f n).\n"),
+    ("unknown names in a lifted argument", "f (n : nat) : nat = [wat (g (f n))].\n"),
     ("T004", "f (n : nat) : nat = case n : nat of [zero] -> [zero] ; [suc m] -> ([zero], m).\n"),
 ]
 

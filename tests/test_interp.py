@@ -442,56 +442,79 @@ main pick.
 
 
 class TestGroundLiteral:
-    """A ground literal evaluates in one step, yet it is charged the depth
-    and fuel its node-by-node walk cost.  The expected outcomes were
-    captured while literals were still walked node by node."""
+    """A ground literal evaluates to itself in one rule application: the
+    nodes below its root cost no depth and no fuel.  Traced, it still shows
+    one `eval-constructor` line per node, children first."""
 
     @pytest.mark.parametrize(
-        "source, inverted, deepest, result",
+        "source, inverted, result",
         [
-            ("same (n : nat) : nat = n.\nmain same.\n", False, 258, 0),
-            ("same (n : nat) : nat = n.\nmain same.\n", True, 257, 0),
-            ("inc (n : nat) : nat = [suc n].\nmain inc.\n", False, 258, 1),
-            ("inc (n : nat) : nat = [suc n].\nmain inc.\n", True, 257, -1),
+            ("same (n : nat) : nat = n.\nmain same.\n", False, 0),
+            ("same (n : nat) : nat = n.\nmain same.\n", True, 0),
+            ("inc (n : nat) : nat = [suc n].\nmain inc.\n", False, 1),
+            ("inc (n : nat) : nat = [suc n].\nmain inc.\n", True, -1),
         ],
         ids=["same", "same-inverted", "inc", "inc-inverted"],
     )
-    def test_depth_charge_is_exact(self, source, inverted, deepest, result):
-        """`deepest` is the deepest literal that still evaluates; one
-        deeper runs into the depth guard."""
+    def test_depth_charge_is_exact(self, source, inverted, result):
+        """The charge is nothing: literals past where a node-by-node rebuild
+        hit the depth guard (258 deep) evaluate, up to 100,000 deep."""
         program = jeopardy.compile_source(NATS + source)
-        for k in range(255, 263):
+        for k in (255, 258, 259, 262, 100_000):
             out = run_main(program, nat(k), inverted=inverted)
-            if k <= deepest:
-                assert (out.kind, out.message) == ("success", "")
-                assert nat_depth(out.value) == k + result
-            else:
-                assert (out.kind, out.message) == ("undecided", "recursion depth limit reached")
+            assert (out.kind, out.message) == ("success", ""), k
+            assert nat_depth(out.value) == k + result
 
-    # result -> (preimage, fuel a success costs, trace lines at each fuel
-    # that is too small, trace lines on success)
+    def test_recursion_still_meets_the_depth_guard(self, invertibles):
+        """What stays undecided is recursion through the rules: `mapsuc`
+        recurses once per list cell, in both directions."""
+        program = dataclasses.replace(invertibles, main=MainDecl(FunRef("mapsuc")))
+        zeros = ok_value(run_main(program, ones(85), inverted=True))
+        assert ok_value(run_main(program, zeros)) == ones(85)
+        for value, inverted in ((ones(86), True), (Con("cons", (nat(0), zeros)), False)):
+            out = run_main(program, value, inverted=inverted)
+            assert (out.kind, out.message) == ("undecided", "recursion depth limit reached")
+
+    def test_traced_literal_shows_each_node_children_first(self, invertibles):
+        lines = []
+        value = parse_value("[node [leaf [zero]] [leaf [suc [zero]]]]")
+        assert ok_value(evaluate(invertibles, value, trace=lines.append)) is value
+        assert {line.split("\t")[0] for line in lines} == {"eval-constructor"}
+        assert [line.split("\t")[2] for line in lines] == [
+            "[zero]",
+            "[leaf [zero]]",
+            "[zero]",
+            "[suc [zero]]",
+            "[leaf [suc [zero]]]",
+            "[node [leaf [zero]] [leaf [suc [zero]]]]",
+        ]
+
+    # result -> (preimage, trace lines at each fuel that is too small, trace
+    # lines on success).  At fuel 3 the literal's five lines all show.
     PICKED = {
-        "true": ("[node [leaf] [node [leaf] [leaf]]]", 8, [1, 1, 2, 2, 3, 3, 4, 7], 11),
-        "false": ("[leaf]", 5, [1, 1, 1, 2, 3], 7),
+        "true": ("[node [leaf] [node [leaf] [leaf]]]", [1, 1, 2, 7], 11),
+        "false": ("[leaf]", [1, 1, 2, 3], 7),
     }
 
     @pytest.mark.parametrize("result", ["true", "false"])
     @pytest.mark.parametrize("traced", [False, True])
     def test_fuel_charge_in_a_search_is_exact(self, result, traced):
+        """Inverting `pick` evaluates its ground pattern inside a search for
+        one fuel, whatever its size: both preimages cost 4."""
         program = jeopardy.compile_source(PICK)
-        preimage, cost, lines_short, lines_ok = self.PICKED[result]
+        preimage, lines_short, lines_ok = self.PICKED[result]
         for fuel in range(21):
             lines = []
             ev = Evaluator(program, fuel=fuel, trace=lines.append if traced else None)
             out = jeopardy.interp._to_outcome(
                 lambda: ev._eval_up(Apply(FunRef("pick"), Con(result)), {})
             )
-            if fuel < cost:
+            if fuel < 4:
                 assert (out.kind, out.message, ev.fuel) == ("undecided", "fuel exhausted", 0)
                 assert len(lines) == (lines_short[fuel] if traced else 0)
             else:
                 assert (out.kind, out.value) == ("success", parse_value(preimage))
-                assert ev.fuel == fuel - cost
+                assert ev.fuel == fuel - 4
                 assert len(lines) == (lines_ok if traced else 0)
 
     @pytest.mark.parametrize(

@@ -56,3 +56,31 @@ def test_no_match_statement_in_the_package():
         f"`match` statements at {found}: dispatch on `type(t) is ...` instead;"
         " class patterns cost measurably more per node"
     )
+
+
+def module_bindings(tree):
+    """(name, line) for each name a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def test_no_module_level_name_is_bound_twice():
+    """A second binding silently replaces the first for every reader,
+    including functions defined between the two."""
+    found = []
+    for path in sorted((ROOT / "src" / "jeopardy").glob("*.py")):
+        first = {}
+        for name, line in module_bindings(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in first:
+                found.append(f"{path.name}: {name!r} at lines {first[name]} and {line}")
+            first.setdefault(name, line)
+    assert found == []

@@ -12,7 +12,9 @@ satisfy
    undecided;
 2. inverse success => running the preimage forward gives the value that
    was inverted: inversion never returns a value that forward does not
-   map to the output.
+   map to the output;
+3. the interpreter's side table only saves budget: a run it changes
+   decides as a run without it does (`test_side_table.assert_saves`).
 
 Example generation is derandomized with a fixed budget, so the verdict
 and the run time are the same on every run.
@@ -28,7 +30,7 @@ from jeopardy.suites import ValueGenerator
 from jeopardy.syntax import Apply, FunRef
 from jeopardy.typecheck import check_program
 
-from test_side_table import DATA
+from test_side_table import DATA, assert_saves
 
 # The constructors of each type, with their argument types.
 SIGNATURE = {
@@ -234,3 +236,16 @@ def test_inversion_is_the_inverse_of_forward(source, seed):
     forward_fails, inverse_fails = round_trip_failures(program, seed)
     assert forward_fails == [], source
     assert inverse_fails == [], source
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(source=programs(), seed=st.integers(0, 2**32))
+def test_the_side_table_only_saves_budget(source, seed):
+    """`assert_saves` on these programs: a head set that excluded a value
+    its body can produce would change a decided outcome here."""
+    program = jeopardy.compile_source(source)
+    gen = ValueGenerator(program, random.Random(seed), max_depth=4)
+    for f in program.functions:
+        for inverted in (False, True):
+            value = gen.value(f.result_type if inverted else f.arg_type)
+            assert_saves(program, f.name, value, inverted, fuels=(0, 1, 3, 10, 100, FUEL))

@@ -1,5 +1,6 @@
-"""The interpreter's side table: what it skips, what that costs, and that
-skipping changes nothing a run can observe."""
+"""The interpreter's side table: what it skips, and that skipping only
+saves budget.  Whenever a run without the table decides, the run with it
+gives the same outcome, value and trace, with at least as much fuel left."""
 
 import copy
 import dataclasses
@@ -42,14 +43,24 @@ def without_table(program, term, fuel, psi, traced):
     return got
 
 
-def assert_exact(program, name, value, inversions, fuels=FUELS):
+def assert_saves(program, name, value, inversions, fuels=FUELS):
+    """The table only saves budget: a run the blank table decides is the
+    same run with it, down to its trace, but with no less fuel left; and
+    one it decides that the blank table leaves undecided is the outcome
+    of a blank run with ample fuel, when that decides."""
     term = Apply(FunRef(name, int(inversions)), value)
     for fuel in fuels:
         for psi in (True, False):
             for traced in (False, True):
+                where = (name, inversions, fuel, psi, traced)
                 expected = without_table(program, term, fuel, psi, traced)
                 got = observe(program, term, fuel, psi, traced)
-                assert got == expected, (name, inversions, fuel, psi, traced)
+                if expected[0] != "undecided":
+                    assert got[:5] + got[6:] == expected[:5] + expected[6:], where
+                    assert got[5] >= expected[5], where
+                elif got[0] != "undecided":
+                    ample = without_table(program, term, 10 * max(fuels), psi, False)
+                    assert ample[0] == "undecided" or got[:5] == ample[:5], where
 
 
 def corpus():
@@ -63,21 +74,23 @@ def corpus():
 
 
 class TestExactness:
+    """A decided run is exactly the one without the table (`assert_saves`)."""
+
     @pytest.mark.parametrize("program, f", corpus())
     @pytest.mark.parametrize("inverted", [False, True])
     def test_corpus_functions(self, program, f, inverted):
         gen = ValueGenerator(program, random.Random(f.name), max_depth=5)
         for _ in range(3):
             value = gen.value(f.result_type if inverted else f.arg_type)
-            assert_exact(program, f.name, value, inverted)
+            assert_saves(program, f.name, value, inverted)
 
     @pytest.mark.parametrize("inversions", [1, 3, 5])
     @pytest.mark.parametrize("n", [83, 84, 85, 86])
     def test_at_the_depth_limit(self, invertibles, inversions, n):
         """`mapsuc` inverted on lists that reach `DEFAULT_MAX_DEPTH`.  Each
-        extra pair of `invert`s starts it two levels deeper, so some of its
-        searches start where a skip must check their nesting too."""
-        assert_exact(invertibles, "mapsuc", ones(n), inversions, fuels=(10, 100_000))
+        extra pair of `invert`s starts it two levels deeper, so the runs
+        reach the limit at different points of their searches."""
+        assert_saves(invertibles, "mapsuc", ones(n), inversions, fuels=(10, 100_000))
 
 
 def left_spine(depth):
@@ -140,13 +153,14 @@ def programs(draw):
 @settings(max_examples=80, deadline=None)
 @given(source=programs(), seed=st.integers(0, 2**32), inverted=st.booleans())
 def test_generated_programs_are_exact(source, seed, inverted):
+    """Untyped programs too, which fault and overlap in every way."""
     try:
         program = jeopardy.compile_source(source)
     except SourceError:
         return
     rng = random.Random(seed)
     for value in (ValueGenerator(program, rng, max_depth=5).value("tree"), left_spine(rng.randrange(90))):
-        assert_exact(program, "f", value, inverted, fuels=(0, 1, 3, 10, 100, 10_000))
+        assert_saves(program, "f", value, inverted, fuels=(0, 1, 3, 10, 100, 10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +184,15 @@ def psi_searches(monkeypatch):
 
     monkeypatch.setattr(Evaluator, "_infer_down", counting)
     return calls
+
+
+NESTED = """\
+data nat = [zero] [suc nat].
+data box = [a nat] [b nat].
+f ([a n] : box) : nat = case n : nat of [zero] -> [zero] ; [suc m] -> [suc m].
+f [b n] = [suc n].
+main f.
+"""
 
 
 class TestSkipped:
@@ -206,17 +229,29 @@ class TestSkipped:
             assert out.value == pair(nat(0), nat(n)), (n, fuel)
             assert run_main(arith, out.value).value == nat(n)
 
-    def test_head_sets_and_costs(self, invertibles):
+    def test_a_nested_case_holds_the_heads_of_all_its_branches(self):
+        """Branch 1's body is a case whose second branch yields `suc`, so
+        psi must search it for `f [b n]`'s result."""
+        program = jeopardy.compile_source(NESTED)
+        value = Con("b", (nat(0),))
+        assert run_main(program, value).violation == PSI_VIOLATION
+        (_, _, heads), _ = program._table[id(program.function("f").body)]
+        assert heads == {"zero", "suc"}
+        assert_saves(program, "f", value, False)
+
+    def test_head_sets(self, invertibles, arith):
         program = with_main(invertibles, "mirror")
         assert run_main(program, balanced(1)).ok
         body = program.function("mirror").body
         assert isinstance(body, Case)
-        (_, leaf_vars, leaf_heads, *leaf_cost), (_, node_vars, node_heads, *node_cost) = (
-            program._table[id(body)]
-        )
-        assert (leaf_vars, leaf_heads, leaf_cost) == ({"n"}, {"leaf"}, [1, 1])
+        (_, leaf_vars, leaf_heads), (_, node_vars, node_heads) = program._table[id(body)]
+        assert (leaf_vars, leaf_heads) == ({"n"}, {"leaf"})
         # [node (mirror r) (mirror l)] desugars to two let-cases around [node %1 %2].
-        assert (node_vars, node_heads, node_cost) == ({"l", "r"}, {"node"}, [3, 3])
+        assert (node_vars, node_heads) == ({"l", "r"}, {"node"})
+        # `add`'s bodies end in a variable and a call: neither has a head set.
+        assert run_main(arith, pair(nat(0), nat(1))).ok
+        entries = arith._table[id(arith.function("add").body)]
+        assert [heads for _, _, heads in entries] == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +308,13 @@ class TestInputWalk:
     )
     @pytest.mark.parametrize("inverted", [False, True])
     def test_run_main_walks_its_input_once(self, monkeypatch, invertibles, name, value, inverted):
+        """`run_main` checks its input ground once; evaluation trusts it."""
         program = with_main(invertibles, name)
         if inverted:
             value = run_main(program, value).value
         walks = []
         for module in (jeopardy.interp, jeopardy.syntax):
-            real = module.value_shape
-            monkeypatch.setattr(module, "value_shape", lambda t, real=real: walks.append(t) or real(t))
+            real = module.first_hole
+            monkeypatch.setattr(module, "first_hole", lambda t, real=real: walks.append(t) or real(t))
         assert run_main(program, value, inverted=inverted).ok
         assert walks == [value]
