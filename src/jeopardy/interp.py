@@ -22,23 +22,24 @@ takes a branch to a value, no earlier body can produce it, so inference
 commits to that same branch.  A decided inversion therefore returns
 exactly the input forward maps to the output.
 
-What the program text fixes is worked out once per function, on its
-first call, into a side table kept with the `Program` and keyed by the
-`id()` of the nodes the function owns (`_compile`).  What it settles costs
-nothing.  A ground term evaluates to itself in one rule application,
-whatever its size; traced, it still shows one line per node.  A search
-for a value whose constructor a branch body cannot produce fails without
-being run.  Fuel and depth are spent only by the rules that do run, so the
-table can only leave more of them: a decided outcome is the one an
-unbounded run gives, and an undecided one can only become decided.
-
-The judgements dispatch on `type(t)`, not `match`, and call `_emit` only
-when traced, for measured cost: that cut a `mirror` round trip by a third.
+The judgements are compiled, not walked (Feeley & Lapalme, "Using
+closures for code generation", 1987): on its first call a function becomes
+two closures per node, one per direction, kept in `Program._table` by the
+node's `id()`.  A closure call is one rule application.  Dispatch, callee,
+`invert`s, matchers and what the text settles (`_facts`) are fixed when it
+is built: a ground term evaluates to itself in one rule application (and
+traced, still shows one line per node), and a psi search for a value whose
+constructor a body cannot produce is not run.  Fuel and depth are spent
+only by the rules that do run, so a decided outcome is the one an
+unbounded run gives.  Against the term-walking judgements this took a
+depth-6 `mirror` round trip from 2.0 to 1.1 ms (CPython 3.11, shared
+2-core x86-64 host; `wide` `op_ms_p50` fell 20%, `BENCH_14.json`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from functools import partial
 from typing import Callable
 
 from .diagnostics import NO_SPAN, Span
@@ -50,15 +51,14 @@ from .syntax import (
     Env,
     EnvClash,
     FunDef,
-    FunRef,
     Program,
     Term,
     Var,
     compose,
     ensure_value,
-    first_hole,
+    ground_nodes,
     pattern_vars,
-    subtract,
+    subterms,
     unify,
 )
 
@@ -66,7 +66,7 @@ DEFAULT_FUEL = 100_000
 
 # Judgement nesting is bounded so runaway regress becomes `undecided`
 # instead of blowing the Python stack; kept well under the interpreter
-# stack limit since one judgement level spans a few Python frames.
+# stack limit, though one judgement level spans one Python frame.
 DEFAULT_MAX_DEPTH = 260
 
 MATCH_FAILURE = "MatchFailure"
@@ -106,442 +106,445 @@ class InferResult:
 
 class _Violation(Exception):
     def __init__(self, kind: str, message: str, span: Span = NO_SPAN):
-        self.kind = kind
-        self.message = message
-        self.span = span
         super().__init__(message)
+        self.kind, self.message, self.span = kind, message, span
 
 
 class _Undecided(Exception):
-    def __init__(self, message: str):
-        self.message = message
-        super().__init__(message)
+    """A budget ran out; the message says which."""
 
 
-# ---------------------------------------------------------------------------
-# The side table.  A `Con` maps to whether it is ground; a `Case` to one
-# branch entry per branch; a compiled `FunDef` to itself.  A branch entry is
-# (pattern head, pattern variables, body head set); the head set is None
-# when a `Var` or an `Apply` lies on the body's result path.
-
-_Branch = tuple[str | None, frozenset[str], frozenset[str] | None]
-
-
-def _branches(t: Case, heads: dict[int, frozenset[str]]) -> tuple[_Branch, ...]:
-    return tuple(
-        (
-            p.name if isinstance(p, Con) else None,
-            frozenset(pattern_vars(p)),
-            heads.get(id(body)),
-        )
-        for p, body in t.branches
-    )
-
-
-def _compile(f: FunDef, table: dict) -> None:
-    """Enter `f` and every node it owns into `table`, children first and
-    without recursion."""
-    order: list[Term] = []
-    stack: list[Term] = [f.param, f.body]
-    while stack:
-        t = stack.pop()
-        order.append(t)
-        if isinstance(t, Con):
-            stack += t.args
-        elif isinstance(t, Apply):
-            stack.append(t.arg)
-        elif isinstance(t, Case):
-            stack.append(t.selector)
-            for p, body in t.branches:
-                stack += (p, body)
-    heads: dict[int, frozenset[str]] = {}  # for the nodes that have a head set
-    for t in reversed(order):
-        if isinstance(t, Con):
-            table[id(t)] = all(type(a) is Con and table[id(a)] for a in t.args)
-            heads[id(t)] = frozenset((t.name,))
-        elif isinstance(t, Case):
-            entries = table[id(t)] = _branches(t, heads)
-            if all(e[2] is not None for e in entries):
-                heads[id(t)] = frozenset().union(*(e[2] for e in entries))
-    table[id(f)] = f
-
-
+@dataclass(eq=False)
 class Evaluator:
-    """One evaluation or inference session over a fixed program.
+    """One session over a fixed program: the `s` every closure takes.
 
-    Fuel is shared across the whole session and decremented on every
-    rule application inside inference and psi checks; evaluation outside
-    any search never consumes fuel.  Judgement nesting beyond
-    `DEFAULT_MAX_DEPTH` is undecided, so fuel and depth together bound
-    every run.  Each judgement counts its own rule application on entry,
-    and only the rules spend either budget: a literal's nodes below its
-    root and a search the side table rules out spend none.
+    A compiled node is a pair of closures: `down(s, env, d, k)` evaluates
+    it under `env`, `infer(s, v, d, k)` infers an environment under which
+    it evaluates to `v`; `d` is the depth of the rule application and `k`
+    whether it runs inside a search, which inference always does.  Fuel is
+    spent by every rule application inside a search, none outside one;
+    nesting beyond `DEFAULT_MAX_DEPTH` is undecided.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        fuel: int = DEFAULT_FUEL,
-        enforce_psi: bool = True,
-        trace: Callable[[str], None] | None = None,
-    ):
-        self.program = program
-        self.fuel = fuel
-        self.enforce_psi = enforce_psi
-        self.trace = trace
-        self._table = program._table
-        self._depth = 0
-        self._search = 0
-        # `run_main`'s input, already checked ground: no program owns it.
-        self._input: Con | None = None
-
-    # ------------------------------------------------------------------
-    # Accounting
+    program: Program
+    _: KW_ONLY
+    fuel: int = DEFAULT_FUEL
+    enforce_psi: bool = True
+    trace: Callable[[str], None] | None = None
 
     def _emit(self, rule: str, span: Span, value: Con) -> None:
         self.trace(f"{rule}\t{span}\t{pretty_value(value)}")
 
-    def _function(self, ref: FunRef, span: Span) -> FunDef:
-        f = self.program.function(ref.base)
-        if f is None:
-            raise _Violation(UNKNOWN_FUNCTION, f"unknown function {ref.base!r}", span)
-        if id(f) not in self._table:
-            _compile(f, self._table)
-        return f
 
-    def _ground(self, t: Con) -> bool:
-        """Whether `t` is ground: from the table, else by a walk."""
-        ground = self._table.get(id(t))
-        if ground is None:
-            ground = t is self._input or first_hole(t) is None
-        return ground
+def _stop(d: int):
+    raise _Undecided(_DEPTH_LIMIT if d > DEFAULT_MAX_DEPTH else _FUEL_EXHAUSTED)
 
-    def _entries(self, t: Case) -> tuple[_Branch, ...]:
-        # A case no compiled function owns gets entries that skip nothing.
-        return self._table.get(id(t)) or _branches(t, {})
 
-    # ------------------------------------------------------------------
-    # Forward evaluation
+# Faults of the program itself; any other violation of a premise evaluated
+# inside a search only means that the candidate derivation does not exist.
+_FATAL = (LINEARITY_FAULT, UNKNOWN_FUNCTION)
 
-    def _eval_down(self, t: Term, env: Env) -> Con:
-        self._depth += 1
+
+def _union(envs, span: Span, what: str) -> Env:
+    """Disjoint union, checked by size; on a clash `compose` names the
+    variable as the rules do."""
+    out: Env = {}
+    for e in envs:
+        out |= e
+    if len(out) != sum(map(len, envs)):
         try:
-            if self._depth > DEFAULT_MAX_DEPTH:
-                raise _Undecided(_DEPTH_LIMIT)
-            if self._search:
-                if self.fuel <= 0:
-                    raise _Undecided(_FUEL_EXHAUSTED)
-                self.fuel -= 1
-            cls = type(t)
-            if cls is Var:
-                if t.name not in env:
-                    raise _Violation(
-                        UNBOUND_VARIABLE, f"unbound variable {t.name!r}", t.span
-                    )
-                v = env[t.name]
-                if self.trace is not None:
-                    self._emit("eval-variable", t.span, v)
-                return v
-            if cls is Con:
-                if self._ground(t):
-                    if self.trace is not None:
-                        self._emit_literal(t)
-                    return t
-                v = Con(t.name, tuple([self._eval_down(a, env) for a in t.args]), t.span)
-                if self.trace is not None:
-                    self._emit("eval-constructor", t.span, v)
-                return v
-            if cls is Apply:
-                ref, span = t.ref, t.span
-                if ref.inversions > 0:
-                    stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                    v = self._eval_up(Apply(stripped, t.arg, span), env)
-                    if self.trace is not None:
-                        self._emit("eval-invert", span, v)
-                    return v
-                f = self._function(ref, span)
-                v_arg = self._eval_down(t.arg, env)
-                binding = unify(v_arg, f.param)
-                if binding is None:
-                    raise _Violation(
-                        MATCH_FAILURE,
-                        f"argument {pretty_value(v_arg)} does not match"
-                        f" the parameter of {ref.base!r}",
-                        span,
-                    )
-                v = self._eval_down(f.body, binding)
-                if self.trace is not None:
-                    self._emit("eval-apply", span, v)
-                return v
-            if cls is Case:
-                branches, span = t.branches, t.span
-                v_sel = self._eval_down(t.selector, env)
-                entries = self._entries(t)
-                for i, (p, body) in enumerate(branches):
-                    head = entries[i][0]
-                    if head is not None and head != v_sel.name:
-                        continue
-                    binding = unify(v_sel, p)
-                    if binding is None:
-                        continue
-                    try:
-                        branch_env = compose(env, binding)
-                    except EnvClash as e:
-                        raise _Violation(
-                            LINEARITY_FAULT,
-                            f"variable {e.name!r} rebound by a branch pattern",
-                            span,
-                        )
-                    v = self._eval_down(body, branch_env)
-                    # psi is obligatory inside inference: a skipped check
-                    # there would let a non-unique derivation pass as found.
-                    if self.enforce_psi or self._search > 0:
-                        self._check_psi(branches, entries, i, v, span)
-                    if self.trace is not None:
-                        self._emit("eval-case", span, v)
-                    return v
-                raise _Violation(
-                    MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span
-                )
-            raise ValueError(f"cannot evaluate non-core term {t!r}")
-        finally:
-            self._depth -= 1
+            compose(*envs)
+        except EnvClash as e:
+            raise _Violation(LINEARITY_FAULT, f"variable {e.name!r} {what}", span)
+    return out
 
-    def _emit_literal(self, t: Con) -> None:
-        """Trace a literal as the rules would rebuild it: one line per node,
-        children first.  The reverse of a pre-order that takes the last
-        child first is that post-order."""
-        order = []
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack += node.args
-        for node in reversed(order):
-            self._emit("eval-constructor", node.span, node)
 
-    def _check_psi(
-        self,
-        branches: tuple[tuple[Term, Term], ...],
-        entries: tuple[_Branch, ...],
-        taken: int,
-        v_res: Con,
-        span: Span,
-    ) -> None:
-        """Earlier branches must not explain this evaluation.
+# ---------------------------------------------------------------------------
+# The compiler
 
-        Pattern orthogonality against the selector value already holds
-        by first-match selection; what remains is that no earlier body
-        could have produced the value being returned.
-        """
-        for j in range(taken):
-            if self._exists_derivation(branches[j][1], entries[j], v_res):
-                raise _Violation(
-                    PSI_VIOLATION,
-                    f"branch {j + 1} can also produce {pretty_value(v_res)}",
-                    span,
-                )
 
-    def _exists_derivation(self, t: Term, entry: _Branch, v: Con) -> bool:
-        """Can t evaluate to v under some environment?
+def _facts(roots, known=()) -> tuple[set[int], dict[int, frozenset[str]]]:
+    """What the text under `roots` settles: its ground constructor nodes,
+    and each node's head set, the constructors it can produce (none where a
+    `Var` or an `Apply` lies on its result path)."""
+    ground = ground_nodes(roots, known)
+    heads: dict[int, frozenset[str]] = {}
+    for t in reversed(subterms(roots, ground)):
+        if type(t) is Con:
+            heads[id(t)] = frozenset((t.name,))
+        elif type(t) is Case:
+            below = [heads.get(id(body)) for _, body in t.branches]
+            if None not in below:
+                heads[id(t)] = frozenset().union(*below)
+    return ground, heads
 
-        A ground body is decided by equality and one whose head set
-        excludes v fails, both without touching the budgets; anything
-        else runs environment inference.
-        """
-        if isinstance(t, Con) and self._ground(t):
-            return t == v
-        heads = entry[2]
-        if heads is not None and v.name not in heads:
-            return False
-        return self._infer_down(t, v) is not None
 
-    # ------------------------------------------------------------------
-    # Inverse evaluation
+def _compile(program: Program, roots, code: dict, known=()) -> None:
+    """Enter every node under `roots` into `code`, children first and
+    without recursion; the nodes below a ground one need no code."""
+    ground, heads = _facts(roots, known)
+    for t in reversed(subterms(roots, ground)):
+        code[id(t)] = _node(t, code, ground, heads, program)
 
-    def _eval_up(self, t: Apply, env: Env) -> Con:
-        self._depth += 1
-        try:
-            if self._depth > DEFAULT_MAX_DEPTH:
-                raise _Undecided(_DEPTH_LIMIT)
-            if self._search:
-                if self.fuel <= 0:
-                    raise _Undecided(_FUEL_EXHAUSTED)
-                self.fuel -= 1
-            ref, arg, span = t.ref, t.arg, t.span
-            if ref.inversions > 0:
-                stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                v = self._eval_down(Apply(stripped, arg, span), env)
-                if self.trace is not None:
-                    self._emit("inverse-invert", span, v)
-                return v
-            f = self._function(ref, span)
-            v_out = self._eval_down(arg, env)
-            inferred = self._infer_down(f.body, v_out)
-            if inferred is None:
-                raise _Violation(
-                    MATCH_FAILURE,
-                    f"no preimage: {ref.base!r} cannot produce {pretty_value(v_out)}",
-                    span,
-                )
-            v = self._eval_down(f.param, inferred)
-            if self.trace is not None:
-                self._emit("inverse-apply", span, v)
-            return v
-        finally:
-            self._depth -= 1
 
-    # ------------------------------------------------------------------
-    # Environment inference
+def _code(program: Program, t: Term, known=()) -> tuple:
+    """The closures of `t`: from the table when a function of `program`
+    owns it, else compiled for this call only, since the id of a foreign
+    term may later name another object."""
+    code = program._table.get(id(t))
+    if code is None:
+        owner = [f for f in program.functions if t is f.body or t is f.param]
+        if owner:
+            _cell(program, owner[0]).match  # compiles the owner
+            return program._table[id(t)]
+        code = {}
+        _compile(program, (t,), code, known)
+        return code[id(t)]
+    return code
 
-    def _infer_down(self, t: Term, v: Con) -> Env | None:
-        self._search += 1
-        self._depth += 1
-        try:
-            if self._depth > DEFAULT_MAX_DEPTH:
-                raise _Undecided(_DEPTH_LIMIT)
-            if self.fuel <= 0:
-                raise _Undecided(_FUEL_EXHAUSTED)
-            self.fuel -= 1
-            cls = type(t)
-            if cls is Var:
-                if self.trace is not None:
-                    self._emit("infer-variable", t.span, v)
-                return {t.name: v}
-            if cls is Con:
-                if v.name != t.name or len(v.args) != len(t.args):
-                    return None
-                envs = []
-                for a, va in zip(t.args, v.args):
-                    assert isinstance(va, Con)
-                    e = self._infer_down(a, va)
-                    if e is None:
-                        return None
-                    envs.append(e)
-                try:
-                    out = compose(*envs)
-                except EnvClash as e:
-                    raise _Violation(
-                        LINEARITY_FAULT,
-                        f"variable {e.name!r} inferred more than once",
-                        t.span,
-                    )
-                if self.trace is not None:
-                    self._emit("infer-constructor", t.span, v)
-                return out
-            if cls is Apply:
-                ref, span = t.ref, t.span
-                if ref.inversions > 0:
-                    stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                    out = self._infer_up(Apply(stripped, t.arg, span), v)
-                    if self.trace is not None:
-                        self._emit("infer-invert", span, v)
-                    return out
-                f = self._function(ref, span)
-                body_env = self._infer_down(f.body, v)
-                if body_env is None:
-                    return None
-                v_param = self._eval_in_search(f.param, body_env)
-                if v_param is None:
-                    return None
-                out = self._infer_down(t.arg, v_param)
-                if self.trace is not None:
-                    self._emit("infer-apply", span, v)
-                return out
-            if cls is Case:
-                return self._infer_case(t, v)
-            raise ValueError(f"cannot infer over non-core term {t!r}")
-        finally:
-            self._depth -= 1
-            self._search -= 1
 
-    def _infer_case(self, t: Case, v: Con) -> Env | None:
-        """Branch search: commit to the first body able to produce v.
+class _Fn:
+    """The cell every call of a function reads; its first read compiles
+    the function, so calls link before it exists, recursive ones included.
+    `legs`: infer the body, evaluate the parameter, and the other way."""
 
-        The committed branch must then survive its remaining premises
-        without backtracking; an earlier pattern capturing the selector
-        value means the derivation does not exist.
-        """
-        branches = t.branches
-        entries = self._entries(t)
-        for i, (p, body) in enumerate(branches):
-            heads = entries[i][2]
-            if heads is not None and v.name not in heads:
+    __slots__ = ("f", "program", "match", "body_down", "legs")
+
+    def __init__(self, f: FunDef, program: Program):
+        self.f, self.program = f, program
+
+    def __getattr__(self, name: str):
+        if name not in _Fn.__slots__:
+            raise AttributeError(name)
+        f, table = self.f, self.program._table
+        _compile(self.program, (f.param, f.body), table)
+        param, body = table[id(f.param)], table[id(f.body)]
+        self.match, self.body_down = _matcher(f.param), body[0]
+        self.legs = ((body[1], param[0]), (param[1], body[0]))
+        return getattr(self, name)
+
+
+def _cell(program: Program, f: FunDef) -> _Fn:
+    return program._table.setdefault(id(f), _Fn(f, program))
+
+
+def _matcher(p: Term) -> Callable[[Con], Env | None]:
+    """Match a value against `p`: a variable or a flat linear `[c x1 .. xn]`
+    directly, anything else by `unify`."""
+    if type(p) is Var:
+        x = p.name
+        return lambda v: {x: v}
+    if type(p) is Con:
+        names = [a.name for a in p.args if type(a) is Var]
+        if len(set(names)) == len(p.args):
+            c, n = p.name, len(names)
+            return lambda v: dict(zip(names, v.args)) if v.name == c and len(v.args) == n else None
+    return lambda v: unify(v, p)
+
+
+def _node(t: Term, code: dict, ground: set[int], heads: dict, program: Program) -> tuple:
+    kind = type(t)
+    if kind is Var:
+        return _var(t.name, t.span)
+    if kind is Con:
+        return _literal(t) if id(t) in ground else _con(t, [code[id(a)] for a in t.args])
+    if kind is Apply:
+        return _apply(t, *code[id(t.arg)], program)
+    if kind is Case:
+        return _case(t, code, ground, heads)
+    # Only the desugarer's core reaches the rules; anything else is a
+    # caller's bug, reported where it is reached.
+    return partial(_refuse, "evaluate", t), partial(_refuse, "infer over", t)
+
+
+def _refuse(what: str, t: Term, *_):
+    raise ValueError(f"cannot {what} non-core term {t!r}")
+
+
+def _var(x: str, span: Span) -> tuple:
+    def down(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        v = env.get(x)
+        if v is None:
+            raise _Violation(UNBOUND_VARIABLE, f"unbound variable {x!r}", span)
+        if s.trace is not None:
+            s._emit("eval-variable", span, v)
+        return v
+
+    def infer(s, v, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        if s.trace is not None:
+            s._emit("infer-variable", span, v)
+        return {x: v}
+
+    return down, infer
+
+
+def _literal(t: Con) -> tuple:
+    """A ground term evaluates to itself in one rule application; traced,
+    it shows one line per node, children first, as the rules rebuild it."""
+
+    def down(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        if s.trace is not None:
+            # The reverse of a pre-order that takes the last child first.
+            for node in reversed(subterms((t,))):
+                s._emit("eval-constructor", node.span, node)
+        return t
+
+    return down, partial(_infer_literal, t)
+
+
+def _infer_literal(t: Con, s, v: Con, d: int, k: bool) -> Env | None:
+    """Inference over a ground term, node by node as over any other."""
+    if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+        _stop(d)
+    s.fuel -= k
+    if v.name != t.name or len(v.args) != len(t.args):
+        return None
+    for a, w in zip(t.args, v.args):
+        if _infer_literal(a, s, w, d + 1, True) is None:
+            return None
+    if s.trace is not None:
+        s._emit("infer-constructor", t.span, v)
+    return {}
+
+
+def _con(t: Con, kids: list[tuple]) -> tuple:
+    c, n, span = t.name, len(kids), t.span
+    downs, infers = [kid[0] for kid in kids], [kid[1] for kid in kids]
+
+    def down(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        args = []
+        for arg in downs:
+            args.append(arg(s, env, d + 1, k))
+        v = Con(c, tuple(args), span)
+        if s.trace is not None:
+            s._emit("eval-constructor", span, v)
+        return v
+
+    def infer(s, v, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        if v.name != c or len(v.args) != n:
+            return None
+        envs = []
+        for arg, w in zip(infers, v.args):
+            e = arg(s, w, d + 1, True)
+            if e is None:
+                return None
+            envs.append(e)
+        out = _union(envs, span, "inferred more than once")
+        if s.trace is not None:
+            s._emit("infer-constructor", span, v)
+        return out
+
+    return down, infer
+
+
+def _apply(t: Apply, arg_down, arg_infer, program: Program) -> tuple:
+    """An application under n `invert`s: a chain of n + 1 rule applications,
+    each level with all four judgements (forward, inverse, inference and
+    inverse inference), stripped once here."""
+    base, span = t.ref.base, t.span
+    f = program.function(base)
+    if f is None:
+
+        def missing(s, x, d, k):
+            if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+                _stop(d)
+            s.fuel -= k
+            raise _Violation(UNKNOWN_FUNCTION, f"unknown function {base!r}", span)
+
+        levels = (missing,) * 4
+    else:
+        levels = _call(_cell(program, f), arg_down, arg_infer, base, span)
+    for _ in range(t.ref.inversions):
+        down, up, infer, infer_up = levels
+        levels = (
+            _step(up, "eval-invert", span, True),
+            _step(down, "inverse-invert", span, True),
+            _step(infer_up, "infer-invert", span, False),
+            _step(infer, "inverse-infer-invert", span, False),
+        )
+    return levels[0], levels[2]
+
+
+def _step(inner, rule: str, span: Span, shows_result: bool):
+    """One `invert`: a rule application that runs `inner` one level deeper
+    and traces its result (evaluation) or the sought value (inference)."""
+
+    def step(s, x, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        out = inner(s, x, d + 1, k)
+        if s.trace is not None:
+            s._emit(rule, span, out if shows_result else x)
+        return out
+
+    return step
+
+
+def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
+    """Forward, inverse, inference and inverse inference through `fn`."""
+
+    def down(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        v_arg = arg_down(s, env, d + 1, k)
+        binding = fn.match(v_arg)
+        if binding is None:
+            raise _Violation(
+                MATCH_FAILURE,
+                f"argument {pretty_value(v_arg)} does not match the parameter of {base!r}",
+                span,
+            )
+        v = fn.body_down(s, binding, d + 1, k)
+        if s.trace is not None:
+            s._emit("eval-apply", span, v)
+        return v
+
+    def up(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        v_out = arg_down(s, env, d + 1, k)
+        infer_body, param_down = fn.legs[0]
+        inferred = infer_body(s, v_out, d + 1, True)
+        if inferred is None:
+            raise _Violation(
+                MATCH_FAILURE, f"no preimage: {base!r} cannot produce {pretty_value(v_out)}", span
+            )
+        v = param_down(s, inferred, d + 1, k)
+        if s.trace is not None:
+            s._emit("inverse-apply", span, v)
+        return v
+
+    def search(leg: int, rule: str):
+        # Infer one end of the function, evaluate the other inside the
+        # search, then infer the argument from what that gives.
+        def infer(s, v, d, k):
+            if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+                _stop(d)
+            s.fuel -= k
+            infer_end, eval_end = fn.legs[leg]
+            env = infer_end(s, v, d + 1, True)
+            if env is None:
+                return None
+            try:
+                w = eval_end(s, env, d + 1, True)
+            except _Violation as e:
+                if e.kind in _FATAL:
+                    raise
+                return None
+            out = arg_infer(s, w, d + 1, True)
+            if s.trace is not None:
+                s._emit(rule, span, v)
+            return out
+
+        return infer
+
+    return down, up, search(0, "infer-apply"), search(1, "inverse-infer-apply")
+
+
+def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
+    sel_down, sel_infer = code[id(t.selector)]
+    span = t.span
+    matches = [_matcher(p) for p, _ in t.branches]
+    # How psi treats each body: a ground one by equality; one whose head set
+    # lacks the value's constructor not at all; any other by a search.
+    probes = [
+        (j + 1, body if id(body) in ground else None, heads.get(id(body)), code[id(body)][1])
+        for j, (_, body) in enumerate(t.branches)
+    ]
+    picks = [
+        (p.name if type(p) is Con else None, matches[i], code[id(body)][0], probes[:i])
+        for i, (p, body) in enumerate(t.branches)
+    ]
+    arms = [
+        (heads.get(id(body)), code[id(body)][1], code[id(p)][0], set(pattern_vars(p)), matches[:i])
+        for i, (p, body) in enumerate(t.branches)
+    ]
+
+    def case_down(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        v_sel = sel_down(s, env, d + 1, k)
+        for head, match, body, earlier in picks:
+            if head is not None and head != v_sel.name:
                 continue
-            env_body = self._infer_down(body, v)
+            binding = match(v_sel)
+            if binding is None:
+                continue
+            branch_env = env | binding
+            if len(branch_env) != len(env) + len(binding):
+                _union((env, binding), span, "rebound by a branch pattern")
+            v = body(s, branch_env, d + 1, k)
+            # psi is obligatory inside inference: a skipped check there
+            # would let a non-unique derivation pass as found.
+            if k or s.enforce_psi:
+                for j, literal, hs, probe in earlier:
+                    if literal is not None:
+                        if literal != v:
+                            continue
+                    elif hs is not None and v.name not in hs or probe(s, v, d + 1, True) is None:
+                        continue
+                    raise _Violation(
+                        PSI_VIOLATION, f"branch {j} can also produce {pretty_value(v)}", span
+                    )
+            if s.trace is not None:
+                s._emit("eval-case", span, v)
+            return v
+        raise _Violation(MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span)
+
+    def infer(s, v, d, k):
+        # Commit to the first body able to produce v; the branch must then
+        # survive its remaining premises without backtracking.
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        for hs, body, pattern, drop, earlier in arms:
+            if hs is not None and v.name not in hs:
+                continue
+            env_body = body(s, v, d + 1, True)
             if env_body is not None:
                 break
         else:
             return None
-        v_sel = self._eval_in_search(p, env_body)
-        if v_sel is None:
-            return None
-        for j in range(i):
-            if unify(v_sel, branches[j][0]) is not None:
-                return None
-        env_sel = self._infer_down(t.selector, v_sel)
-        if env_sel is None:
-            return None
         try:
-            out = compose(subtract(env_body, entries[i][1]), env_sel)
-        except EnvClash as e:
-            raise _Violation(
-                LINEARITY_FAULT,
-                f"variable {e.name!r} inferred more than once",
-                t.span,
-            )
-        if self.trace is not None:
-            self._emit("infer-case", t.span, v)
-        return out
-
-    def _eval_in_search(self, t: Term, env: Env) -> Con | None:
-        """A premise evaluation inside inference.
-
-        A stuck premise (match failure, missing variable, failed psi)
-        just means the candidate derivation does not exist; only
-        program-level faults keep propagating.
-        """
-        try:
-            return self._eval_down(t, env)
+            v_sel = pattern(s, env_body, d + 1, True)
         except _Violation as e:
-            if e.kind in (LINEARITY_FAULT, UNKNOWN_FUNCTION):
+            if e.kind in _FATAL:
                 raise
             return None
-
-    # ------------------------------------------------------------------
-    # Inverse environment inference
-
-    def _infer_up(self, t: Apply, v: Con) -> Env | None:
-        self._search += 1
-        self._depth += 1
-        try:
-            if self._depth > DEFAULT_MAX_DEPTH:
-                raise _Undecided(_DEPTH_LIMIT)
-            if self.fuel <= 0:
-                raise _Undecided(_FUEL_EXHAUSTED)
-            self.fuel -= 1
-            ref, arg, span = t.ref, t.arg, t.span
-            if ref.inversions > 0:
-                stripped = FunRef(ref.base, ref.inversions - 1, ref.span)
-                out = self._infer_down(Apply(stripped, arg, span), v)
-                if self.trace is not None:
-                    self._emit("inverse-infer-invert", span, v)
-                return out
-            f = self._function(ref, span)
-            param_env = self._infer_down(f.param, v)
-            if param_env is None:
+        for match in earlier:  # an earlier pattern takes the selector value
+            if match(v_sel) is not None:
                 return None
-            v_out = self._eval_in_search(f.body, param_env)
-            if v_out is None:
-                return None
-            out = self._infer_down(arg, v_out)
-            if self.trace is not None:
-                self._emit("inverse-infer-apply", span, v)
-            return out
-        finally:
-            self._depth -= 1
-            self._search -= 1
+        env_sel = sel_infer(s, v_sel, d + 1, True)
+        if env_sel is None:
+            return None
+        kept = {x: w for x, w in env_body.items() if x not in drop}
+        out = kept | env_sel
+        if len(out) != len(kept) + len(env_sel):
+            _union((kept, env_sel), span, "inferred more than once")
+        if s.trace is not None:
+            s._emit("infer-case", span, v)
+        return out
+
+    return case_down, infer
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +558,7 @@ def _to_outcome(run: Callable[[], Con]) -> Outcome:
     except _Violation as e:
         return Outcome("violation", violation=e.kind, message=e.message, span=e.span)
     except _Undecided as e:
-        return Outcome("undecided", message=e.message)
+        return Outcome("undecided", message=str(e))
     return Outcome("success", value=value)
 
 
@@ -565,7 +568,7 @@ def _to_infer_result(run: Callable[[], Env | None]) -> InferResult:
     except _Violation as e:
         return InferResult("violation", violation=e.kind, message=e.message)
     except _Undecided as e:
-        return InferResult("undecided", message=e.message)
+        return InferResult("undecided", message=str(e))
     if env is None:
         return InferResult("none", message="no derivation")
     return InferResult("found", env=env)
@@ -573,14 +576,14 @@ def _to_infer_result(run: Callable[[], Env | None]) -> InferResult:
 
 def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Outcome:
     env = {x: ensure_value(v) for x, v in (env or {}).items()}
-    ev = Evaluator(program, **opts)
-    return _to_outcome(lambda: ev._eval_down(term, env))
+    down, ev = _code(program, term)[0], Evaluator(program, **opts)
+    return _to_outcome(lambda: down(ev, env, 1, False))
 
 
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
     ensure_value(value)
-    ev = Evaluator(program, **opts)
-    return _to_infer_result(lambda: ev._infer_down(term, value))
+    infer, ev = _code(program, term)[1], Evaluator(program, **opts)
+    return _to_infer_result(lambda: infer(ev, value, 1, True))
 
 
 def run_main(
@@ -604,5 +607,6 @@ def run_main(
     if inverted:
         ref = ref.invert()
     ev = Evaluator(program, enforce_psi=psi_mode == "enforce", **opts)
-    ev._input = value
-    return _to_outcome(lambda: ev._eval_down(Apply(ref, value, value.span), {}))
+    # The input is known ground: a literal the compiler does not enter.
+    down = _code(program, Apply(ref, value, value.span), (value,))[0]
+    return _to_outcome(lambda: down(ev, {}, 1, False))

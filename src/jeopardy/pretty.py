@@ -21,7 +21,7 @@ from .syntax import (
     SurfaceProgram,
     Term,
     Var,
-    is_value,
+    ground_nodes,
 )
 
 
@@ -74,43 +74,46 @@ def pretty_fun_ref(ref: FunRef) -> str:
 
 
 def pretty_term(t: Term) -> str:
+    # Groundness is decided once per node, so printing stays linear.
+    return _term(t, ground_nodes((t,)))
+
+
+def _term(t: Term, ground: set[int]) -> str:
     kind = type(t)
     if kind is Var:
         return t.name
     if kind is Con:
-        if is_value(t):
+        if id(t) in ground:
             return pretty_value(t)
-        if not t.args:
-            return f"[{t.name}]"
-        return f"[{t.name} " + " ".join(_atom(a) for a in t.args) + "]"
+        return f"[{t.name} " + " ".join(_atom(a, ground) for a in t.args) + "]"
     if kind is Apply:
-        return f"{pretty_fun_ref(t.ref)} {_atom(t.arg)}"
+        return f"{pretty_fun_ref(t.ref)} {_atom(t.arg, ground)}"
     if kind is Case:
-        sel = pretty_term(t.selector)
+        sel = _term(t.selector, ground)
         if isinstance(t.selector, (Case, Let)):
             sel = f"({sel})"
         rendered = []
         for k, (p, b) in enumerate(t.branches):
-            body = pretty_term(b)
+            body = _term(b, ground)
             if k + 1 < len(t.branches) and isinstance(b, (Case, Let)):
                 body = f"({body})"
-            rendered.append(f"{pretty_term(p)} -> {body}")
+            rendered.append(f"{_term(p, ground)} -> {body}")
         return f"case {sel} : {t.type_name} of " + " ; ".join(rendered)
     if kind is Let:
         ann = f" : {t.type_name}" if t.type_name else ""
         return (
-            f"let {pretty_term(t.pattern)}{ann} = {pretty_term(t.bound)}"
-            f" in {pretty_term(t.body)}"
+            f"let {_term(t.pattern, ground)}{ann} = {_term(t.bound, ground)}"
+            f" in {_term(t.body, ground)}"
         )
     raise AssertionError(f"unhandled term {t!r}")
 
 
-def _atom(t: Term) -> str:
+def _atom(t: Term, ground: set[int]) -> str:
     """A term in argument position; parenthesize whatever could extend."""
-    s = pretty_term(t)
+    s = _term(t, ground)
     if isinstance(t, (Apply, Case, Let)):
         return f"({s})"
-    if isinstance(t, Con) and t.name == "cons" and len(t.args) == 2 and is_value(t):
+    if id(t) in ground and t.name == "cons" and len(t.args) == 2:
         return f"({s})"
     return s
 
@@ -131,7 +134,7 @@ def _clause(c: Clause) -> str:
     if c.arg_type is not None:
         head = f"{c.name} ({pretty_term(c.pattern)} : {c.arg_type}) : {c.result_type}"
     else:
-        head = f"{c.name} {_atom(c.pattern)}"
+        head = f"{c.name} {_atom(c.pattern, ground_nodes((c.pattern,)))}"
     return f"{head} = {pretty_term(c.body)}."
 
 

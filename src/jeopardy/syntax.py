@@ -47,6 +47,12 @@ class Con:
     args: tuple["Term", ...] = ()
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
+    def __init__(self, name: str, args: tuple["Term", ...] = (), span: Span = NO_SPAN):
+        # Built once per node of every value: written straight into the
+        # instance, not by the frozen class's `object.__setattr__`, half the cost.
+        d = self.__dict__
+        d["name"], d["args"], d["span"] = name, args, span
+
 
 @dataclass(frozen=True)
 class FunRef:
@@ -179,8 +185,9 @@ class Program:
 
     @cached_property
     def _table(self) -> dict:
-        """The interpreter's side table, filled one function at a time (see
-        `interp`).  It is keyed by `id()`, so a copy starts without it."""
+        """The interpreter's code for the functions called so far (see
+        `interp`), keyed by the `id()` of nodes this program owns, so a copy
+        starts without it."""
         return {}
 
     def __getstate__(self) -> dict:
@@ -201,13 +208,7 @@ class Program:
 # Classification
 
 def is_pattern(t: Term) -> bool:
-    kind = type(t)
-    if kind is Con:
-        for a in t.args:
-            if not is_pattern(a):
-                return False
-        return True
-    return kind is Var
+    return all(type(node) in (Var, Con) for node in subterms((t,)))
 
 
 def first_hole(t: Term) -> Term | None:
@@ -228,6 +229,40 @@ def is_value(t: Term) -> bool:
     return first_hole(t) is None
 
 
+def subterms(roots, opaque: set[int] = frozenset()) -> list[Term]:
+    """Every node under `roots`, each before its children, without
+    recursion; a node whose id is in `opaque` is listed but not entered."""
+    order: list[Term] = []
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        if id(t) in opaque:
+            continue
+        kind = type(t)
+        if kind is Con:
+            stack += t.args
+        elif kind is Apply:
+            stack.append(t.arg)
+        elif kind is Case:
+            stack.append(t.selector)
+            for p, body in t.branches:
+                stack += (p, body)
+        elif kind is Let:
+            stack += (t.pattern, t.bound, t.body)
+    return order
+
+
+def ground_nodes(roots, known=()) -> set[int]:
+    """The ids of the ground constructor nodes under `roots`, each decided
+    once from its children; the nodes of `known` are ground and not entered."""
+    ground = {id(t) for t in known}
+    for t in reversed(subterms(roots, ground)):
+        if type(t) is Con and all(id(a) in ground for a in t.args):
+            ground.add(id(t))
+    return ground
+
+
 def ensure_value(t: Term) -> Con:
     """Groundness check for interpreter entry."""
     if (bad := first_hole(t)) is not None:
@@ -238,15 +273,7 @@ def ensure_value(t: Term) -> Con:
 
 def pattern_vars(p: Term) -> list[str]:
     """Variable occurrences in order, with repeats kept."""
-    kind = type(p)
-    if kind is Var:
-        return [p.name]
-    if kind is not Con:
-        raise ValueError(f"not a pattern: {p!r}")
-    out: list[str] = []
-    for a in p.args:
-        out += pattern_vars(a)
-    return out
+    return [t.name for t in reversed(subterms((p,))) if type(t) is Var]
 
 
 # ---------------------------------------------------------------------------

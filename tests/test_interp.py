@@ -490,10 +490,11 @@ class TestGroundLiteral:
         ]
 
     # result -> (preimage, trace lines at each fuel that is too small, trace
-    # lines on success).  At fuel 3 the literal's five lines all show.
+    # lines on success, the last of them the `invert`'s).  At fuel 3 the
+    # literal's five lines all show.
     PICKED = {
-        "true": ("[node [leaf] [node [leaf] [leaf]]]", [1, 1, 2, 7], 11),
-        "false": ("[leaf]", [1, 1, 2, 3], 7),
+        "true": ("[node [leaf] [node [leaf] [leaf]]]", [1, 1, 2, 7], 12),
+        "false": ("[leaf]", [1, 1, 2, 3], 8),
     }
 
     @pytest.mark.parametrize("result", ["true", "false"])
@@ -506,9 +507,8 @@ class TestGroundLiteral:
         for fuel in range(21):
             lines = []
             ev = Evaluator(program, fuel=fuel, trace=lines.append if traced else None)
-            out = jeopardy.interp._to_outcome(
-                lambda: ev._eval_up(Apply(FunRef("pick"), Con(result)), {})
-            )
+            down = jeopardy.interp._code(program, Apply(FunRef("pick", 1), Con(result)))[0]
+            out = jeopardy.interp._to_outcome(lambda: down(ev, {}, 1, False))
             if fuel < 4:
                 assert (out.kind, out.message, ev.fuel) == ("undecided", "fuel exhausted", 0)
                 assert len(lines) == (lines_short[fuel] if traced else 0)
@@ -525,14 +525,20 @@ class TestGroundLiteral:
     def test_literal_costs_one_rule_application(
         self, monkeypatch, invertibles, main, small, large, inverted
     ):
+        """Counted as calls of the forward closures the compiler builds."""
         calls = []
-        real = Evaluator._eval_down
+        node = jeopardy.interp._node
 
-        def counting(self, t, env):
-            calls.append(t)
-            return real(self, t, env)
+        def counted(t, *rest):
+            down, infer = node(t, *rest)
 
-        monkeypatch.setattr(Evaluator, "_eval_down", counting)
+            def counting(s, env, d, k):
+                calls.append(t)
+                return down(s, env, d, k)
+
+            return counting, infer
+
+        monkeypatch.setattr(jeopardy.interp, "_node", counted)
         program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
         counts = []
         for value in (small, large):

@@ -95,3 +95,34 @@ class TestPrograms:
             "main not.\n"
         )
         assert pretty_program(parse_program(src)) == src
+
+
+def argument_reads(monkeypatch, depth):
+    """How often printing a `[suc …]` chain around a variable reads a
+    constructor's arguments: once per node to render it, plus every node
+    each groundness walk visits."""
+    t = Var("x")
+    for _ in range(depth):
+        t = Con("suc", (t,))
+    reads = 0
+
+    def args(self):
+        nonlocal reads
+        reads += 1
+        return self.__dict__["args"]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Con, "args", property(args))
+        printed = pretty_term(t)
+    assert printed == "[suc " * depth + "x" + "]" * depth
+    return reads
+
+
+def test_printing_is_linear_in_nesting_depth(monkeypatch):
+    """Groundness is decided once per node.  Walking the subtree below
+    every constructor made the reads quadratic (4x for twice the depth).
+    Depth 400 still exceeds Python's stack: printing recurses per level."""
+    shallow = argument_reads(monkeypatch, 100)
+    deep = argument_reads(monkeypatch, 200)
+    assert shallow >= 100
+    assert deep <= 2.1 * shallow

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 import jeopardy
 import jeopardy.interp
 from jeopardy.diagnostics import SourceError
-from jeopardy.interp import PSI_VIOLATION, Evaluator, _to_outcome, run_main
+from jeopardy.interp import MATCH_FAILURE, PSI_VIOLATION, Evaluator, _to_outcome, run_main
 from jeopardy.suites import ValueGenerator, corpus_file_names, load_corpus_program
-from jeopardy.syntax import Apply, Case, Con, FunRef, MainDecl
+from jeopardy.syntax import Apply, Case, Con, FunRef, MainDecl, Var
 
 from test_interp import balanced, nat, ones, pair
 
@@ -30,17 +30,21 @@ def observe(program, term, fuel, psi, traced):
     ev = Evaluator(
         program, fuel=fuel, enforce_psi=psi, trace=lines.append if traced else None
     )
-    out = _to_outcome(lambda: ev._eval_down(term, {}))
+    down = jeopardy.interp._code(program, term)[0]
+    out = _to_outcome(lambda: down(ev, {}, 1, False))
     return out.kind, out.violation, out.message, out.span, out.value, ev.fuel, lines
 
 
 def without_table(program, term, fuel, psi, traced):
-    """The same run on a copy of `program` whose side table stays empty."""
-    with mock.patch.object(jeopardy.interp, "_compile", lambda f, table: None):
-        blank = dataclasses.replace(program)
-        got = observe(blank, term, fuel, psi, traced)
-        assert blank._table == {}
-    return got
+    """The same run on a copy of `program` compiled without head sets.
+
+    Groundness stays: a ground body is searched by equality, which shows
+    no trace lines where a search would, so a run without it is another
+    run, not a dearer one (`test_the_blank_run_spends_more` shows the
+    head sets are gone)."""
+    facts = jeopardy.interp._facts
+    with mock.patch.object(jeopardy.interp, "_facts", lambda *a: (facts(*a)[0], {})):
+        return observe(dataclasses.replace(program), term, fuel, psi, traced)
 
 
 def assert_saves(program, name, value, inversions, fuels=FUELS):
@@ -171,18 +175,28 @@ def with_main(program, name):
     return dataclasses.replace(program, main=MainDecl(FunRef(name)))
 
 
+def compiled(monkeypatch, wrap):
+    """Compile every node from now on with its closures passed through
+    `wrap(t, down, infer)`, which returns the pair to use instead."""
+    node = jeopardy.interp._node
+    monkeypatch.setattr(jeopardy.interp, "_node", lambda t, *rest: wrap(t, *node(t, *rest)))
+
+
 def psi_searches(monkeypatch):
-    """Count the searches psi checks start: the `_infer_down` calls made by
-    `_exists_derivation` itself, not those nested inside a search."""
+    """Count the searches psi checks start: the inference closures a forward
+    case closure calls itself, not those nested inside a search.  Only a
+    program compiled after this call is counted."""
     calls = []
-    real = Evaluator._infer_down
 
-    def counting(self, t, v):
-        if sys._getframe(1).f_code is Evaluator._exists_derivation.__code__:
-            calls.append(t)
-        return real(self, t, v)
+    def wrap(t, down, infer):
+        def counting(s, v, d, k):
+            if sys._getframe(1).f_code.co_name == "case_down":
+                calls.append(t)
+            return infer(s, v, d, k)
 
-    monkeypatch.setattr(Evaluator, "_infer_down", counting)
+        return down, counting
+
+    compiled(monkeypatch, wrap)
     return calls
 
 
@@ -213,7 +227,7 @@ class TestSkipped:
 
     def test_add_keeps_its_psi_search(self, monkeypatch, arith):
         calls = psi_searches(monkeypatch)
-        out = run_main(arith, pair(nat(1), nat(2)))
+        out = run_main(dataclasses.replace(arith), pair(nat(1), nat(2)))
         assert out.violation == PSI_VIOLATION
         assert calls, "the earlier body is a variable: it must be searched"
 
@@ -235,23 +249,30 @@ class TestSkipped:
         program = jeopardy.compile_source(NESTED)
         value = Con("b", (nat(0),))
         assert run_main(program, value).violation == PSI_VIOLATION
-        (_, _, heads), _ = program._table[id(program.function("f").body)]
-        assert heads == {"zero", "suc"}
+        f = program.function("f")
+        _, heads = jeopardy.interp._facts((f.param, f.body))
+        assert heads[id(f.body.branches[0][1])] == {"zero", "suc"}
         assert_saves(program, "f", value, False)
 
     def test_head_sets(self, invertibles, arith):
-        program = with_main(invertibles, "mirror")
-        assert run_main(program, balanced(1)).ok
-        body = program.function("mirror").body
-        assert isinstance(body, Case)
-        (_, leaf_vars, leaf_heads), (_, node_vars, node_heads) = program._table[id(body)]
-        assert (leaf_vars, leaf_heads) == ({"n"}, {"leaf"})
+        def branch_heads(f):
+            assert isinstance(f.body, Case)
+            _, heads = jeopardy.interp._facts((f.param, f.body))
+            return [heads.get(id(body)) for _, body in f.body.branches]
+
         # [node (mirror r) (mirror l)] desugars to two let-cases around [node %1 %2].
-        assert (node_vars, node_heads) == ({"l", "r"}, {"node"})
+        assert branch_heads(invertibles.function("mirror")) == [{"leaf"}, {"node"}]
         # `add`'s bodies end in a variable and a call: neither has a head set.
-        assert run_main(arith, pair(nat(0), nat(1))).ok
-        entries = arith._table[id(arith.function("add").body)]
-        assert [heads for _, _, heads in entries] == [None, None]
+        assert branch_heads(arith.function("add")) == [None, None]
+
+    def test_the_blank_run_spends_more(self, invertibles):
+        """Without head sets, inverting `mapsuc` searches the `[]` branch's
+        body at every cell: same result, less fuel left."""
+        term = Apply(FunRef("mapsuc", 1), ones(20))
+        table = observe(dataclasses.replace(invertibles), term, 10_000, True, False)
+        blank = without_table(invertibles, term, 10_000, True, False)
+        assert table[0] == blank[0] == "success" and table[4] == blank[4]
+        assert blank[5] < table[5]
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +300,8 @@ class TestTable:
     def test_built_per_function_on_first_call(self, invertibles):
         program = with_main(invertibles, "inc")
         assert run_main(program, nat(3)).ok
-        assert id(program.function("inc")) in program._table
-        assert id(program.function("mirror")) not in program._table
+        assert id(program.function("inc").body) in program._table
+        assert id(program.function("mirror").body) not in program._table
 
     @pytest.mark.parametrize("inverted", [False, True])
     def test_only_program_owned_nodes(self, invertibles, inverted):
@@ -291,6 +312,38 @@ class TestTable:
         assert run_main(program, value, inverted=inverted).ok
         assert program._table and set(program._table) <= owned_ids(program)
         assert id(value) not in program._table
+
+    def test_an_owned_body_is_compiled_once_and_reused(self, monkeypatch, invertibles):
+        """As `suites.theorem_env_round_trip` evaluates and infers bodies."""
+        program = with_main(invertibles, "mirror")
+        f = program.function("mirror")
+        x, body = f.param.name, f.body
+        built = []
+        compiled(monkeypatch, lambda t, down, infer: built.append(t) or (down, infer))
+        value = jeopardy.evaluate(program, body, {x: balanced(2)}).value
+        assert value is not None and built and id(body) in program._table
+        built.clear()
+        assert jeopardy.evaluate(program, body, {x: balanced(3)}).ok
+        assert jeopardy.infer_env_down(program, body, value).env == {x: balanced(2)}
+        assert built == []
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_a_foreign_term_is_compiled_per_call(self, monkeypatch, invertibles, inverted):
+        """`run_main`'s top `Apply` and a hand-built term are compiled at each
+        call and never enter the table."""
+        program = with_main(invertibles, "mirror")
+        term = Apply(FunRef("mirror", int(inverted)), Con("pair", (balanced(1), Var("x"))))
+        built = []
+        compiled(monkeypatch, lambda t, down, infer: built.append(t) or (down, infer))
+        value = balanced(1)
+        for _ in range(2):
+            built.clear()
+            assert run_main(program, value, inverted=inverted).ok
+            assert jeopardy.evaluate(program, term, {"x": nat(0)}).violation == MATCH_FAILURE
+            assert any(type(t) is Apply and t.arg is value for t in built)
+            assert {id(term), id(term.arg)} <= {id(t) for t in built}
+            assert id(term) not in program._table and id(term.arg) not in program._table
+        assert set(program._table) <= owned_ids(program)
 
     def test_kept_out_of_equality_and_copies(self, invertibles):
         program = with_main(invertibles, "mirror")
@@ -308,13 +361,22 @@ class TestInputWalk:
     )
     @pytest.mark.parametrize("inverted", [False, True])
     def test_run_main_walks_its_input_once(self, monkeypatch, invertibles, name, value, inverted):
-        """`run_main` checks its input ground once; evaluation trusts it."""
+        """`run_main` checks its input ground once; the compiler takes it as
+        a literal and never enters it."""
         program = with_main(invertibles, name)
         if inverted:
             value = run_main(program, value).value
-        walks = []
-        for module in (jeopardy.interp, jeopardy.syntax):
-            real = module.first_hole
-            monkeypatch.setattr(module, "first_hole", lambda t, real=real: walks.append(t) or real(t))
+        walks, listed = [], []
+        real = jeopardy.syntax.first_hole
+        monkeypatch.setattr(jeopardy.syntax, "first_hole", lambda t: walks.append(t) or real(t))
+        subterms = jeopardy.interp.subterms
+
+        def listing(*args):
+            found = subterms(*args)
+            listed.extend(found)
+            return found
+
+        monkeypatch.setattr(jeopardy.interp, "subterms", listing)
         assert run_main(program, value, inverted=inverted).ok
         assert walks == [value]
+        assert listed and not any(t is value.args[0] for t in listed)
