@@ -27,18 +27,20 @@ closures for code generation", 1987): on its first call a function becomes
 two closures per node, one per direction, kept in `Program._table` by the
 node's `id()`.  A closure call is one rule application.  Dispatch, callee,
 `invert`s, matchers and what the text settles (`_facts`) are fixed when it
-is built: a ground term evaluates to itself in one rule application (and
-traced, still shows one line per node), and a psi search for a value whose
-constructor a body cannot produce is not run.  Fuel and depth are spent
-only by the rules that do run, so a decided outcome is the one an
-unbounded run gives.  Against the term-walking judgements this took a
-depth-6 `mirror` round trip from 2.0 to 1.1 ms (CPython 3.11, shared
-2-core x86-64 host; `wide` `op_ms_p50` fell 20%, `BENCH_14.json`).
+is built.  A ground term's matcher, an iterative equality test, settles it
+in one rule application either way (traced, still one line per node) and
+for free in psi, so no value is compared by the recursive `==`; a psi
+search for a value whose constructor a body cannot produce is not run.
+Fuel and depth are spent only by the rules that do run, so a decided
+outcome is the one an unbounded run gives.  Against the term-walking
+judgements this took a depth-6 `mirror` round trip from 2.0 to 1.1 ms
+(CPython 3.11, shared 2-core x86-64 host; `wide` `op_ms_p50` fell 20%,
+`BENCH_14.json`).
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -49,12 +51,10 @@ from .syntax import (
     Case,
     Con,
     Env,
-    EnvClash,
     FunDef,
     Program,
     Term,
     Var,
-    compose,
     ensure_value,
     ground_nodes,
     pattern_vars,
@@ -114,9 +114,10 @@ class _Undecided(Exception):
     """A budget ran out; the message says which."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class Evaluator:
-    """One session over a fixed program: the `s` every closure takes.
+    """One run's budget, psi setting and trace sink: the `s` every closure
+    takes; what the program settles is in the closures themselves.
 
     A compiled node is a pair of closures: `down(s, env, d, k)` evaluates
     it under `env`, `infer(s, v, d, k)` infers an environment under which
@@ -126,8 +127,6 @@ class Evaluator:
     nesting beyond `DEFAULT_MAX_DEPTH` is undecided.
     """
 
-    program: Program
-    _: KW_ONLY
     fuel: int = DEFAULT_FUEL
     enforce_psi: bool = True
     trace: Callable[[str], None] | None = None
@@ -146,16 +145,15 @@ _FATAL = (LINEARITY_FAULT, UNKNOWN_FUNCTION)
 
 
 def _union(envs, span: Span, what: str) -> Env:
-    """Disjoint union, checked by size; on a clash `compose` names the
-    variable as the rules do."""
+    """Disjoint union, checked by size; on a clash it names the first
+    variable bound twice, in the order the environments are given."""
     out: Env = {}
     for e in envs:
         out |= e
     if len(out) != sum(map(len, envs)):
-        try:
-            compose(*envs)
-        except EnvClash as e:
-            raise _Violation(LINEARITY_FAULT, f"variable {e.name!r} {what}", span)
+        names = [x for e in envs for x in e]
+        x = next(x for i, x in enumerate(names) if x in names[:i])
+        raise _Violation(LINEARITY_FAULT, f"variable {x!r} {what}", span)
     return out
 
 
@@ -163,11 +161,11 @@ def _union(envs, span: Span, what: str) -> Env:
 # The compiler
 
 
-def _facts(roots, known=()) -> tuple[set[int], dict[int, frozenset[str]]]:
+def _facts(roots) -> tuple[set[int], dict[int, frozenset[str]]]:
     """What the text under `roots` settles: its ground constructor nodes,
     and each node's head set, the constructors it can produce (none where a
     `Var` or an `Apply` lies on its result path)."""
-    ground = ground_nodes(roots, known)
+    ground = ground_nodes(roots)
     heads: dict[int, frozenset[str]] = {}
     for t in reversed(subterms(roots, ground)):
         if type(t) is Con:
@@ -179,15 +177,15 @@ def _facts(roots, known=()) -> tuple[set[int], dict[int, frozenset[str]]]:
     return ground, heads
 
 
-def _compile(program: Program, roots, code: dict, known=()) -> None:
+def _compile(program: Program, roots, code: dict) -> None:
     """Enter every node under `roots` into `code`, children first and
     without recursion; the nodes below a ground one need no code."""
-    ground, heads = _facts(roots, known)
+    ground, heads = _facts(roots)
     for t in reversed(subterms(roots, ground)):
         code[id(t)] = _node(t, code, ground, heads, program)
 
 
-def _code(program: Program, t: Term, known=()) -> tuple:
+def _code(program: Program, t: Term) -> tuple:
     """The closures of `t`: from the table when a function of `program`
     owns it, else compiled for this call only, since the id of a foreign
     term may later name another object."""
@@ -198,7 +196,7 @@ def _code(program: Program, t: Term, known=()) -> tuple:
             _cell(program, owner[0]).match  # compiles the owner
             return program._table[id(t)]
         code = {}
-        _compile(program, (t,), code, known)
+        _compile(program, (t,), code)
         return code[id(t)]
     return code
 
@@ -285,35 +283,35 @@ def _var(x: str, span: Span) -> tuple:
 
 
 def _literal(t: Con) -> tuple:
-    """A ground term evaluates to itself in one rule application; traced,
-    it shows one line per node, children first, as the rules rebuild it."""
+    """A ground term in one rule application either way: it evaluates to
+    itself and infers `{}` for the values its matcher takes, those equal to
+    it.  Traced, it shows one line per node, children first."""
+    match = _matcher(t)
 
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
         s.fuel -= k
         if s.trace is not None:
-            # The reverse of a pre-order that takes the last child first.
-            for node in reversed(subterms((t,))):
-                s._emit("eval-constructor", node.span, node)
+            _show(s, "eval-constructor", t)
         return t
 
-    return down, partial(_infer_literal, t)
+    def infer(s, v, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        env = match(v)
+        if env is not None and s.trace is not None:
+            _show(s, "infer-constructor", t)
+        return env
+
+    return down, infer
 
 
-def _infer_literal(t: Con, s, v: Con, d: int, k: bool) -> Env | None:
-    """Inference over a ground term, node by node as over any other."""
-    if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
-        _stop(d)
-    s.fuel -= k
-    if v.name != t.name or len(v.args) != len(t.args):
-        return None
-    for a, w in zip(t.args, v.args):
-        if _infer_literal(a, s, w, d + 1, True) is None:
-            return None
-    if s.trace is not None:
-        s._emit("infer-constructor", t.span, v)
-    return {}
+def _show(s, rule: str, t: Con) -> None:
+    """One line per node, children first: a last-child-first pre-order, reversed."""
+    for node in reversed(subterms((t,))):
+        s._emit(rule, node.span, node)
 
 
 def _con(t: Con, kids: list[tuple]) -> tuple:
@@ -463,10 +461,11 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
     sel_down, sel_infer = code[id(t.selector)]
     span = t.span
     matches = [_matcher(p) for p, _ in t.branches]
-    # How psi treats each body: a ground one by equality; one whose head set
-    # lacks the value's constructor not at all; any other by a search.
+    # How psi treats each body: a ground one by its matcher, for free; one
+    # whose head set lacks the value's constructor not at all; else a search.
+    same = {id(body): _matcher(body) for _, body in t.branches if id(body) in ground}
     probes = [
-        (j + 1, body if id(body) in ground else None, heads.get(id(body)), code[id(body)][1])
+        (j + 1, same.get(id(body)), heads.get(id(body)), code[id(body)][1])
         for j, (_, body) in enumerate(t.branches)
     ]
     picks = [
@@ -498,7 +497,7 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
             if k or s.enforce_psi:
                 for j, literal, hs, probe in earlier:
                     if literal is not None:
-                        if literal != v:
+                        if literal(v) is None:
                             continue
                     elif hs is not None and v.name not in hs or probe(s, v, d + 1, True) is None:
                         continue
@@ -576,13 +575,13 @@ def _to_infer_result(run: Callable[[], Env | None]) -> InferResult:
 
 def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Outcome:
     env = {x: ensure_value(v) for x, v in (env or {}).items()}
-    down, ev = _code(program, term)[0], Evaluator(program, **opts)
+    down, ev = _code(program, term)[0], Evaluator(**opts)
     return _to_outcome(lambda: down(ev, env, 1, False))
 
 
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
     ensure_value(value)
-    infer, ev = _code(program, term)[1], Evaluator(program, **opts)
+    infer, ev = _code(program, term)[1], Evaluator(**opts)
     return _to_infer_result(lambda: infer(ev, value, 1, True))
 
 
@@ -606,7 +605,7 @@ def run_main(
     ref = program.main.ref
     if inverted:
         ref = ref.invert()
-    ev = Evaluator(program, enforce_psi=psi_mode == "enforce", **opts)
-    # The input is known ground: a literal the compiler does not enter.
-    down = _code(program, Apply(ref, value, value.span), (value,))[0]
+    ev = Evaluator(enforce_psi=psi_mode == "enforce", **opts)
+    # The input is ground: a literal, which the compiler does not enter.
+    down = _apply(Apply(ref, value, value.span), *_literal(value), program)[0]
     return _to_outcome(lambda: down(ev, {}, 1, False))

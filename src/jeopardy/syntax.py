@@ -11,8 +11,8 @@ interpretation) only ever sees the core layer:
     callable g ::= f | (invert g)
 
 A value is a ground pattern.  Environments map variable names to values
-and are treated linearly: composition is a disjoint union and fails on
-any overlap, even an agreeing one.
+and are treated linearly: the interpreter joins them by disjoint union
+and faults on any overlap, even an agreeing one.
 """
 
 from __future__ import annotations
@@ -253,11 +253,11 @@ def subterms(roots, opaque: set[int] = frozenset()) -> list[Term]:
     return order
 
 
-def ground_nodes(roots, known=()) -> set[int]:
+def ground_nodes(roots) -> set[int]:
     """The ids of the ground constructor nodes under `roots`, each decided
-    once from its children; the nodes of `known` are ground and not entered."""
-    ground = {id(t) for t in known}
-    for t in reversed(subterms(roots, ground)):
+    once from its children."""
+    ground: set[int] = set()
+    for t in reversed(subterms(roots)):
         if type(t) is Con and all(id(a) in ground for a in t.args):
             ground.add(id(t))
     return ground
@@ -277,35 +277,7 @@ def pattern_vars(p: Term) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The environment algebra
-
-
-class EnvClash(Exception):
-    """Disjointness violation when composing environments."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"variable bound twice: {name}")
-
-
-def compose(*envs: Env) -> Env:
-    """Disjoint union of environments.
-
-    Overlap raises `EnvClash` even when both sides agree on the value;
-    linearity counts occurrences, not contents.
-    """
-    out: Env = {}
-    for env in envs:
-        for name, value in env.items():
-            if name in out:
-                raise EnvClash(name)
-            out[name] = value
-    return out
-
-
-def subtract(env: Env, names) -> Env:
-    drop = set(names)
-    return {x: v for x, v in env.items() if x not in drop}
+# Matching
 
 
 def unify(value: Con, pattern: Term) -> Env | None:
@@ -325,7 +297,7 @@ def unify(value: Con, pattern: Term) -> Env | None:
         if isinstance(p, Var):
             if p.name not in env:
                 env[p.name] = v
-            elif env[p.name] != v:
+            elif unify(v, env[p.name]) is None:  # a value as a pattern: equality
                 return None
         elif isinstance(p, Con) and v.name == p.name and len(v.args) == len(p.args):
             # Reversed, so the leftmost pair is matched next: pre-order.

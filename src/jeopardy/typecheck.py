@@ -39,7 +39,6 @@ from .syntax import (
     Program,
     Term,
     Var,
-    subtract,
 )
 
 TypingEnv = dict[str, str]
@@ -182,7 +181,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
         for x in bound:
             if x not in req_b:
                 raise _fail("T003", f"pattern variable {x!r} is never used", span)
-        leftover = subtract(req_b, bound)  # type: ignore[arg-type]
+        leftover = {x: ty for x, ty in req_b.items() if x not in bound}
         if residual is None:
             residual = leftover
         elif leftover != residual:

@@ -13,6 +13,8 @@ import jeopardy
 from jeopardy.cli import main
 from jeopardy.suites import read_corpus_file
 
+from test_interp import DEEP_BODY
+
 CORPUS = [
     "arith.jeo",
     "fib.jeo",
@@ -296,6 +298,19 @@ class TestDeepValue:
         k = depth + shift
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "[suc " * k + "[zero]" + "]" * k + "\n"
+
+    @pytest.mark.parametrize("n", [250, 300, 900])
+    def test_deep_ground_body_decides(self, tmp_path, n):
+        """Branch 1's body is the n-deep literal and branch 2 maps it to
+        itself: forward is a psi violation, inverted it is `[zero]`."""
+        literal = "[suc " * n + "[zero]" + "]" * n
+        program = tmp_path / "f.jeo"
+        program.write_text(DEEP_BODY.format(literal), encoding="utf-8")
+        proc = run_process("run", str(program), "-", stdin=literal)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert f"{program}:2:1: error[PsiViolation]: branch 1 can also produce" in proc.stderr
+        proc = run_process("run", str(program), "-", "--invert", stdin=literal)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[zero]\n", "")
 
 
 SAME = """\

@@ -19,6 +19,8 @@ from jeopardy.interp import (
     run_main,
 )
 from jeopardy.parser import parse_term, parse_value
+from jeopardy.pretty import pretty_value
+from jeopardy.suites import bundled_expectations, load_corpus_program
 from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value
 
 
@@ -441,10 +443,16 @@ main pick.
 """
 
 
+# Branch 1's body is a ground `[suc …]` literal; branch 2 maps every
+# successor to itself, so on that literal's value psi must reject it.
+DEEP_BODY = NATS + "f ([zero] : nat) : nat = {}.\nf [suc m] = [suc m].\nmain f.\n"
+
+
 class TestGroundLiteral:
-    """A ground literal evaluates to itself in one rule application: the
-    nodes below its root cost no depth and no fuel.  Traced, it still shows
-    one `eval-constructor` line per node, children first."""
+    """A ground literal is settled in one rule application either way: it
+    evaluates to itself, and its matcher decides inference, so the nodes
+    below its root cost no depth and no fuel.  Traced, it still shows one
+    line per node, children first."""
 
     @pytest.mark.parametrize(
         "source, inverted, result",
@@ -506,7 +514,7 @@ class TestGroundLiteral:
         preimage, lines_short, lines_ok = self.PICKED[result]
         for fuel in range(21):
             lines = []
-            ev = Evaluator(program, fuel=fuel, trace=lines.append if traced else None)
+            ev = Evaluator(fuel=fuel, trace=lines.append if traced else None)
             down = jeopardy.interp._code(program, Apply(FunRef("pick", 1), Con(result)))[0]
             out = jeopardy.interp._to_outcome(lambda: down(ev, {}, 1, False))
             if fuel < 4:
@@ -525,20 +533,24 @@ class TestGroundLiteral:
     def test_literal_costs_one_rule_application(
         self, monkeypatch, invertibles, main, small, large, inverted
     ):
-        """Counted as calls of the forward closures the compiler builds."""
+        """Counted as calls of the forward closures built for the program's
+        nodes (`_node`) and for the input (`_literal`)."""
         calls = []
-        node = jeopardy.interp._node
 
-        def counted(t, *rest):
-            down, infer = node(t, *rest)
+        def counted(build):
+            def wrapped(t, *rest):
+                down, infer = build(t, *rest)
 
-            def counting(s, env, d, k):
-                calls.append(t)
-                return down(s, env, d, k)
+                def counting(s, env, d, k):
+                    calls.append(t)
+                    return down(s, env, d, k)
 
-            return counting, infer
+                return counting, infer
 
-        monkeypatch.setattr(jeopardy.interp, "_node", counted)
+            return wrapped
+
+        for name in ("_node", "_literal"):
+            monkeypatch.setattr(jeopardy.interp, name, counted(getattr(jeopardy.interp, name)))
         program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
         counts = []
         for value in (small, large):
@@ -549,6 +561,50 @@ class TestGroundLiteral:
             counts.append(len(calls))
         if main == "inc":
             assert counts[0] == counts[1], "independent of the literal's size"
+
+    @pytest.mark.parametrize("n", [250, 300, 900])
+    def test_a_deep_ground_body_is_decided_by_its_matcher(self, n):
+        """Forward psi compares the literal with the value, and inversion
+        infers through it, without a frame or a depth level per node."""
+        program = jeopardy.compile_source(DEEP_BODY.format(pretty_value(nat(n))))
+        out = run_main(program, nat(n))
+        assert (out.kind, out.violation) == ("violation", PSI_VIOLATION)
+        assert out.message.startswith("branch 1 can also produce [suc [suc ")
+        assert ok_value(run_main(program, nat(n), inverted=True)) == nat(0)
+
+
+class TestNoValueEquality:
+    """The interpreter decides a ground term only by its matcher, never by
+    `Con.__eq__`, which recurses once per level."""
+
+    def test_expectation_rows_run_without_value_equality(self, monkeypatch):
+        rows = [e for e in bundled_expectations() if e.direction != "check"]
+        programs = {e.file: load_corpus_program(e.file) for e in rows}
+        values = [parse_value(e.value_text) for e in rows]
+
+        def outcomes(fresh):
+            # `fresh`: copies without the compiled table, so compiling runs too.
+            return [
+                run_main(
+                    dataclasses.replace(programs[e.file]) if fresh else programs[e.file],
+                    value,
+                    inverted=inverted,
+                    psi_mode=e.psi_mode,
+                )
+                for e, value in zip(rows, values)
+                for inverted in (False, True)
+            ]
+
+        expected = outcomes(False)
+
+        def refuse(*_):
+            raise AssertionError("Con equality called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Con, "__eq__", refuse)
+            patch.setattr(Con, "__ne__", refuse)
+            got = outcomes(True)
+        assert got == expected
 
 
 class TestGroundnessAtEntry:

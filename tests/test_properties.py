@@ -8,7 +8,7 @@ from jeopardy.interp import evaluate, infer_env_down, run_main
 from jeopardy.parser import parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.suites import ValueGenerator
-from jeopardy.syntax import Apply, Con, FunRef, Var, compose, pattern_vars, unify
+from jeopardy.syntax import Apply, Con, FunRef, Var, pattern_vars, unify
 from terms import instantiate
 
 values = st.recursive(
@@ -59,16 +59,6 @@ def test_unify_is_sound(value, case):
     if got is not None:
         assert instantiate(pattern, got) == value
         assert set(got) == set(pattern_vars(pattern))
-
-
-@given(value_with_linear_pattern())
-def test_compose_of_split_env_is_the_env(case):
-    _, _, env = case
-    names = sorted(env)
-    left = {x: env[x] for x in names[::2]}
-    right = {x: env[x] for x in names[1::2]}
-    assert compose(left, right) == env
-    assert compose(right, left) == env
 
 
 @given(values)

@@ -27,9 +27,7 @@ FUELS = (0, 1, 2, 3, 4, 5, 7, 10, 20, 50, 200, 1_000, 10_000)
 def observe(program, term, fuel, psi, traced):
     """Everything a run shows: its outcome, the fuel left and the trace."""
     lines = []
-    ev = Evaluator(
-        program, fuel=fuel, enforce_psi=psi, trace=lines.append if traced else None
-    )
+    ev = Evaluator(fuel=fuel, enforce_psi=psi, trace=lines.append if traced else None)
     down = jeopardy.interp._code(program, term)[0]
     out = _to_outcome(lambda: down(ev, {}, 1, False))
     return out.kind, out.violation, out.message, out.span, out.value, ev.fuel, lines
@@ -333,14 +331,19 @@ class TestTable:
         call and never enter the table."""
         program = with_main(invertibles, "mirror")
         term = Apply(FunRef("mirror", int(inverted)), Con("pair", (balanced(1), Var("x"))))
-        built = []
+        built, applied = [], []
         compiled(monkeypatch, lambda t, down, infer: built.append(t) or (down, infer))
+        apply = jeopardy.interp._apply
+        monkeypatch.setattr(
+            jeopardy.interp, "_apply", lambda t, *rest: applied.append(t) or apply(t, *rest)
+        )
         value = balanced(1)
         for _ in range(2):
             built.clear()
+            applied.clear()
             assert run_main(program, value, inverted=inverted).ok
             assert jeopardy.evaluate(program, term, {"x": nat(0)}).violation == MATCH_FAILURE
-            assert any(type(t) is Apply and t.arg is value for t in built)
+            assert any(t.arg is value for t in applied)
             assert {id(term), id(term.arg)} <= {id(t) for t in built}
             assert id(term) not in program._table and id(term.arg) not in program._table
         assert set(program._table) <= owned_ids(program)
@@ -361,8 +364,9 @@ class TestInputWalk:
     )
     @pytest.mark.parametrize("inverted", [False, True])
     def test_run_main_walks_its_input_once(self, monkeypatch, invertibles, name, value, inverted):
-        """`run_main` checks its input ground once; the compiler takes it as
-        a literal and never enters it."""
+        """`run_main` checks its input ground once; it takes it as a literal,
+        which the compiler never enters and the table never holds.  Inverted,
+        the forward run has compiled the function already: nothing is listed."""
         program = with_main(invertibles, name)
         if inverted:
             value = run_main(program, value).value
@@ -379,4 +383,5 @@ class TestInputWalk:
         monkeypatch.setattr(jeopardy.interp, "subterms", listing)
         assert run_main(program, value, inverted=inverted).ok
         assert walks == [value]
-        assert listed and not any(t is value.args[0] for t in listed)
+        assert bool(listed) != inverted and not any(t is value.args[0] for t in listed)
+        assert set(program._table) <= owned_ids(program) and id(value) not in program._table

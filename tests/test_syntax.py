@@ -8,20 +8,17 @@ from jeopardy.syntax import (
     Con,
     Ctor,
     DataDecl,
-    EnvClash,
     FunDef,
     FunRef,
     Let,
     MainDecl,
     Program,
     Var,
-    compose,
     ensure_value,
     is_pattern,
     is_valid_name,
     is_value,
     pattern_vars,
-    subtract,
     unify,
 )
 from jeopardy.diagnostics import Span
@@ -71,23 +68,6 @@ class TestShapes:
 
 
 class TestEnvironments:
-    def test_compose_disjoint(self):
-        assert compose({"x": ZERO}, {"y": ONE}) == {"x": ZERO, "y": ONE}
-
-    def test_compose_rejects_any_overlap(self):
-        with pytest.raises(EnvClash) as exc:
-            compose({"x": ZERO}, {"x": ZERO})
-        assert exc.value.name == "x"
-
-    def test_compose_empty(self):
-        assert compose() == {}
-        assert compose({"x": ZERO}) == {"x": ZERO}
-
-    def test_subtract(self):
-        env = {"x": ZERO, "y": ONE}
-        assert subtract(env, ["x"]) == {"y": ONE}
-        assert env == {"x": ZERO, "y": ONE}, "subtract must not mutate"
-
     def test_env_equality_is_extensional(self):
         a = {"x": ZERO, "y": ONE}
         b = {"y": ONE, "x": ZERO}
@@ -112,6 +92,15 @@ class TestUnify:
         p = pair(Var("x"), Var("x"))
         assert unify(pair(ZERO, ZERO), p) == {"x": ZERO}
         assert unify(pair(ZERO, ONE), p) is None
+
+    def test_repeated_variable_agrees_at_any_depth(self):
+        """The occurrences are compared without a Python frame per level."""
+        a, b, c = ZERO, Con("zero"), ONE
+        for _ in range(2_000):
+            a, b, c = Con("suc", (a,)), Con("suc", (b,)), Con("suc", (c,))
+        p = pair(Var("x"), Var("x"))
+        assert unify(pair(a, b), p)["x"] is a
+        assert unify(pair(a, c), p) is None
 
     def test_ground_pattern(self):
         assert unify(ONE, ONE) == {}
