@@ -18,8 +18,10 @@ Names are not checked here.  A case whose annotation would come from a
 constructor or callee that does not resolve is annotated None, and
 `validate` reports the name itself, with every other unresolved name.
 
-Terms dispatch on `type(t)`, not `match`, and patternhood is decided once
-per node, for measured cost: 1.3x faster on the benchmark's programs.
+Terms are lowered in one bottom-up walk that dispatches on `type(t)`, not
+`match`, for measured cost.  A term comes back as itself when nothing under
+it was lifted, so a constructor or call reads each argument's patternhood
+off the argument's own result instead of walking it again.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ class Desugarer:
         self.ctors = ctor_table(surface.datatypes)
         self.signatures: dict[str, tuple[str, str]] = {}
         self._counter = 0
-        # Patternhood of each surface constructor met so far, keyed by `id()`.
-        self._patterns: dict[int, bool] = {}
 
     def fresh(self) -> Var:
         v = Var(f"%{self._counter}")
@@ -126,64 +126,49 @@ class Desugarer:
     # Terms
 
     def term(self, t: Term) -> Term:
+        """`t` lowered to core: `t` itself exactly when it holds no `let` and
+        no argument to lift, so an argument is a pattern exactly when it is a
+        `Var` or `Con` that comes back unchanged."""
         kind = type(t)
         if kind is Var:
             return t
         if kind is Con:
-            return t if self._is_pattern(t) else self._lift_constructor(t)
-        if kind is Apply:
-            if self._is_pattern(t.arg):
+            args = list(t.args)
+            lifted: list[tuple[int, Term]] = []
+            for k, a in enumerate(t.args):
+                low = self.term(a)
+                if low is not a or type(a) not in (Var, Con):
+                    lifted.append((k, low))
+                    args[k] = self.fresh()
+            if not lifted:
                 return t
-            ref, span = t.ref, t.span
-            selector = self.term(t.arg)
+            arg_types = self.ctors[t.name][1].arg_types if t.name in self.ctors else ()
+            out: Term = Con(t.name, tuple(args), t.span)
+            for k, selector in reversed(lifted):
+                ty = arg_types[k] if k < len(arg_types) else None
+                out = Case(selector, ty, ((args[k], out),), t.span)
+            return out
+        if kind is Apply:
+            arg = self.term(t.arg)
+            if arg is t.arg and type(arg) in (Var, Con):
+                return t
             v = self.fresh()
-            sig = self._signature_of(ref)
+            sig = self._signature_of(t.ref)
             arg_t = None if sig is None else sig[0]
-            return Case(selector, arg_t, ((v, Apply(ref, v, span)),), span)
+            return Case(arg, arg_t, ((v, Apply(t.ref, v, t.span)),), t.span)
         if kind is Case:
             branches = tuple((p, self.term(b)) for p, b in t.branches)
-            return Case(self.term(t.selector), t.type_name, branches, t.span)
+            selector = self.term(t.selector)
+            if selector is t.selector and all(
+                b is old for (_, b), (_, old) in zip(branches, t.branches)
+            ):
+                return t
+            return Case(selector, t.type_name, branches, t.span)
         if kind is Let:
             annotation = t.type_name or self._let_type(t.bound, t.span)
-            return Case(
-                self.term(t.bound), annotation, ((t.pattern, self.term(t.body)),), t.span
-            )
+            bound = self.term(t.bound)
+            return Case(bound, annotation, ((t.pattern, self.term(t.body)),), t.span)
         raise AssertionError(f"unhandled term {t!r}")
-
-    def _is_pattern(self, t: Term) -> bool:
-        """`is_pattern`, decided once per constructor node of a run, so a
-        deep constructor term is lifted in time linear in its size."""
-        kind = type(t)
-        if kind is not Con:
-            return kind is Var
-        known = self._patterns.get(id(t))
-        if known is None:
-            known = True
-            for a in t.args:
-                if not self._is_pattern(a):
-                    known = False
-                    break
-            self._patterns[id(t)] = known
-        return known
-
-    def _lift_constructor(self, t: Con) -> Term:
-        name, args, span = t.name, t.args, t.span
-        found = self.ctors.get(name)
-        arg_types = () if found is None else found[1].arg_types
-        lifted: list[tuple[Var, Term, str | None]] = []
-        new_args: list[Term] = []
-        for k, a in enumerate(args):
-            if self._is_pattern(a):
-                new_args.append(a)
-                continue
-            selector = self.term(a)
-            v = self.fresh()
-            lifted.append((v, selector, arg_types[k] if k < len(arg_types) else None))
-            new_args.append(v)
-        out: Term = Con(name, tuple(new_args), span)
-        for v, selector, ty in reversed(lifted):
-            out = Case(selector, ty, ((v, out),), span)
-        return out
 
     def _signature_of(self, ref: FunRef) -> tuple[str, str] | None:
         """Input and output type of a callee, swapped by an odd `invert`."""
@@ -192,6 +177,8 @@ class Desugarer:
 
     def _let_type(self, bound: Term, span: Span) -> str | None:
         """Annotation for an unannotated let, read off the bound term."""
+        while type(bound) is Let:
+            bound = bound.body
         kind = type(bound)
         if kind is Apply:
             sig = self._signature_of(bound.ref)
@@ -199,8 +186,6 @@ class Desugarer:
         if kind is Con:
             found = self.ctors.get(bound.name)
             return None if found is None else found[0].name
-        if kind is Let:
-            return self._let_type(bound.body, span)
         raise SourceError.single(
             "D003",
             "cannot infer a type for this let; annotate it as `let p : tau = ...`",

@@ -224,16 +224,13 @@ def bundled_expectations() -> list[Expectation]:
 def _run_check_expectation(exp: Expectation, program: Program) -> str | None:
     """None when the expectation holds, otherwise a mismatch description."""
     report = check_program(program)
+    codes = sorted({d.code for v in report.functions for d in v.diagnostics})
     if exp.expect == "accepted":
-        if report.accepted:
-            return None
-        codes = sorted({d.code for v in report.functions for d in v.diagnostics})
-        return f"rejected with {codes}"
-    codes = {d.code for v in report.functions for d in v.diagnostics}
+        return None if report.accepted else f"rejected with {codes}"
     if report.accepted:
         return f"accepted, expected {exp.expect}"
     if exp.expect not in codes:
-        return f"rejected with {sorted(codes)}, expected {exp.expect}"
+        return f"rejected with {codes}, expected {exp.expect}"
     return None
 
 

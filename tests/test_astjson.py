@@ -1,6 +1,9 @@
-"""Structured AST emission: schema shape and determinism."""
+"""Structured AST emission: schema shape, determinism and the corpus golden."""
 
+import difflib
 import json
+import sys
+from pathlib import Path
 
 from jeopardy.astjson import ast_document, emit_ast
 from jeopardy.suites import corpus_file_names, load_corpus_program
@@ -73,3 +76,34 @@ def test_emission_is_deterministic_across_calls():
     for name in corpus_file_names():
         prog = load_corpus_program(name)
         assert emit_ast(prog) == emit_ast(prog), name
+
+
+GOLDEN = Path(__file__).parent / "golden" / "ast_corpus.txt"
+
+
+def corpus_ast():
+    """`emit_ast` of each corpus file, each under a `== name ==` header."""
+    return "".join(
+        f"== {name} ==\n" + emit_ast(load_corpus_program(name))
+        for name in corpus_file_names()
+    )
+
+
+def test_corpus_ast_matches_the_golden_file():
+    """Pins the schema and the `%N` numbering of `jeopardy ast` on the corpus.
+    To pin new output on purpose, regenerate it with
+
+        PYTHONPATH=src python tests/test_astjson.py > tests/golden/ast_corpus.txt
+    """
+    got, want = corpus_ast(), GOLDEN.read_text(encoding="utf-8")
+    diff = difflib.unified_diff(
+        want.splitlines(keepends=True),
+        got.splitlines(keepends=True),
+        "golden/ast_corpus.txt",
+        "emit_ast",
+    )
+    assert got == want, "".join(diff)
+
+
+if __name__ == "__main__":
+    sys.stdout.write(corpus_ast())

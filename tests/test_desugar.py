@@ -274,29 +274,86 @@ def test_exactly_one_main_required():
     assert exc.value.diagnostics[0].code == "D007"
 
 
-def patternhood_visits(monkeypatch, depth):
-    """Calls of the desugarer's patternhood check while lowering a body
+def term_calls(monkeypatch, depth):
+    """Calls of `Desugarer.term` while lowering a body
     `[suc .. [suc (f n)] ..]` that nests `depth` constructors."""
-    visits = 0
-    decide = Desugarer._is_pattern
+    calls = 0
+    lower_term = Desugarer.term
 
     def counted(self, t):
-        nonlocal visits
-        visits += 1
-        return decide(self, t)
+        nonlocal calls
+        calls += 1
+        return lower_term(self, t)
 
-    monkeypatch.setattr(Desugarer, "_is_pattern", counted)
+    monkeypatch.setattr(Desugarer, "term", counted)
     body = "[suc " * depth + "(f n)" + "]" * depth
     lower(NAT + f"f (n : nat) : nat = {body}.\nmain f.")
-    return visits
+    monkeypatch.undo()
+    return calls
 
 
 def test_desugaring_is_linear_in_nesting_depth(monkeypatch):
-    """Every constructor on the path down to `(f n)` is lifted, and each
-    lift asks whether its argument is a pattern.  Deciding that once per
-    node keeps the visits linear; walking the subtree at every level made
-    them quadratic (4x for twice the depth)."""
-    shallow = patternhood_visits(monkeypatch, 100)
-    deep = patternhood_visits(monkeypatch, 200)
-    assert shallow >= 100
-    assert deep <= 2.1 * shallow
+    """Every constructor on the path down to `(f n)` is lifted.  The walk
+    lowers each surface node once (the `depth` constructors, the call and
+    its variable) and reads each argument's patternhood off its result;
+    asking for patternhood again at every level made the work quadratic."""
+    for depth in (100, 200):
+        assert term_calls(monkeypatch, depth) == depth + 2
+
+
+def lowered(clauses, name):
+    """The surface clauses of `name` and the function they lower to."""
+    source = PAIR + "inc (n : nat) : nat = [suc n].\n" + clauses + "\nmain inc."
+    surface = parse_program(source)
+    return [c for c in surface.clauses if c.name == name], fn(desugar(surface), name)
+
+
+class TestIdentity:
+    """A term comes out of `desugar` as the very object parsed exactly when
+    lowering leaves it unchanged; `Desugarer.term` reads patternhood off that."""
+
+    def test_parameter_and_pattern_body(self):
+        [c], inc = lowered("", "inc")
+        assert inc.param is c.pattern
+        assert inc.body is c.body
+
+    def test_branch_patterns(self):
+        cs, dec = lowered("dec ([zero] : nat) : nat = [zero].\ndec [suc n] = inc (inc n).", "dec")
+        assert all(p is c.pattern for (p, _), c in zip(dec.body.branches, cs))
+        source = "f (n : nat) : nat = case n : nat of [zero] -> inc (inc [zero]) ; m -> m."
+        [c], f = lowered(source, "f")
+        assert f.body is not c.body
+        assert all(p is q for (p, _), (q, _) in zip(f.body.branches, c.body.branches))
+
+    def test_case_with_nothing_to_lift(self):
+        source = "f (n : nat) : nat = case n : nat of [zero] -> [zero] ; [suc m] -> m."
+        [c], f = lowered(source, "f")
+        assert f.body is c.body
+
+    def test_pattern_argument_of_a_constructor(self):
+        [c], f = lowered("f (n : nat) : pair = ([suc n], inc [zero]).", "f")
+        (_, con), = f.body.branches
+        assert con is not c.body
+        assert con.args[0] is c.body.args[0]
+        assert con.args[1] == Var("%0")
+
+    def test_call_on_a_pattern_argument(self):
+        [c], f = lowered("f (n : nat) : nat = inc [suc n].", "f")
+        assert f.body is c.body
+        [c], f = lowered("f (n : nat) : pair = (inc n, [zero]).", "f")
+        assert f.body.selector is c.body.args[0]
+
+    def test_a_lifted_argument_never_comes_back_as_is(self):
+        [c], f = lowered("f (n : nat) : nat = [suc [suc (inc n)]].", "f")
+        inner_case = f.body.selector
+        (v, inner), = inner_case.branches
+        (w, outer), = f.body.branches
+        assert inner_case.selector is c.body.args[0].args[0]
+        assert (inner, outer) == (Con("suc", (v,)), Con("suc", (w,)))
+        assert inner is not c.body.args[0]
+        assert outer is not c.body
+        [c], f = lowered("f (n : nat) : nat = inc (inc [suc n]).", "f")
+        (v, call), = f.body.branches
+        assert f.body.selector is c.body.arg
+        assert call is not c.body
+        assert call.arg is v

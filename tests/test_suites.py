@@ -137,6 +137,22 @@ class TestDeterminism:
         assert result.summary_line() == again.summary_line()
 
 
+@pytest.mark.parametrize(
+    "row, mismatch",
+    [
+        ("arith.jeo | - | check | - | accepted", None),
+        ("arith.jeo | - | check | - | T002", "accepted, expected T002"),
+        ("fib.jeo | - | check | - | accepted", "rejected with ['T002', 'T003']"),
+        ("fib.jeo | - | check | - | T003", None),
+        ("fibpair.jeo | - | check | - | T003", "rejected with ['T002'], expected T003"),
+    ],
+)
+def test_check_expectation_mismatch_messages(row, mismatch):
+    (exp,) = parse_expectations(row)
+    program = load_corpus_program(exp.file)
+    assert suites._run_check_expectation(exp, program) == mismatch
+
+
 class TestValueGenerator:
     def test_requires_known_type(self, arith):
         gen = ValueGenerator(arith, random.Random(0))
