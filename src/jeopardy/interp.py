@@ -27,15 +27,16 @@ closures for code generation", 1987): on its first call a function becomes
 two closures per node, one per direction, kept in `Program._table` by the
 node's `id()`.  A closure call is one rule application.  Dispatch, callee,
 `invert`s, matchers and what the text settles (`_facts`) are fixed when it
-is built.  A ground term's matcher, an iterative equality test, settles it
-in one rule application either way (traced, still one line per node) and
-for free in psi, so no value is compared by the recursive `==`; a psi
-search for a value whose constructor a body cannot produce is not run.
-Fuel and depth are spent only by the rules that do run, so a decided
-outcome is the one an unbounded run gives.  Against the term-walking
-judgements this took a depth-6 `mirror` round trip from 2.0 to 1.1 ms
-(CPython 3.11, shared 2-core x86-64 host; `wide` `op_ms_p50` fell 20%,
-`BENCH_14.json`).
+is built.  A call on a value is built around its literal without the
+compiler's walks, by one helper `run_main` and `evaluate` share.  A ground
+term's matcher, an iterative equality test, settles it in one rule
+application either way (traced, still one line per node) and for free in
+psi, so no value is compared by the recursive `==`; a psi search for a
+value whose constructor a body cannot produce is not run.  Fuel and depth
+are spent only by the rules that do run, so a decided outcome is the one an
+unbounded run gives.  Against the term-walking judgements this took a
+depth-6 `mirror` round trip from 2.0 to 1.1 ms (CPython 3.11, shared 2-core
+x86-64 host; `wide` `op_ms_p50` fell 20%, `BENCH_14.json`).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .syntax import (
     Var,
     ensure_value,
     ground_nodes,
+    is_value,
     pattern_vars,
     subterms,
     unify,
@@ -177,17 +179,18 @@ def _facts(roots) -> tuple[set[int], dict[int, frozenset[str]]]:
     return ground, heads
 
 
-def _compile(program: Program, roots, code: dict) -> None:
+def _compile(program: Program, roots, code: dict) -> dict:
     """Enter every node under `roots` into `code`, children first and
     without recursion; the nodes below a ground one need no code."""
     ground, heads = _facts(roots)
     for t in reversed(subterms(roots, ground)):
         code[id(t)] = _node(t, code, ground, heads, program)
+    return code
 
 
 def _code(program: Program, t: Term) -> tuple:
     """The closures of `t`: from the table when a function of `program`
-    owns it, else compiled for this call only, since the id of a foreign
+    owns it, else built for this call only, since the id of a foreign
     term may later name another object."""
     code = program._table.get(id(t))
     if code is None:
@@ -195,10 +198,15 @@ def _code(program: Program, t: Term) -> tuple:
         if owner:
             _cell(program, owner[0]).match  # compiles the owner
             return program._table[id(t)]
-        code = {}
-        _compile(program, (t,), code)
-        return code[id(t)]
+        if type(t) is Apply and is_value(t.arg):
+            return _call_on_value(t, program)
+        return _compile(program, (t,), {})[id(t)]
     return code
+
+
+def _call_on_value(t: Apply, program: Program) -> tuple:
+    """The closures `_compile` builds for a call on a value, without its walks."""
+    return _apply(t, *_literal(t.arg), program)
 
 
 class _Fn:
@@ -223,7 +231,7 @@ class _Fn:
 
 
 def _cell(program: Program, f: FunDef) -> _Fn:
-    return program._table.setdefault(id(f), _Fn(f, program))
+    return program._table.get(id(f)) or program._table.setdefault(id(f), _Fn(f, program))
 
 
 def _matcher(p: Term) -> Callable[[Con], Env | None]:
@@ -606,6 +614,5 @@ def run_main(
     if inverted:
         ref = ref.invert()
     ev = Evaluator(enforce_psi=psi_mode == "enforce", **opts)
-    # The input is ground: a literal, which the compiler does not enter.
-    down = _apply(Apply(ref, value, value.span), *_literal(value), program)[0]
+    down = _call_on_value(Apply(ref, value, value.span), program)[0]
     return _to_outcome(lambda: down(ev, {}, 1, False))

@@ -4,13 +4,15 @@ Four suites back the `test` subcommand: recorded expectations for the
 corpus programs, the environment-inference round trip on every accepted
 function body, the inversion round trip on the invertible functions,
 and parse/print stability.  All generation is seeded, so two runs with
-the same seed produce identical summaries.
+the same seed produce identical summaries.  Each corpus file is compiled
+once per process, and its functions once into that program.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .desugar import desugar
@@ -63,7 +65,9 @@ def read_corpus_file(name: str) -> str:
     return _CORPUS.joinpath(name).read_text(encoding="utf-8")
 
 
+@cache
 def load_corpus_program(name: str) -> Program:
+    """Compiled once per process: later calls share the `Program` and its code."""
     return compile_source(read_corpus_file(name))
 
 

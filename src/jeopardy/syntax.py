@@ -34,6 +34,10 @@ class Var:
     name: str
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
+    def __init__(self, name: str, span: Span = NO_SPAN):
+        d = self.__dict__
+        d["name"], d["span"] = name, span
+
 
 @dataclass(frozen=True)
 class Con:
@@ -62,6 +66,10 @@ class FunRef:
     inversions: int = 0
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
+    def __init__(self, base: str, inversions: int = 0, span: Span = NO_SPAN):
+        d = self.__dict__
+        d["base"], d["inversions"], d["span"] = base, inversions, span
+
     def invert(self) -> "FunRef":
         return FunRef(self.base, self.inversions + 1, self.span)
 
@@ -75,6 +83,10 @@ class Apply:
     ref: FunRef
     arg: "Term"
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
+
+    def __init__(self, ref: FunRef, arg: "Term", span: Span = NO_SPAN):
+        d = self.__dict__
+        d["ref"], d["arg"], d["span"] = ref, arg, span
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,34 @@ class TestTable:
             assert id(term) not in program._table and id(term.arg) not in program._table
         assert set(program._table) <= owned_ids(program)
 
+    @pytest.mark.parametrize("file", ["invertibles.jeo", "arith.jeo"])
+    @pytest.mark.parametrize("fuel", [100_000, 3])
+    def test_a_call_on_a_value_is_built_as_the_compiler_builds_it(self, file, fuel):
+        """`evaluate` builds `f v` and `(invert f) v` around the literal `v`
+        without `_compile`, to the closures `_compile` builds for the term:
+        the same outcome, trace and fuel left.  At fuel 3 some runs are
+        undecided, and compared too."""
+
+        def run(down):
+            lines = []
+            ev = Evaluator(fuel=fuel, trace=lines.append)
+            return _to_outcome(lambda: down(ev, {}, 1, False)), lines, ev.fuel
+
+        program = load_corpus_program(file)
+        kinds = set()
+        for f in program.functions:
+            gen = ValueGenerator(program, random.Random(f"{file}:{f.name}"))
+            for inversions, type_name in ((0, f.arg_type), (1, f.result_type)):
+                for _ in range(5):
+                    term = Apply(FunRef(f.name, inversions), gen.value(type_name))
+                    expected = run(jeopardy.interp._compile(program, (term,), {})[id(term)][0])
+                    lines = []
+                    out = jeopardy.evaluate(program, term, fuel=fuel, trace=lines.append)
+                    assert (out, lines) == expected[:2], (f.name, inversions)
+                    assert run(jeopardy.interp._code(program, term)[0]) == expected
+                    kinds.add(out.kind)
+        assert fuel > 3 or "undecided" in kinds
+
     def test_kept_out_of_equality_and_copies(self, invertibles):
         program = with_main(invertibles, "mirror")
         fresh = with_main(invertibles, "mirror")

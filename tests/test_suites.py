@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import jeopardy.interp
 from jeopardy import suites
 from jeopardy.diagnostics import SourceError
 from jeopardy.suites import (
@@ -17,6 +18,7 @@ from jeopardy.suites import (
     load_corpus_program,
     parse_expectations,
     parse_print_round_trip,
+    read_corpus_file,
     run_suites,
     theorem_env_round_trip,
 )
@@ -130,6 +132,26 @@ class TestDeterminism:
         a = [r.summary_line() for r in run_suites(seed=7, cases=20)]
         b = [r.summary_line() for r in run_suites(seed=7, cases=20)]
         assert a == b
+
+    def test_each_corpus_file_is_compiled_once_per_process(self, monkeypatch):
+        """Across the suites and across calls: the second run reuses the
+        programs of the first, and compiles no node again, since every call
+        it makes is on a value or runs a body the first run compiled."""
+        names = {read_corpus_file(name): name for name in corpus_file_names()}
+        compiled, built = [], []
+        compile_source = suites.compile_source
+        monkeypatch.setattr(
+            suites, "compile_source", lambda src: compiled.append(names[src]) or compile_source(src)
+        )
+        suites.load_corpus_program.cache_clear()
+        first = [r.summary_line() for r in run_suites(seed=3, cases=5)]
+        node = jeopardy.interp._node
+        monkeypatch.setattr(
+            jeopardy.interp, "_node", lambda t, *rest: built.append(t) or node(t, *rest)
+        )
+        assert [r.summary_line() for r in run_suites(seed=3, cases=5)] == first
+        assert sorted(compiled) == corpus_file_names()
+        assert built == []
 
     def test_env_suite_sample_counts_are_stable(self):
         result = theorem_env_round_trip(seed=42, cases=10)
