@@ -7,7 +7,6 @@ uniformly and tests can match on stable codes instead of message text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -28,8 +27,7 @@ class Span(NamedTuple("Span", [("line", int), ("col", int), ("end_line", int), (
 NO_SPAN = Span(0, 0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     code: str
     message: str

@@ -31,7 +31,7 @@ is built.  A call on a value is built around its literal without the
 compiler's walks, by one helper `run_main` and `evaluate` share.  A ground
 term's matcher, an iterative equality test, settles it in one rule
 application either way (traced, still one line per node) and for free in
-psi, so no value is compared by the recursive `==`; a psi search for a
+psi, so no value is compared by `==`; a psi search for a
 value whose constructor a body cannot produce is not run.  Fuel and depth
 are spent only by the rules that do run, so a decided outcome is the one an
 unbounded run gives.  Against the term-walking judgements this took a
@@ -41,9 +41,8 @@ x86-64 host; `wide` `op_ms_p50` fell 20%, `BENCH_14.json`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .diagnostics import NO_SPAN, Span
 from .pretty import pretty_value
@@ -81,8 +80,7 @@ _DEPTH_LIMIT = "recursion depth limit reached"
 _FUEL_EXHAUSTED = "fuel exhausted"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str  # "success" | "violation" | "undecided"
     value: Con | None = None
     violation: str | None = None
@@ -94,8 +92,7 @@ class Outcome:
         return self.kind == "success"
 
 
-@dataclass(frozen=True)
-class InferResult:
+class InferResult(NamedTuple):
     kind: str  # "found" | "none" | "violation" | "undecided"
     env: Env | None = None
     violation: str | None = None
@@ -116,7 +113,6 @@ class _Undecided(Exception):
     """A budget ran out; the message says which."""
 
 
-@dataclass(eq=False, kw_only=True)
 class Evaluator:
     """One run's budget, psi setting and trace sink: the `s` every closure
     takes; what the program settles is in the closures themselves.
@@ -129,9 +125,16 @@ class Evaluator:
     nesting beyond `DEFAULT_MAX_DEPTH` is undecided.
     """
 
-    fuel: int = DEFAULT_FUEL
-    enforce_psi: bool = True
-    trace: Callable[[str], None] | None = None
+    __slots__ = ("fuel", "enforce_psi", "trace")
+
+    def __init__(
+        self,
+        *,
+        fuel: int = DEFAULT_FUEL,
+        enforce_psi: bool = True,
+        trace: Callable[[str], None] | None = None,
+    ):
+        self.fuel, self.enforce_psi, self.trace = fuel, enforce_psi, trace
 
     def _emit(self, rule: str, span: Span, value: Con) -> None:
         self.trace(f"{rule}\t{span}\t{pretty_value(value)}")

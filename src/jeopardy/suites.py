@@ -11,9 +11,9 @@ once per process, and its functions once into that program.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .desugar import desugar
 from .diagnostics import SourceError
@@ -143,15 +143,20 @@ def _derived_rng(seed: int, *parts: str) -> random.Random:
 # Suite results
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    total: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    undecided: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        total: int = 0,
+        passed: int = 0,
+        failed: int = 0,
+        skipped: int = 0,
+        undecided: int = 0,
+        failures: list[str] | None = None,
+    ):
+        self.name, self.total, self.passed, self.failed = name, total, passed, failed
+        self.skipped, self.undecided = skipped, undecided
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -188,8 +193,7 @@ def _show_outcome(outcome: Outcome) -> str:
 # Recorded expectations
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     file: str
     value_text: str
     direction: str  # "forward" | "invert" | "check"

@@ -17,54 +17,95 @@ and faults on any overlap, even an agreeing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .diagnostics import NO_SPAN, Span
 
 RESERVED = frozenset({"data", "main", "case", "of", "invert", "let", "in"})
 
 
+class Node:
+    """An immutable syntax record whose fields are its `__init__`'s
+    parameters: `match` binds them in that order, and equality, hash and
+    `repr` use all but `span`, which only says where a node came from.
+    Each `__init__` writes the instance dict; assignment raises."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        cls._fields = tuple(f for f in cls.__match_args__ if f != "span")
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
-
+class Var(Node):
     def __init__(self, name: str, span: Span = NO_SPAN):
         d = self.__dict__
         d["name"], d["span"] = name, span
 
 
-@dataclass(frozen=True)
-class Con:
+class Con(Node):
     """Constructor application `[c t1 .. tn]`.
 
     Doubles as pattern and value node; `is_pattern` / `is_value` tell the
-    layers apart.
+    layers apart.  Compared and hashed without recursion, so at any depth.
     """
 
-    name: str
-    args: tuple["Term", ...] = ()
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
-
     def __init__(self, name: str, args: tuple["Term", ...] = (), span: Span = NO_SPAN):
-        # Built once per node of every value: written straight into the
-        # instance, not by the frozen class's `object.__setattr__`, half the cost.
         d = self.__dict__
         d["name"], d["args"], d["span"] = name, args, span
 
+    def __eq__(self, other):
+        if type(other) is not Con:
+            return NotImplemented
+        pairs = [(self, other)]
+        for a, b in pairs:  # level by level: the list grows as it is read
+            if a.name != b.name or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is not y:
+                    if type(x) is Con and type(y) is Con:
+                        pairs.append((x, y))
+                    elif x != y:
+                        return False
+        return True
 
-@dataclass(frozen=True)
-class FunRef:
+    def __hash__(self) -> int:
+        # Children first: a constructor hashes its name with its arguments' hashes.
+        hashes: dict[int, int] = {}
+        for t in reversed(subterms((self,))):
+            if type(t) is Con:
+                below = tuple(hashes[id(a)] if type(a) is Con else hash(a) for a in t.args)
+                hashes[id(t)] = hash((t.name, below))
+        return hashes[id(self)]
+
+
+class FunRef(Node):
     """A callable position: a function name under zero or more `invert`s."""
-
-    base: str
-    inversions: int = 0
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
     def __init__(self, base: str, inversions: int = 0, span: Span = NO_SPAN):
         d = self.__dict__
@@ -78,34 +119,30 @@ class FunRef:
         return self.inversions % 2 == 1
 
 
-@dataclass(frozen=True)
-class Apply:
-    ref: FunRef
-    arg: "Term"
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
-
+class Apply(Node):
     def __init__(self, ref: FunRef, arg: "Term", span: Span = NO_SPAN):
         d = self.__dict__
         d["ref"], d["arg"], d["span"] = ref, arg, span
 
 
-@dataclass(frozen=True)
-class Case:
-    selector: "Term"
-    type_name: str | None  # None where the desugarer met an unknown name
-    branches: tuple[tuple["Term", "Term"], ...]  # (pattern, body) pairs
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+class Case(Node):
+    def __init__(
+        self,
+        selector: Term,
+        type_name: str | None,  # None where the desugarer met an unknown name
+        branches: tuple[tuple[Term, Term], ...],  # (pattern, body) pairs
+        span: Span = NO_SPAN,
+    ):
+        self._set(selector, type_name, branches, span)
 
 
-@dataclass(frozen=True)
-class Let:
+class Let(Node):
     """Surface-only `let p : tau = t in t'`; the desugarer removes it."""
 
-    pattern: "Term"
-    type_name: str | None
-    bound: "Term"
-    body: "Term"
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    def __init__(
+        self, pattern: Term, type_name: str | None, bound: Term, body: Term, span: Span = NO_SPAN
+    ):
+        self._set(pattern, type_name, bound, body, span)
 
 
 Term = Var | Con | Apply | Case | Let
@@ -116,58 +153,63 @@ Env = dict[str, Con]
 # Declarations
 
 
-@dataclass(frozen=True)
-class Ctor:
-    name: str
-    arg_types: tuple[str, ...] = ()
+class Ctor(Node):
+    def __init__(self, name: str, arg_types: tuple[str, ...] = ()):
+        self._set(name, arg_types)
 
 
-@dataclass(frozen=True)
-class DataDecl:
-    name: str
-    ctors: tuple[Ctor, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+class DataDecl(Node):
+    def __init__(self, name: str, ctors: tuple[Ctor, ...], span: Span = NO_SPAN):
+        self._set(name, ctors, span)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Node):
     """One surface clause of a function definition.
 
     The type annotation is optional per clause; the desugarer insists that
     each clause group carries at least one.
     """
 
-    name: str
-    pattern: Term
-    arg_type: str | None
-    result_type: str | None
-    body: Term
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    def __init__(
+        self,
+        name: str,
+        pattern: Term,
+        arg_type: str | None,
+        result_type: str | None,
+        body: Term,
+        span: Span = NO_SPAN,
+    ):
+        self._set(name, pattern, arg_type, result_type, body, span)
 
 
-@dataclass(frozen=True)
-class MainDecl:
-    ref: FunRef
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+class MainDecl(Node):
+    def __init__(self, ref: FunRef, span: Span = NO_SPAN):
+        self._set(ref, span)
 
 
-@dataclass(frozen=True)
-class FunDef:
+class FunDef(Node):
     """A desugared function: single parameter pattern, core-term body."""
 
-    name: str
-    param: Term
-    arg_type: str
-    result_type: str
-    body: Term
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    def __init__(
+        self,
+        name: str,
+        param: Term,
+        arg_type: str,
+        result_type: str,
+        body: Term,
+        span: Span = NO_SPAN,
+    ):
+        self._set(name, param, arg_type, result_type, body, span)
 
 
-@dataclass(frozen=True)
-class SurfaceProgram:
-    datatypes: tuple[DataDecl, ...]
-    clauses: tuple[Clause, ...]
-    mains: tuple[MainDecl, ...]
+class SurfaceProgram(Node):
+    def __init__(
+        self,
+        datatypes: tuple[DataDecl, ...],
+        clauses: tuple[Clause, ...],
+        mains: tuple[MainDecl, ...],
+    ):
+        self._set(datatypes, clauses, mains)
 
 
 def ctor_table(datatypes: tuple[DataDecl, ...]) -> dict[str, tuple[DataDecl, Ctor]]:
@@ -176,11 +218,11 @@ def ctor_table(datatypes: tuple[DataDecl, ...]) -> dict[str, tuple[DataDecl, Cto
     return {c.name: (d, c) for d in reversed(datatypes) for c in reversed(d.ctors)}
 
 
-@dataclass(frozen=True)
-class Program:
-    datatypes: tuple[DataDecl, ...]
-    functions: tuple[FunDef, ...]
-    main: MainDecl
+class Program(Node):
+    def __init__(
+        self, datatypes: tuple[DataDecl, ...], functions: tuple[FunDef, ...], main: MainDecl
+    ):
+        self._set(datatypes, functions, main)
 
     # Name indexes, built once; reversed, so the first of duplicate names wins.
     @cached_property

@@ -28,7 +28,7 @@ annotation or result type).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceError, Span
 from .syntax import (
@@ -44,15 +44,13 @@ from .syntax import (
 TypingEnv = dict[str, str]
 
 
-@dataclass(frozen=True)
-class FunctionVerdict:
+class FunctionVerdict(NamedTuple):
     name: str
     accepted: bool
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(NamedTuple):
     functions: tuple[FunctionVerdict, ...]
 
     @property

@@ -35,7 +35,7 @@ def instantiate(pattern: Term, env: Env) -> Con:
 
 def same_tree(a: Con, b: Con) -> bool:
     """Equal values with equal spans at every node, walked on an explicit
-    stack: `==` ignores spans and recurses once per level."""
+    stack: `==` ignores spans."""
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()

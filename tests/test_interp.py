@@ -1,7 +1,5 @@
 """Evaluation in both directions, environment inference, fuel, psi."""
 
-import dataclasses
-
 import pytest
 
 import jeopardy
@@ -33,6 +31,11 @@ def nat(n):
 
 def pair(a, b):
     return Con("pair", (a, b))
+
+
+def copy_of(program, main=None):
+    """A copy of `program`, without its compiled table, with `main` if given."""
+    return Program(program.datatypes, program.functions, main or program.main)
 
 
 def ones(n):
@@ -370,7 +373,7 @@ class TestTrace:
             return real(v)
 
         monkeypatch.setattr(jeopardy.interp, "pretty_value", counting)
-        program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
+        program = copy_of(invertibles, MainDecl(FunRef(main)))
         v = parse_value(value)
         assert run_main(program, v, inverted=inverted).ok
         assert renders == [], "tracing off must render nothing"
@@ -399,7 +402,7 @@ class TestTrace:
             return real(self, *args)
 
         monkeypatch.setattr(Evaluator, "_emit", counting)
-        program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
+        program = copy_of(invertibles, MainDecl(FunRef(main)))
         assert run_main(program, value, inverted=inverted).ok
         assert calls == []
         lines = []
@@ -423,7 +426,7 @@ class TestNonCoreTerms:
 
 
 def nat_depth(v):
-    """The k of [suc^k [zero]], without recursion (== on deep values recurses)."""
+    """The k of [suc^k [zero]], without recursion."""
     k = 0
     while v.name == "suc":
         k, v = k + 1, v.args[0]
@@ -476,7 +479,7 @@ class TestGroundLiteral:
     def test_recursion_still_meets_the_depth_guard(self, invertibles):
         """What stays undecided is recursion through the rules: `mapsuc`
         recurses once per list cell, in both directions."""
-        program = dataclasses.replace(invertibles, main=MainDecl(FunRef("mapsuc")))
+        program = copy_of(invertibles, MainDecl(FunRef("mapsuc")))
         zeros = ok_value(run_main(program, ones(85), inverted=True))
         assert ok_value(run_main(program, zeros)) == ones(85)
         for value, inverted in ((ones(86), True), (Con("cons", (nat(0), zeros)), False)):
@@ -551,7 +554,7 @@ class TestGroundLiteral:
 
         for name in ("_node", "_literal"):
             monkeypatch.setattr(jeopardy.interp, name, counted(getattr(jeopardy.interp, name)))
-        program = dataclasses.replace(invertibles, main=MainDecl(FunRef(main)))
+        program = copy_of(invertibles, MainDecl(FunRef(main)))
         counts = []
         for value in (small, large):
             calls.clear()
@@ -575,7 +578,7 @@ class TestGroundLiteral:
 
 class TestNoValueEquality:
     """The interpreter decides a ground term only by its matcher, never by
-    `Con.__eq__`, which recurses once per level."""
+    `Con.__eq__`, which walks both values whole."""
 
     def test_expectation_rows_run_without_value_equality(self, monkeypatch):
         rows = [e for e in bundled_expectations() if e.direction != "check"]
@@ -586,7 +589,7 @@ class TestNoValueEquality:
             # `fresh`: copies without the compiled table, so compiling runs too.
             return [
                 run_main(
-                    dataclasses.replace(programs[e.file]) if fresh else programs[e.file],
+                    copy_of(programs[e.file]) if fresh else programs[e.file],
                     value,
                     inverted=inverted,
                     psi_mode=e.psi_mode,
@@ -630,7 +633,7 @@ class TestGroundnessAtEntry:
         assert "depth" in res.message
 
     def test_deep_value_in_inverse_run_hits_the_depth_guard(self, invertibles):
-        program = dataclasses.replace(invertibles, main=MainDecl(FunRef("mapsuc")))
+        program = copy_of(invertibles, MainDecl(FunRef("mapsuc")))
         out = run_main(program, ones(5000), inverted=True)
         assert out.kind == "undecided"
         assert "depth" in out.message

@@ -2,7 +2,10 @@
 package or its benchmark uses every exported name."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jeopardy
@@ -40,6 +43,21 @@ def test_every_export_is_used_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(jeopardy.__all__) - used) == []
+
+
+def test_importing_the_package_generates_no_code():
+    """Each `jeopardy` command is a process of its own that pays for the
+    import first; `dataclasses` writes and compiles methods for every class
+    it decorates, which was most of that import."""
+    src = str(Path(jeopardy.__file__).resolve().parents[1])
+    probe = "import sys, jeopardy, jeopardy.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_no_match_statement_in_the_package():

@@ -1,6 +1,5 @@
 """Surface syntax, including the tuple/list sugar and annotations."""
 
-import dataclasses
 import random
 import re
 
@@ -8,7 +7,7 @@ import pytest
 
 from jeopardy.diagnostics import SourceError
 from jeopardy.parser import Parser, parse_program, parse_term, parse_value
-from jeopardy.syntax import Apply, Case, Clause, Con, FunRef, Let, Var
+from jeopardy.syntax import Apply, Case, Clause, Con, FunRef, Let, Node, Var
 
 
 def nat(n):
@@ -48,7 +47,7 @@ class TestValues:
     def test_bracket_nesting_is_not_bounded_by_the_python_stack(self):
         depth = 20_000
         v = parse_value("[suc " * depth + "[zero]" + "]" * depth)
-        for _ in range(depth):  # walked by hand: `==` would recurse
+        for _ in range(depth):
             assert v.name == "suc"
             (v,) = v.args
         assert v == Con("zero")
@@ -235,8 +234,8 @@ def backtracking_clause(self):
 
 def dump(x):
     """A parse tree as plain data, spans included (`==` skips them)."""
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__,) + tuple(dump(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, Node):
+        return (type(x).__name__,) + tuple(dump(getattr(x, f)) for f in x.__match_args__)
     if isinstance(x, tuple):
         return tuple(dump(a) for a in x)
     return x

@@ -112,7 +112,7 @@ def argument_reads(monkeypatch, depth):
         return self.__dict__["args"]
 
     with monkeypatch.context() as patch:
-        patch.setattr(Con, "args", property(args))
+        patch.setattr(Con, "args", property(args), raising=False)
         printed = pretty_term(t)
     assert printed == "[suc " * depth + "x" + "]" * depth
     return reads

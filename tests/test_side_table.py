@@ -3,7 +3,6 @@ saves budget.  Whenever a run without the table decides, the run with it
 gives the same outcome, value and trace, with at least as much fuel left."""
 
 import copy
-import dataclasses
 import pickle
 import random
 import sys
@@ -19,7 +18,7 @@ from jeopardy.interp import MATCH_FAILURE, PSI_VIOLATION, Evaluator, _to_outcome
 from jeopardy.suites import ValueGenerator, corpus_file_names, load_corpus_program
 from jeopardy.syntax import Apply, Case, Con, FunRef, MainDecl, Var
 
-from test_interp import balanced, nat, ones, pair
+from test_interp import balanced, copy_of, nat, ones, pair
 
 FUELS = (0, 1, 2, 3, 4, 5, 7, 10, 20, 50, 200, 1_000, 10_000)
 
@@ -42,7 +41,7 @@ def without_table(program, term, fuel, psi, traced):
     head sets are gone)."""
     facts = jeopardy.interp._facts
     with mock.patch.object(jeopardy.interp, "_facts", lambda *a: (facts(*a)[0], {})):
-        return observe(dataclasses.replace(program), term, fuel, psi, traced)
+        return observe(copy_of(program), term, fuel, psi, traced)
 
 
 def assert_saves(program, name, value, inversions, fuels=FUELS):
@@ -170,7 +169,7 @@ def test_generated_programs_are_exact(source, seed, inverted):
 
 
 def with_main(program, name):
-    return dataclasses.replace(program, main=MainDecl(FunRef(name)))
+    return copy_of(program, MainDecl(FunRef(name)))
 
 
 def compiled(monkeypatch, wrap):
@@ -225,7 +224,7 @@ class TestSkipped:
 
     def test_add_keeps_its_psi_search(self, monkeypatch, arith):
         calls = psi_searches(monkeypatch)
-        out = run_main(dataclasses.replace(arith), pair(nat(1), nat(2)))
+        out = run_main(copy_of(arith), pair(nat(1), nat(2)))
         assert out.violation == PSI_VIOLATION
         assert calls, "the earlier body is a variable: it must be searched"
 
@@ -267,7 +266,7 @@ class TestSkipped:
         """Without head sets, inverting `mapsuc` searches the `[]` branch's
         body at every cell: same result, less fuel left."""
         term = Apply(FunRef("mapsuc", 1), ones(20))
-        table = observe(dataclasses.replace(invertibles), term, 10_000, True, False)
+        table = observe(copy_of(invertibles), term, 10_000, True, False)
         blank = without_table(invertibles, term, 10_000, True, False)
         assert table[0] == blank[0] == "success" and table[4] == blank[4]
         assert blank[5] < table[5]

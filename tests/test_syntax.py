@@ -67,6 +67,39 @@ class TestShapes:
         assert not ref.invert().invert().inverted
 
 
+class TestDeepValues:
+    """Values compare and hash without recursion, so at any depth."""
+
+    DEPTH = 100_000
+
+    def chain(self, leaf, span=None):
+        v = leaf
+        for _ in range(self.DEPTH):
+            v = Con("suc", (v,)) if span is None else Con("suc", (v,), span)
+        return v
+
+    def test_equal_values_are_equal_whatever_their_spans(self):
+        a, b = self.chain(ZERO), self.chain(Con("zero", (), Span(1, 1)), Span(2, 2))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_values_that_differ_only_at_the_deepest_leaf(self):
+        a, b = self.chain(ZERO), self.chain(Con("nil"))
+        assert a != b and not a == b
+        assert self.chain(pair(ZERO, Var("x"))) != self.chain(pair(ZERO, Var("y")))
+
+    def test_a_dict_keyed_by_a_deep_value(self):
+        key, probe = self.chain(ZERO), self.chain(ZERO)
+        table = {key: "deep", ZERO: "shallow"}
+        assert table[probe] == "deep" and len({key, probe}) == 1
+        assert self.chain(Con("nil")) not in table
+
+    def test_other_kinds_are_not_compared(self):
+        assert ONE.__eq__(Var("suc")) is NotImplemented
+        assert ONE != Var("suc") and Var("suc") != ONE
+        assert Con("suc", (Var("x"),)) != Con("suc", (Con("x"),))
+
+
 class TestEnvironments:
     def test_env_equality_is_extensional(self):
         a = {"x": ZERO, "y": ONE}
