@@ -327,6 +327,7 @@ def _show(s, rule: str, t: Con) -> None:
 
 def _con(t: Con, kids: list[tuple]) -> tuple:
     c, n, span = t.name, len(kids), t.span
+    new = tuple.__new__  # skips `Con.__new__`
     downs, infers = [kid[0] for kid in kids], [kid[1] for kid in kids]
 
     def down(s, env, d, k):
@@ -336,7 +337,7 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
         args = []
         for arg in downs:
             args.append(arg(s, env, d + 1, k))
-        v = Con(c, tuple(args), span)
+        v = new(Con, (c, tuple(args), span))
         if s.trace is not None:
             s._emit("eval-constructor", span, v)
         return v

@@ -24,8 +24,8 @@ _NAME = r"[^\W\d_][\w']*(?:-[\w']+)*"
 # Punctuation, a newline, a comment (it runs to the end of the line),
 # any other single character (always an error), or the empty end.
 _OTHER = r"->|[][()=.:,;]|\n|--[^\n]*|.|\Z"
-# Each match is (blanks, token).
-_SOURCE = re.compile(rf"([ \t\r]*)({_NAME}|{_OTHER})")
+# Each match is one string, a token after its blanks: no tuple per match.
+_SOURCE = re.compile(rf"[ \t\r]*(?:{_NAME}|{_OTHER})")
 
 
 class Token(NamedTuple):
@@ -46,8 +46,9 @@ def lex(source: str) -> list[Token]:
     append = tokens.append
     new = tuple.__new__  # skips NamedTuple's Python-level `__new__`
     line, col = 1, 1
-    for blanks, text in _SOURCE.findall(source):
-        col += len(blanks)
+    for match in _SOURCE.findall(source):
+        text = match.lstrip(" \t\r")
+        col += len(match) - len(text)
         if text in PUNCT:
             append(new(Token, ("punct", text, line, col)))
         elif text[:1].isalpha():

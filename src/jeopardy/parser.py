@@ -208,19 +208,20 @@ class Parser:
         `[c a1 .. an]`.  Bracket nesting is kept on an explicit stack, so
         its depth is not bounded by Python's."""
         tokens = self.tokens
+        new = tuple.__new__  # skips the records' Python-level `__new__`
         stack: list[tuple[Token, str, list[Term]]] = []
         while True:
             t = tokens[self.i]
             text = t.text
             if t.kind == "name" and text not in RESERVED:
                 self.i += 1
-                node: Term = Var(text, t.span)
+                node: Term = new(Var, (text, t.span))
             elif text == "[":
                 self.i += 1
                 name = tokens[self.i]
                 if name.text == "]":
                     self.i += 1
-                    node = Con("nil", (), t.span)
+                    node = new(Con, ("nil", (), t.span))
                 else:
                     if name.kind != "name" or name.text in RESERVED:
                         self.expect_name("a constructor name")  # raises P001 or P002
@@ -230,7 +231,7 @@ class Parser:
             elif text == "]" and stack:
                 self.i += 1
                 lb, head, args = stack.pop()
-                node = Con(head, tuple(args), lb.span)
+                node = new(Con, (head, tuple(args), lb.span))
             elif text == "(":
                 self.i += 1
                 node = self._group(t, inner(), inner)
@@ -389,7 +390,7 @@ def _read_value(source: str) -> Con | None:
     parts, first]` for a cons chain: the whole value (span None) or one in
     parentheses, where `first` holds the part before a pair's comma.
     """
-    new = tuple.__new__  # all four fields known: no need for `Span.__new__`
+    new = tuple.__new__  # all fields known: no need for `Span.__new__` or `Con.__new__`
     line = col = 1
     top: list = [None, None, [], None]
     frames = [top]
@@ -418,11 +419,11 @@ def _read_value(source: str) -> Con | None:
             for _ in tok:
                 if mode == _ARGS:
                     span, name, args = frames.pop()
-                    node = Con(name, tuple(args), span)
+                    node = new(Con, (name, tuple(args), span))
                     top = frames[-1]
                     items = top[2]
                 elif mode == _OPENED:
-                    node = Con("nil", (), lb)
+                    node = new(Con, ("nil", (), lb))
                 else:
                     return None
                 items.append(node)
@@ -457,7 +458,7 @@ def _read_value(source: str) -> Con | None:
             span, _, parts, first = frames.pop()
             node = _fold_cons(parts)
             if first is not None:
-                node = Con("pair", (first, node), span)
+                node = new(Con, ("pair", (first, node), span))
             top = frames[-1]
             items = top[2]
             items.append(node)

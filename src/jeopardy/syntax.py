@@ -17,30 +17,39 @@ and faults on any overlap, even an agreeing one.
 
 from __future__ import annotations
 
+from collections import _tuplegetter  # the getter `namedtuple` installs
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 
 from .diagnostics import NO_SPAN, Span
 
 RESERVED = frozenset({"data", "main", "case", "of", "invert", "let", "in"})
 
 
-class Node:
-    """An immutable syntax record whose fields are its `__init__`'s
-    parameters: `match` binds them in that order, and equality, hash and
-    `repr` use all but `span`, which only says where a node came from.
-    Each `__init__` writes the instance dict; assignment raises."""
+class Node(tuple):
+    """An immutable syntax record: the tuple of its `__new__`'s parameters,
+    each read by name through a C getter.  `match` binds them in order, and
+    equality, hash and `repr` use all but a last `span`, which only says
+    where a node came from.  A node never equals a plain tuple, nor orders."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls):
-        code = cls.__init__.__code__
+        code = cls.__new__.__code__
         cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        for i, name in enumerate(cls.__match_args__):
+            setattr(cls, name, _tuplegetter(i, None))
         cls._fields = tuple(f for f in cls.__match_args__ if f != "span")
-        cls._key = attrgetter(*cls._fields)
+        cls._key = itemgetter(slice(len(cls._fields)))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        # A plain tuple's own `==` would compare the fields, span included.
+        return NotImplemented if isinstance(other, Node) or not isinstance(other, tuple) else False
+
+    __ne__ = object.__ne__  # `not ==`; the tuple's own would compare spans
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key(self))
@@ -49,8 +58,8 @@ class Node:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({shown})"
 
-    def _set(self, *values) -> None:
-        self.__dict__.update(zip(self.__match_args__, values))
+    def __reduce__(self):  # copies and pickles: the fields alone, no cached state
+        return type(self), tuple(self)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,9 +72,10 @@ class Node:
 
 
 class Var(Node):
-    def __init__(self, name: str, span: Span = NO_SPAN):
-        d = self.__dict__
-        d["name"], d["span"] = name, span
+    __slots__ = ()
+
+    def __new__(cls, name: str, span: Span = NO_SPAN):
+        return tuple.__new__(cls, (name, span))
 
 
 class Con(Node):
@@ -75,13 +85,14 @@ class Con(Node):
     layers apart.  Compared and hashed without recursion, so at any depth.
     """
 
-    def __init__(self, name: str, args: tuple["Term", ...] = (), span: Span = NO_SPAN):
-        d = self.__dict__
-        d["name"], d["args"], d["span"] = name, args, span
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: tuple["Term", ...] = (), span: Span = NO_SPAN):
+        return tuple.__new__(cls, (name, args, span))
 
     def __eq__(self, other):
         if type(other) is not Con:
-            return NotImplemented
+            return Node.__eq__(self, other)
         pairs = [(self, other)]
         for a, b in pairs:  # level by level: the list grows as it is read
             if a.name != b.name or len(a.args) != len(b.args):
@@ -107,9 +118,10 @@ class Con(Node):
 class FunRef(Node):
     """A callable position: a function name under zero or more `invert`s."""
 
-    def __init__(self, base: str, inversions: int = 0, span: Span = NO_SPAN):
-        d = self.__dict__
-        d["base"], d["inversions"], d["span"] = base, inversions, span
+    __slots__ = ()
+
+    def __new__(cls, base: str, inversions: int = 0, span: Span = NO_SPAN):
+        return tuple.__new__(cls, (base, inversions, span))
 
     def invert(self) -> "FunRef":
         return FunRef(self.base, self.inversions + 1, self.span)
@@ -120,29 +132,34 @@ class FunRef(Node):
 
 
 class Apply(Node):
-    def __init__(self, ref: FunRef, arg: "Term", span: Span = NO_SPAN):
-        d = self.__dict__
-        d["ref"], d["arg"], d["span"] = ref, arg, span
+    __slots__ = ()
+
+    def __new__(cls, ref: FunRef, arg: "Term", span: Span = NO_SPAN):
+        return tuple.__new__(cls, (ref, arg, span))
 
 
 class Case(Node):
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         selector: Term,
         type_name: str | None,  # None where the desugarer met an unknown name
         branches: tuple[tuple[Term, Term], ...],  # (pattern, body) pairs
         span: Span = NO_SPAN,
     ):
-        self._set(selector, type_name, branches, span)
+        return tuple.__new__(cls, (selector, type_name, branches, span))
 
 
 class Let(Node):
     """Surface-only `let p : tau = t in t'`; the desugarer removes it."""
 
-    def __init__(
-        self, pattern: Term, type_name: str | None, bound: Term, body: Term, span: Span = NO_SPAN
+    __slots__ = ()
+
+    def __new__(
+        cls, pattern: Term, type_name: str | None, bound: Term, body: Term, span: Span = NO_SPAN
     ):
-        self._set(pattern, type_name, bound, body, span)
+        return tuple.__new__(cls, (pattern, type_name, bound, body, span))
 
 
 Term = Var | Con | Apply | Case | Let
@@ -154,13 +171,17 @@ Env = dict[str, Con]
 
 
 class Ctor(Node):
-    def __init__(self, name: str, arg_types: tuple[str, ...] = ()):
-        self._set(name, arg_types)
+    __slots__ = ()
+
+    def __new__(cls, name: str, arg_types: tuple[str, ...] = ()):
+        return tuple.__new__(cls, (name, arg_types))
 
 
 class DataDecl(Node):
-    def __init__(self, name: str, ctors: tuple[Ctor, ...], span: Span = NO_SPAN):
-        self._set(name, ctors, span)
+    __slots__ = ()
+
+    def __new__(cls, name: str, ctors: tuple[Ctor, ...], span: Span = NO_SPAN):
+        return tuple.__new__(cls, (name, ctors, span))
 
 
 class Clause(Node):
@@ -170,8 +191,10 @@ class Clause(Node):
     each clause group carries at least one.
     """
 
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         name: str,
         pattern: Term,
         arg_type: str | None,
@@ -179,19 +202,23 @@ class Clause(Node):
         body: Term,
         span: Span = NO_SPAN,
     ):
-        self._set(name, pattern, arg_type, result_type, body, span)
+        return tuple.__new__(cls, (name, pattern, arg_type, result_type, body, span))
 
 
 class MainDecl(Node):
-    def __init__(self, ref: FunRef, span: Span = NO_SPAN):
-        self._set(ref, span)
+    __slots__ = ()
+
+    def __new__(cls, ref: FunRef, span: Span = NO_SPAN):
+        return tuple.__new__(cls, (ref, span))
 
 
 class FunDef(Node):
     """A desugared function: single parameter pattern, core-term body."""
 
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         name: str,
         param: Term,
         arg_type: str,
@@ -199,17 +226,19 @@ class FunDef(Node):
         body: Term,
         span: Span = NO_SPAN,
     ):
-        self._set(name, param, arg_type, result_type, body, span)
+        return tuple.__new__(cls, (name, param, arg_type, result_type, body, span))
 
 
 class SurfaceProgram(Node):
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         datatypes: tuple[DataDecl, ...],
         clauses: tuple[Clause, ...],
         mains: tuple[MainDecl, ...],
     ):
-        self._set(datatypes, clauses, mains)
+        return tuple.__new__(cls, (datatypes, clauses, mains))
 
 
 def ctor_table(datatypes: tuple[DataDecl, ...]) -> dict[str, tuple[DataDecl, Ctor]]:
@@ -219,12 +248,13 @@ def ctor_table(datatypes: tuple[DataDecl, ...]) -> dict[str, tuple[DataDecl, Cto
 
 
 class Program(Node):
-    def __init__(
-        self, datatypes: tuple[DataDecl, ...], functions: tuple[FunDef, ...], main: MainDecl
+    def __new__(
+        cls, datatypes: tuple[DataDecl, ...], functions: tuple[FunDef, ...], main: MainDecl
     ):
-        self._set(datatypes, functions, main)
+        return tuple.__new__(cls, (datatypes, functions, main))
 
-    # Name indexes, built once; reversed, so the first of duplicate names wins.
+    # Name indexes, built once into the instance dict (no `__slots__` here);
+    # reversed, so the first of duplicate names wins.
     @cached_property
     def _functions(self) -> dict[str, FunDef]:
         return {f.name: f for f in reversed(self.functions)}
@@ -243,9 +273,6 @@ class Program(Node):
         `interp`), keyed by the `id()` of nodes this program owns, so a copy
         starts without it."""
         return {}
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_table"}
 
     def function(self, name: str) -> FunDef | None:
         return self._functions.get(name)

@@ -109,7 +109,7 @@ def argument_reads(monkeypatch, depth):
     def args(self):
         nonlocal reads
         reads += 1
-        return self.__dict__["args"]
+        return self[1]  # the tuple slot the patched getter stands in for
 
     with monkeypatch.context() as patch:
         patch.setattr(Con, "args", property(args), raising=False)

@@ -1,8 +1,12 @@
 """The package's records keep one set of semantics, whatever builds them:
 equality and hash over their fields, `span` left out of both for syntax,
 the `repr` every error message and trace prints, `match` positions that
-end in `span`, and no assignment after construction."""
+end in `span`, no assignment after construction, and copies equal to the
+original.  Syntax nodes are tuples that neither equal a plain tuple nor
+order."""
 
+import copy
+import operator
 import pickle
 
 import pytest
@@ -218,6 +222,43 @@ def test_no_record_can_be_changed(record, shown):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert repr(record) == shown
+
+
+SYNTAX_IDS = [type(r).__name__ for r in SYNTAX]
+
+
+@pytest.mark.parametrize("record", SYNTAX, ids=SYNTAX_IDS)
+def test_only_a_program_has_an_instance_dict(record):
+    """A syntax node is one object: its fields live in it, not in a dict
+    beside it.  A program keeps a dict for its cached indexes."""
+    assert hasattr(record, "__dict__") == (type(record) is Program)
+
+
+@pytest.mark.parametrize("record", SYNTAX, ids=SYNTAX_IDS)
+def test_a_syntax_record_never_equals_a_plain_tuple_of_its_fields(record):
+    plain = tuple(fields(record))
+    assert record != plain and plain != record
+    assert not record == plain and not plain == record
+
+
+@pytest.mark.parametrize("record", SYNTAX, ids=SYNTAX_IDS)
+def test_syntax_records_do_not_order(record):
+    twin = type(record)(*fields(record))
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(record, twin)
+
+
+CLONES = [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_copies_are_equal_and_keep_the_span(record, clone):
+    back = clone(record)
+    assert type(back) is type(record) and back == record and hash(back) == hash(record)
+    assert getattr(back, "span", None) == getattr(record, "span", None)
+    assert repr(back) == repr(record)
 
 
 def test_a_pickled_program_comes_back_without_its_table():
