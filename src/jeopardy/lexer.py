@@ -1,5 +1,10 @@
 """Tokenizer: one regular expression splits a whole source text, and the
-loop in `lex` classifies the pieces and keeps line and column.
+loop in `lex` keeps each token's text and where it starts.
+
+A token is its text: a name, a piece of `PUNCT`, or the empty string
+that ends every token list.  Where it starts is a packed position,
+`line << 32 | col`, in the list's `positions`; the parser builds a
+`Span` from one only for a node or a diagnostic.
 
 The one subtlety is the dash: it continues a name (`map-f`) only when
 the character after it could itself continue a name; anywhere else it
@@ -11,7 +16,6 @@ written in a source file or a value.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .diagnostics import Span, SourceError
 
@@ -28,42 +32,37 @@ _OTHER = r"->|[][()=.:,;]|\n|--[^\n]*|.|\Z"
 _SOURCE = re.compile(rf"[ \t\r]*(?:{_NAME}|{_OTHER})")
 
 
-class Token(NamedTuple):
-    kind: str  # "name", "punct", "eof"
-    text: str
-    line: int
-    col: int
+class Tokens(list):
+    """The token texts of a source, the end's `""` last, and `positions`:
+    one `line << 32 | col` per token."""
 
-    @property
-    def span(self) -> Span:
-        _, text, line, col = self  # all four fields known: no need for `Span.__new__`
-        return tuple.__new__(Span, (line, col, line, col + (len(text) or 1)))
+    __slots__ = ("positions",)
 
 
-def lex(source: str) -> list[Token]:
+def lex(source: str) -> Tokens:
     """Tokenize a whole source text; raises SourceError on bad input."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # skips NamedTuple's Python-level `__new__`
-    line, col = 1, 1
+    tokens = Tokens()
+    positions = tokens.positions = []
+    append, place = tokens.append, positions.append
+    pos = 1 << 32 | 1  # line 1, column 1
     for match in _SOURCE.findall(source):
         text = match.lstrip(" \t\r")
-        col += len(match) - len(text)
-        if text in PUNCT:
-            append(new(Token, ("punct", text, line, col)))
-        elif text[:1].isalpha():
-            append(new(Token, ("name", text, line, col)))
+        pos += len(match) - len(text)
+        if text in PUNCT or text[:1].isalpha():
+            append(text)
+            place(pos)
         elif text == "\n":
-            line, col = line + 1, 1
+            pos = (pos >> 32) + 1 << 32 | 1
             continue
         elif text[:2] == "--":
             continue  # a comment does not move the column: only `\n` or the end follows
         elif not text:
-            append(new(Token, ("eof", "", line, col)))
+            append("")
+            place(pos)
             break  # trailing blanks end in a second, empty match
         else:
             raise SourceError.single(
-                "L001", f"unexpected character {text[0]!r}", Span(line, col)
+                "L001", f"unexpected character {text[0]!r}", Span(pos >> 32, pos & 0xFFFFFFFF)
             )
-        col += len(text)
+        pos += len(text)
     return tokens

@@ -1,4 +1,4 @@
-"""Parser: token stream to surface syntax.
+"""Parser: token texts to surface syntax.
 
 Grammar notes that matter here rather than in the syntax module:
 
@@ -16,8 +16,10 @@ Grammar notes that matter here rather than in the syntax module:
     sugar must declare `pair`, `cons`, or `nil` itself, and validation
     enforces that.
 
-Terms and patterns read each token once per atom, indexing `self.tokens`
-directly, for measured cost: 1.1x faster on the benchmark's programs.
+A token is its text (see `lexer`), so the parser compares strings: one
+set lookup tells a name or a variable from punctuation, a keyword and
+the end's `""`.  A `Span` is built from a token's packed position only
+for a node or a diagnostic, by `span`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 from collections.abc import Callable
 
 from .diagnostics import Span, SourceError
-from .lexer import _NAME, Token, lex
+from .lexer import _NAME, PUNCT, Tokens, lex
 from .syntax import (
     RESERVED,
     Apply,
@@ -48,6 +50,11 @@ from .syntax import (
 # `_annotation_ahead`'s closer for a clause head: `: t ) : r =`.
 _HEAD = "):"
 
+# A token is a name unless it is punctuation or the end's `""`, and a
+# variable (or function or type name) unless it is also a keyword.
+_NOT_NAME = PUNCT | {""}
+_NOT_VAR = _NOT_NAME | RESERVED
+
 
 def _fold_cons(parts: list[Term]) -> Term:
     out = parts[-1]
@@ -57,54 +64,45 @@ def _fold_cons(parts: list[Term]) -> Term:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        # `advance` stops at the eof token and `peek` looks at most five
-        # tokens ahead, so five more eofs keep every index in range.
-        self.tokens = tokens + tokens[-1:] * 5
+    def __init__(self, tokens: Tokens):
+        # The parser never moves past the end's `""` and looks at most five
+        # tokens ahead, so five more keep every index in range.
+        self.tokens = tokens + [""] * 5
+        self.positions = tokens.positions
         self.i = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
 
-    def peek(self, k: int = 0) -> Token:
-        return self.tokens[self.i + k]
-
-    def at(self, text: str) -> bool:
-        # Only the eof token has empty text.
-        return self.tokens[self.i].text == text
-
-    def at_name(self) -> bool:
-        t = self.tokens[self.i]
-        return t.kind == "name" and t.text not in RESERVED
-
-    def advance(self) -> Token:
-        t = self.tokens[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def span(self, i: int) -> Span:
+        """Token i's span: one column for the end's `""`."""
+        pos = self.positions[i]
+        line, col = pos >> 32, pos & 0xFFFFFFFF
+        return tuple.__new__(Span, (line, col, line, col + (len(self.tokens[i]) or 1)))
 
     def describe(self) -> str:
-        t = self.peek()
-        return "end of input" if t.kind == "eof" else repr(t.text)
+        t = self.tokens[self.i]
+        return repr(t) if t else "end of input"
 
     def error(self, code: str, message: str) -> SourceError:
-        return SourceError.single(code, message, self.peek().span)
+        return SourceError.single(code, message, self.span(self.i))
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if self.tokens[self.i] != text:
             raise self.error("P001", f"expected {text!r}, found {self.describe()}")
-        return self.advance()
+        self.i += 1
 
-    def expect_name(self, what: str) -> Token:
-        t = self.peek()
-        if t.kind != "name":
+    def expect_name(self, what: str) -> str:
+        t = self.tokens[self.i]
+        if t in _NOT_NAME:
             raise self.error("P001", f"expected {what}, found {self.describe()}")
-        if t.text in RESERVED:
-            raise self.error("P002", f"{t.text!r} is a keyword, not {what}")
-        return self.advance()
+        if t in RESERVED:
+            raise self.error("P002", f"{t!r} is a keyword, not {what}")
+        self.i += 1
+        return t
 
     def expect_end(self) -> None:
-        if self.peek().kind != "eof":
+        if self.tokens[self.i]:
             raise self.error("P001", f"trailing input, found {self.describe()}")
 
     def _annotation_ahead(self, closer: str | None, k: int = 0) -> bool:
@@ -112,17 +110,12 @@ class Parser:
         The closer `_HEAD` stands for a clause head's `) : <type name> =`."""
         if closer is None:
             return False
-        # The text fixes the kind: only a name reads `of`, only punctuation `)` or `=`.
-        t1 = self.peek(k + 1)
-        if t1.kind != "name" or t1.text in RESERVED:
+        tokens, i = self.tokens, self.i + k
+        if tokens[i + 1] in _NOT_VAR:
             return False
         if closer == _HEAD:
-            return (
-                self.peek(k + 2).text == ")"
-                and self.peek(k + 3).text == ":"
-                and self._annotation_ahead("=", k + 3)
-            )
-        return self.peek(k + 2).text == closer
+            return tokens[i + 2 : i + 4] == [")", ":"] and self._annotation_ahead("=", k + 3)
+        return tokens[i + 2] == closer
 
     # ------------------------------------------------------------------
     # Terms
@@ -130,46 +123,46 @@ class Parser:
     def term(self, closer: str | None = None) -> Term:
         parts = [self.app_term(closer)]
         tokens = self.tokens
-        while tokens[self.i].text == ":" and not self._annotation_ahead(closer):
+        while tokens[self.i] == ":" and not self._annotation_ahead(closer):
             self.i += 1
             parts.append(self.app_term(closer))
         return parts[0] if len(parts) == 1 else _fold_cons(parts)
 
     def app_term(self, closer: str | None = None) -> Term:
-        tokens = self.tokens
-        t = tokens[self.i]
-        if t.kind == "name" and t.text not in RESERVED:
-            self.i += 1
+        tokens, i = self.tokens, self.i
+        t = tokens[i]
+        if t not in _NOT_VAR:
+            self.i = i + 1
             ref = None
-        elif t.text == "(" and tokens[self.i + 1].text == "invert":
+        elif t == "(" and tokens[i + 1] == "invert":
             ref = self.funref()
-        elif t.text == "case":
+        elif t == "case":
             return self.case_term()
-        elif t.text == "let":
+        elif t == "let":
             return self.let_term(closer)
         else:
             return self._bracketed(self.term, "a term")
         # A name or an inverted callable, applied if an atom follows.
         after = tokens[self.i]
-        if after.text in ("[", "(") or after.kind == "name" and after.text not in RESERVED:
+        if after == "[" or after == "(" or after not in _NOT_VAR:
             if ref is None:
-                ref = FunRef(t.text, 0, t.span)
+                ref = FunRef(t, 0, self.span(i))
             return Apply(ref, self._bracketed(self.term, "a term"), ref.span)
         if ref is None:
-            return Var(t.text, t.span)
+            return Var(t, self.span(i))
         raise self.error("P003", "an inverted callable must be applied to an argument")
 
     def case_term(self) -> Term:
-        kw = self.advance()
+        kw, self.i = self.i, self.i + 1
         selector = self.term("of")
         self.expect(":")
         ty = self.expect_name("a type name")
         self.expect("of")
         branches = [self.branch()]
-        while self.at(";"):
-            self.advance()
+        while self.tokens[self.i] == ";":
+            self.i += 1
             branches.append(self.branch())
-        return Case(selector, ty.text, tuple(branches), kw.span)
+        return Case(selector, ty, tuple(branches), self.span(kw))
 
     def branch(self) -> tuple[Term, Term]:
         p = self.pattern()
@@ -177,17 +170,17 @@ class Parser:
         return p, self.term()
 
     def let_term(self, closer: str | None = None) -> Term:
-        kw = self.advance()
+        kw, self.i = self.i, self.i + 1
         pat = self.pattern("=")
         ty = None
-        if self.at(":"):
-            self.advance()
-            ty = self.expect_name("a type name").text
+        if self.tokens[self.i] == ":":
+            self.i += 1
+            ty = self.expect_name("a type name")
         self.expect("=")
         bound = self.term()
         self.expect("in")
         body = self.term(closer)
-        return Let(pat, ty, bound, body, kw.span)
+        return Let(pat, ty, bound, body, self.span(kw))
 
     # ------------------------------------------------------------------
     # Patterns
@@ -195,7 +188,7 @@ class Parser:
     def pattern(self, closer: str | None = None, first: Term | None = None) -> Term:
         parts = [self._bracketed(self.pattern, "a pattern") if first is None else first]
         tokens = self.tokens
-        while tokens[self.i].text == ":" and not self._annotation_ahead(closer):
+        while tokens[self.i] == ":" and not self._annotation_ahead(closer):
             self.i += 1
             parts.append(self._bracketed(self.pattern, "a pattern"))
         return parts[0] if len(parts) == 1 else _fold_cons(parts)
@@ -207,49 +200,45 @@ class Parser:
         """One atom: a variable, `inner` in parentheses, a pair of two, or
         `[c a1 .. an]`.  Bracket nesting is kept on an explicit stack, so
         its depth is not bounded by Python's."""
-        tokens = self.tokens
+        tokens, span = self.tokens, self.span
         new = tuple.__new__  # skips the records' Python-level `__new__`
-        stack: list[tuple[Token, str, list[Term]]] = []
+        stack: list[tuple[int, str, list[Term]]] = []  # `[`'s index, name, args
         while True:
-            t = tokens[self.i]
-            text = t.text
-            if t.kind == "name" and text not in RESERVED:
-                self.i += 1
-                node: Term = new(Var, (text, t.span))
-            elif text == "[":
-                self.i += 1
-                name = tokens[self.i]
-                if name.text == "]":
-                    self.i += 1
-                    node = new(Con, ("nil", (), t.span))
+            i = self.i
+            t = tokens[i]
+            if t not in _NOT_VAR:
+                self.i = i + 1
+                node: Term = new(Var, (t, span(i)))
+            elif t == "[":
+                self.i = i + 1
+                if tokens[i + 1] == "]":
+                    self.i = i + 2
+                    node = new(Con, ("nil", (), span(i)))
                 else:
-                    if name.kind != "name" or name.text in RESERVED:
-                        self.expect_name("a constructor name")  # raises P001 or P002
-                    self.i += 1
-                    stack.append((t, name.text, []))
+                    stack.append((i, self.expect_name("a constructor name"), []))
                     continue
-            elif text == "]" and stack:
-                self.i += 1
+            elif t == "]" and stack:
+                self.i = i + 1
                 lb, head, args = stack.pop()
-                node = new(Con, (head, tuple(args), lb.span))
-            elif text == "(":
-                self.i += 1
-                node = self._group(t, inner(), inner)
-            elif t.kind == "name":
-                raise self.error("P002", f"unexpected keyword {text!r}")
+                node = new(Con, (head, tuple(args), span(lb)))
+            elif t == "(":
+                self.i = i + 1
+                node = self._group(i, inner(), inner)
+            elif t in RESERVED:
+                raise self.error("P002", f"unexpected keyword {t!r}")
             else:
                 raise self.error("P001", f"expected {what}, found {self.describe()}")
             if not stack:
                 return node
             stack[-1][2].append(node)
 
-    def _group(self, lp: Token, first: Term, inner: Callable[[], Term]) -> Term:
-        """The rest of `(first)` or of the pair `(first, second)`."""
-        if self.at(","):
-            self.advance()
+    def _group(self, lp: int, first: Term, inner: Callable[[], Term]) -> Term:
+        """The rest of `(first)` or of the pair `(first, second)` opened at token lp."""
+        if self.tokens[self.i] == ",":
+            self.i += 1
             second = inner()
             self.expect(")")
-            return Con("pair", (first, second), lp.span)
+            return Con("pair", (first, second), self.span(lp))
         self.expect(")")
         return first
 
@@ -257,75 +246,76 @@ class Parser:
     # Declarations
 
     def funref(self) -> FunRef:
-        if self.at("("):
-            lp = self.advance()
+        start = self.i
+        if self.tokens[start] == "(":
+            self.i += 1
             self.expect("invert")
             inner = self.funref()
             self.expect(")")
-            return FunRef(inner.base, inner.inversions + 1, lp.span)
-        t = self.expect_name("a function name")
-        return FunRef(t.text, 0, t.span)
+            return FunRef(inner.base, inner.inversions + 1, self.span(start))
+        return FunRef(self.expect_name("a function name"), 0, self.span(start))
 
     def data_decl(self) -> DataDecl:
-        kw = self.advance()
+        kw, self.i = self.i, self.i + 1
         name = self.expect_name("a type name")
         self.expect("=")
         ctors = []
-        while self.at("["):
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.i] == "[":
+            self.i += 1
             cname = self.expect_name("a constructor name")
             arg_types = []
-            while self.at_name():
-                arg_types.append(self.advance().text)
+            while (t := tokens[self.i]) not in _NOT_VAR:
+                arg_types.append(t)
+                self.i += 1
             self.expect("]")
-            ctors.append(Ctor(cname.text, tuple(arg_types)))
+            ctors.append(Ctor(cname, tuple(arg_types)))
         if not ctors:
             raise self.error("P001", f"expected a constructor, found {self.describe()}")
         self.expect(".")
-        return DataDecl(name.text, tuple(ctors), kw.span)
+        return DataDecl(name, tuple(ctors), self.span(kw))
 
     def main_decl(self) -> MainDecl:
-        kw = self.advance()
+        kw, self.i = self.i, self.i + 1
         ref = self.funref()
         self.expect(".")
-        return MainDecl(ref, kw.span)
+        return MainDecl(ref, self.span(kw))
 
     def clause(self) -> Clause:
+        start = self.i
         name = self.expect_name("a function name")
         arg_ty = res_ty = None
-        if not self.at("("):
+        tokens = self.tokens
+        if tokens[self.i] != "(":
             pat = self.pattern()
         else:
             # A bare `(p)` reads the same tokens as an annotated head up to
             # its `: t )`, so the pattern stops only before `: t ) : r =`.
-            lp = self.advance()
+            lp, self.i = self.i, self.i + 1
             pat = self.pattern(_HEAD)
-            if self.at(":"):
-                arg_ty, res_ty = self.peek(1).text, self.peek(4).text
+            if tokens[self.i] == ":":
+                arg_ty, res_ty = tokens[self.i + 1], tokens[self.i + 4]
                 self.i += 5
             else:
                 pat = self.pattern(first=self._group(lp, pat, self.pattern))
         self.expect("=")
         body = self.term()
         self.expect(".")
-        return Clause(name.text, pat, arg_ty, res_ty, body, name.span)
+        return Clause(name, pat, arg_ty, res_ty, body, self.span(start))
 
     def program(self) -> SurfaceProgram:
         datatypes: list[DataDecl] = []
         clauses: list[Clause] = []
         mains: list[MainDecl] = []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind == "name" and t.text == "data":
+        while t := self.tokens[self.i]:
+            if t == "data":
                 datatypes.append(self.data_decl())
-            elif t.kind == "name" and t.text == "main":
+            elif t == "main":
                 mains.append(self.main_decl())
-            elif self.at_name():
+            elif t not in _NOT_VAR:
                 clauses.append(self.clause())
             else:
-                raise self.error(
-                    "P001", f"expected a declaration, found {self.describe()}"
-                )
+                raise self.error("P001", f"expected a declaration, found {self.describe()}")
         return SurfaceProgram(tuple(datatypes), tuple(clauses), tuple(mains))
 
 
@@ -333,7 +323,7 @@ class Parser:
 # Entry points
 
 
-def _parse(tokens: list[Token], rule: Callable[[Parser], Term | SurfaceProgram]):
+def _parse(tokens: Tokens, rule: Callable[[Parser], Term | SurfaceProgram]):
     p = Parser(tokens)
     # `( ... )`, `case` and `let` still nest by recursion: too deep is a P005,
     # not a crash.  It has no span: where the stack ran out depends on the caller.

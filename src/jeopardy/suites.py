@@ -16,7 +16,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .desugar import desugar
-from .diagnostics import SourceError
+from .diagnostics import NO_SPAN, SourceError
 from .interp import (
     LINEARITY_FAULT,
     MATCH_FAILURE,
@@ -132,7 +132,8 @@ class ValueGenerator:
         if not feasible:
             raise ValueError(f"no value of type {type_name!r} fits depth {budget}")
         ctor = self.rng.choice(feasible)
-        return Con(ctor.name, tuple(self._draw(t, budget - 1) for t in ctor.arg_types))
+        args = tuple(self._draw(t, budget - 1) for t in ctor.arg_types)
+        return tuple.__new__(Con, (ctor.name, args, NO_SPAN))  # skips `Con.__new__`
 
 
 def _derived_rng(seed: int, *parts: str) -> random.Random:

@@ -3,7 +3,10 @@ agree with, token for token and error for error.
 
 This is the scanner the package used before it switched to one regular
 expression, trimmed to return plain `(kind, text, line, col)` tuples.
+`view` reads the same four fields off `lex`'s texts and packed positions.
 """
+
+from collections import namedtuple
 
 from jeopardy.diagnostics import SourceError, Span
 
@@ -52,3 +55,15 @@ def reference_lex(source):
         col += i - start
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+Token = namedtuple("Token", "kind text line col")
+
+
+def view(tokens):
+    """`lex`'s tokens as `(kind, text, line, col)`: the kind follows from
+    the text, and line and column from the packed `line << 32 | col`."""
+    return [
+        Token("eof" if not t else "punct" if t in PUNCT else "name", t, p >> 32, p & 0xFFFFFFFF)
+        for t, p in zip(tokens, tokens.positions, strict=True)
+    ]

@@ -206,18 +206,19 @@ def backtracking_clause(self):
         self.expect("(")
         pat = self.pattern(")")
         self.expect(":")
-        arg_ty = self.expect_name("a type name").text
+        arg_ty = self.expect_name("a type name")
         self.expect(")")
         self.expect(":")
-        return pat, arg_ty, self.expect_name("a type name").text
+        return pat, arg_ty, self.expect_name("a type name")
 
     def clause(head):
         pat, arg_ty, res_ty = head()
         self.expect("=")
         body = self.term()
         self.expect(".")
-        return Clause(name.text, pat, arg_ty, res_ty, body, name.span)
+        return Clause(name, pat, arg_ty, res_ty, body, self.span(start))
 
+    start = self.i
     name = self.expect_name("a function name")
     mark = self.i
     try:
