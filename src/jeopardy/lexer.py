@@ -3,8 +3,8 @@ loop in `lex` keeps each token's text and where it starts.
 
 A token is its text: a name, a piece of `PUNCT`, or the empty string
 that ends every token list.  Where it starts is a packed position,
-`line << 32 | col`, in the list's `positions`; the parser builds a
-`Span` from one only for a node or a diagnostic.
+`line << 32 | col`, in the list's `positions`; `Tokens.span` makes a
+`Span` of one, which the parser asks for only for a node or a diagnostic.
 
 The one subtlety is the dash: it continues a name (`map-f`) only when
 the character after it could itself continue a name; anywhere else it
@@ -37,6 +37,12 @@ class Tokens(list):
     one `line << 32 | col` per token."""
 
     __slots__ = ("positions",)
+
+    def span(self, i: int) -> Span:
+        """Token i's span: one column for the end's `""`."""
+        pos = self.positions[i]
+        line, col = pos >> 32, pos & 0xFFFFFFFF
+        return tuple.__new__(Span, (line, col, line, col + (len(self[i]) or 1)))
 
 
 def lex(source: str) -> Tokens:

@@ -18,8 +18,8 @@ Grammar notes that matter here rather than in the syntax module:
 
 A token is its text (see `lexer`), so the parser compares strings: one
 set lookup tells a name or a variable from punctuation, a keyword and
-the end's `""`.  A `Span` is built from a token's packed position only
-for a node or a diagnostic, by `span`.
+the end's `""`.  A token's `Span` is made only for a node or a
+diagnostic, by `span`, the token list's own.
 """
 
 from __future__ import annotations
@@ -68,17 +68,11 @@ class Parser:
         # The parser never moves past the end's `""` and looks at most five
         # tokens ahead, so five more keep every index in range.
         self.tokens = tokens + [""] * 5
-        self.positions = tokens.positions
+        self.span = tokens.span
         self.i = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
-
-    def span(self, i: int) -> Span:
-        """Token i's span: one column for the end's `""`."""
-        pos = self.positions[i]
-        line, col = pos >> 32, pos & 0xFFFFFFFF
-        return tuple.__new__(Span, (line, col, line, col + (len(self.tokens[i]) or 1)))
 
     def describe(self) -> str:
         t = self.tokens[self.i]

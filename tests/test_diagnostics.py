@@ -4,7 +4,6 @@ import pytest
 
 from jeopardy.diagnostics import Span
 from jeopardy.lexer import lex
-from jeopardy.parser import Parser
 from jeopardy.suites import corpus_file_names, read_corpus_file
 from reference_lexer import view
 
@@ -30,8 +29,7 @@ class TestSpan:
     @pytest.mark.parametrize("name", corpus_file_names())
     def test_token_spans(self, name):
         tokens = lex(read_corpus_file(name))
-        parser = Parser(tokens)
         for i, t in enumerate(view(tokens)):
-            span = parser.span(i)
+            span = tokens.span(i)
             assert type(span) is Span
             assert span == Span(t.line, t.col, t.line, t.col + max(len(t.text), 1))
