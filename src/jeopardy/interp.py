@@ -27,12 +27,12 @@ closures for code generation", 1987): on its first call a function becomes
 two closures per node, one per direction, kept in `Program._table` by the
 node's `id()`.  A closure call is one rule application.  Dispatch, callee,
 `invert`s, matchers and what the text settles (`_facts`) are fixed when it
-is built.  A call on a value is built around its literal without the
-compiler's walks, by one helper `run_main` and `evaluate` share.  A ground
-term's matcher, an iterative equality test, settles it in one rule
-application either way (traced, still one line per node) and for free in
-psi, so no value is compared by `==`; a psi search for a
-value whose constructor a body cannot produce is not run.  Fuel and depth
+is built.  A call on a value is compiled once per function, `invert`s and
+call span into the same table, never walking the value, which each run
+hands it in `Evaluator.arg`.  A ground term's matcher, an iterative
+equality test, settles it in one rule application either way (traced,
+one line per node) and for free in psi, so no value is compared by `==`;
+a psi search for a value whose constructor a body cannot produce is not run.  Fuel and depth
 are spent only by the rules that do run, so a decided outcome is the one an
 unbounded run gives.  Against the term-walking judgements this took a
 depth-6 `mirror` round trip from 2.0 to 1.1 ms (CPython 3.11, shared 2-core
@@ -122,10 +122,10 @@ class Evaluator:
     it evaluates to `v`; `d` is the depth of the rule application and `k`
     whether it runs inside a search, which inference always does.  Fuel is
     spent by every rule application inside a search, none outside one;
-    nesting beyond `DEFAULT_MAX_DEPTH` is undecided.
+    nesting beyond `DEFAULT_MAX_DEPTH` is undecided.  `arg`: see `_on_value`.
     """
 
-    __slots__ = ("fuel", "enforce_psi", "trace")
+    __slots__ = ("fuel", "enforce_psi", "trace", "arg")
 
     def __init__(
         self,
@@ -191,25 +191,37 @@ def _compile(program: Program, roots, code: dict) -> dict:
     return code
 
 
-def _code(program: Program, t: Term) -> tuple:
+def _code(program: Program, t: Term, s: Evaluator | None = None) -> tuple:
     """The closures of `t`: from the table when a function of `program`
     owns it, else built for this call only, since the id of a foreign
-    term may later name another object."""
+    term may later name another object.  A call on a value is `_on_value`'s,
+    handed the value in `s`, or without `s` by two entry closures."""
+    if type(t) is Apply and is_value(t.arg):
+        code, v = _on_value(program, t.ref.base, t.ref.inversions, t.span), t.arg
+        if s is None:
+            return tuple(
+                lambda ev, x, d, k, go=go: setattr(ev, "arg", v) or go(ev, x, d, k) for go in code
+            )
+        s.arg = v
+        return code
     code = program._table.get(id(t))
     if code is None:
         owner = [f for f in program.functions if t is f.body or t is f.param]
         if owner:
             _cell(program, owner[0]).match  # compiles the owner
             return program._table[id(t)]
-        if type(t) is Apply and is_value(t.arg):
-            return _call_on_value(t, program)
         return _compile(program, (t,), {})[id(t)]
     return code
 
 
-def _call_on_value(t: Apply, program: Program) -> tuple:
-    """The closures `_compile` builds for a call on a value, without its walks."""
-    return _apply(t, *_literal(t.arg), program)
+def _on_value(program: Program, base: str, inversions: int, span: Span) -> tuple:
+    """`base` under `inversions` at `span` applied to the value in `s.arg`, built as
+    `_compile` builds a call on a literal, once per call site whatever the values."""
+    key = (base, inversions, span)
+    code = program._table.get(key)
+    if code is None:
+        code = program._table[key] = _apply(base, inversions, span, *_literal(None), program)
+    return code
 
 
 class _Fn:
@@ -227,6 +239,7 @@ class _Fn:
             raise AttributeError(name)
         f, table = self.f, self.program._table
         _compile(self.program, (f.param, f.body), table)
+        self.program = None  # compiled cells hold no cycle through their program
         param, body = table[id(f.param)], table[id(f.body)]
         self.match, self.body_down = _matcher(f.param), body[0]
         self.legs = ((body[1], param[0]), (param[1], body[0]))
@@ -258,7 +271,7 @@ def _node(t: Term, code: dict, ground: set[int], heads: dict, program: Program) 
     if kind is Con:
         return _literal(t) if id(t) in ground else _con(t, [code[id(a)] for a in t.args])
     if kind is Apply:
-        return _apply(t, *code[id(t.arg)], program)
+        return _apply(t.ref.base, t.ref.inversions, t.span, *code[id(t.arg)], program)
     if kind is Case:
         return _case(t, code, ground, heads)
     # Only the desugarer's core reaches the rules; anything else is a
@@ -293,27 +306,28 @@ def _var(x: str, span: Span) -> tuple:
     return down, infer
 
 
-def _literal(t: Con) -> tuple:
+def _literal(t: Con | None) -> tuple:
     """A ground term in one rule application either way: it evaluates to
     itself and infers `{}` for the values its matcher takes, those equal to
-    it.  Traced, it shows one line per node, children first."""
-    match = _matcher(t)
+    it.  Traced, it shows one line per node, children first.  With `t` None
+    it is the value in `s.arg`, matched by `unify` (see `_on_value`)."""
+    match = t and _matcher(t)
 
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
         s.fuel -= k
         if s.trace is not None:
-            _show(s, "eval-constructor", t)
-        return t
+            _show(s, "eval-constructor", t or s.arg)
+        return t or s.arg
 
     def infer(s, v, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
         s.fuel -= k
-        env = match(v)
+        env = match(v) if match else unify(v, s.arg)
         if env is not None and s.trace is not None:
-            _show(s, "infer-constructor", t)
+            _show(s, "infer-constructor", t or s.arg)
         return env
 
     return down, infer
@@ -354,7 +368,7 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
             if e is None:
                 return None
             envs.append(e)
-        out = _union(envs, span, "inferred more than once")
+        out = envs[0] if n == 1 else _union(envs, span, "inferred more than once")
         if s.trace is not None:
             s._emit("infer-constructor", span, v)
         return out
@@ -362,11 +376,10 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
     return down, infer
 
 
-def _apply(t: Apply, arg_down, arg_infer, program: Program) -> tuple:
+def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program: Program) -> tuple:
     """An application under n `invert`s: a chain of n + 1 rule applications,
     each level with all four judgements (forward, inverse, inference and
     inverse inference), stripped once here."""
-    base, span = t.ref.base, t.span
     f = program.function(base)
     if f is None:
 
@@ -379,7 +392,7 @@ def _apply(t: Apply, arg_down, arg_infer, program: Program) -> tuple:
         levels = (missing,) * 4
     else:
         levels = _call(_cell(program, f), arg_down, arg_infer, base, span)
-    for _ in range(t.ref.inversions):
+    for _ in range(inversions):
         down, up, infer, infer_up = levels
         levels = (
             _step(up, "eval-invert", span, True),
@@ -544,16 +557,18 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
         for match in earlier:  # an earlier pattern takes the selector value
             if match(v_sel) is not None:
                 return None
+        kept = env_body  # fresh, as every inference's result is: its caller owns it
+        for x in drop:
+            del kept[x]
         env_sel = sel_infer(s, v_sel, d + 1, True)
         if env_sel is None:
             return None
-        kept = {x: w for x, w in env_body.items() if x not in drop}
-        out = kept | env_sel
-        if len(out) != len(kept) + len(env_sel):
+        if not kept.keys().isdisjoint(env_sel):
             _union((kept, env_sel), span, "inferred more than once")
+        kept.update(env_sel)
         if s.trace is not None:
             s._emit("infer-case", span, v)
-        return out
+        return kept
 
     return case_down, infer
 
@@ -563,38 +578,38 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
 # `invert`: `evaluate` or `infer_env_down` on `Apply(FunRef(f, 1), arg)`.
 
 
-def _to_outcome(run: Callable[[], Con]) -> Outcome:
+def _to_outcome(run, *args) -> Outcome:
     try:
-        value = run()
+        value = run(*args)
     except _Violation as e:
         return Outcome("violation", violation=e.kind, message=e.message, span=e.span)
     except _Undecided as e:
         return Outcome("undecided", message=str(e))
-    return Outcome("success", value=value)
+    return tuple.__new__(Outcome, ("success", value, None, "", NO_SPAN))  # skips `__new__`
 
 
-def _to_infer_result(run: Callable[[], Env | None]) -> InferResult:
+def _to_infer_result(run, *args) -> InferResult:
     try:
-        env = run()
+        env = run(*args)
     except _Violation as e:
         return InferResult("violation", violation=e.kind, message=e.message)
     except _Undecided as e:
         return InferResult("undecided", message=str(e))
     if env is None:
         return InferResult("none", message="no derivation")
-    return InferResult("found", env=env)
+    return tuple.__new__(InferResult, ("found", env, None, ""))
 
 
 def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Outcome:
     env = {x: ensure_value(v) for x, v in (env or {}).items()}
-    down, ev = _code(program, term)[0], Evaluator(**opts)
-    return _to_outcome(lambda: down(ev, env, 1, False))
+    s = Evaluator(**opts)
+    return _to_outcome(_code(program, term, s)[0], s, env, 1, False)
 
 
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
     ensure_value(value)
-    infer, ev = _code(program, term)[1], Evaluator(**opts)
-    return _to_infer_result(lambda: infer(ev, value, 1, True))
+    s = Evaluator(**opts)
+    return _to_infer_result(_code(program, term, s)[1], s, value, 1, True)
 
 
 def run_main(
@@ -615,8 +630,7 @@ def run_main(
         raise ValueError("psi_mode must be 'enforce' or 'skip'")
     ensure_value(value)  # the one walk of the input
     ref = program.main.ref
-    if inverted:
-        ref = ref.invert()
-    ev = Evaluator(enforce_psi=psi_mode == "enforce", **opts)
-    down = _call_on_value(Apply(ref, value, value.span), program)[0]
-    return _to_outcome(lambda: down(ev, {}, 1, False))
+    s = Evaluator(enforce_psi=psi_mode == "enforce", **opts)
+    s.arg = value
+    down = _on_value(program, ref.base, ref.inversions + inverted, value.span)[0]
+    return _to_outcome(down, s, {}, 1, False)

@@ -66,19 +66,25 @@ def read_corpus_file(name: str) -> str:
 
 
 @cache
+def _load(name: str) -> Program | SourceError:
+    try:
+        return compile_source(read_corpus_file(name))
+    except SourceError as err:
+        return err
+
+
 def load_corpus_program(name: str) -> Program:
-    """Compiled once per process: later calls share the `Program` and its code."""
-    return compile_source(read_corpus_file(name))
+    """Compiled once per process: later calls share its `Program` or `SourceError`."""
+    program = _load(name)
+    if isinstance(program, SourceError):
+        raise program.with_traceback(None)
+    return program
 
 
 def accepted_corpus_programs() -> list[tuple[str, Program]]:
     """The corpus programs the checker accepts, in name order."""
-    out = []
-    for name in corpus_file_names():
-        program = load_corpus_program(name)
-        if check_program(program).accepted:
-            out.append((name, program))
-    return out
+    programs = [(name, load_corpus_program(name)) for name in corpus_file_names()]
+    return [(name, program) for name, program in programs if check_program(program).accepted]
 
 
 # ---------------------------------------------------------------------------
@@ -254,37 +260,28 @@ def _run_value_expectation(exp: Expectation, program: Program, fuel: int | None)
         **opts,
     )
     if exp.expect in VIOLATION_KINDS:
-        if outcome.kind == "violation" and outcome.violation == exp.expect:
-            return None
-        return f"got {_show_outcome(outcome)}"
-    if exp.expect == "undecided":
-        if outcome.kind == "undecided":
-            return None
-        return f"got {_show_outcome(outcome)}"
-    expected = parse_value(exp.expect)
-    if outcome.ok and outcome.value == expected:
-        return None
-    return f"got {_show_outcome(outcome)}"
+        held = outcome.kind == "violation" and outcome.violation == exp.expect
+    elif exp.expect == "undecided":
+        held = outcome.kind == "undecided"
+    else:
+        expected = parse_value(exp.expect)
+        held = outcome.ok and outcome.value == expected
+    return None if held else f"got {_show_outcome(outcome)}"
 
 
 def expectation_suite(fuel: int | None = None) -> SuiteResult:
     result = SuiteResult("expectations")
-    # Each file is compiled once, however many expectations name it.
-    compiled: dict[str, Program | SourceError] = {}
     for exp in bundled_expectations():
-        if exp.file not in compiled:
-            try:
-                compiled[exp.file] = load_corpus_program(exp.file)
-            except SourceError as err:
-                compiled[exp.file] = err
-        program = compiled[exp.file]
         result.total += 1
-        if isinstance(program, SourceError):
-            mismatch = f"did not compile: {program}"
-        elif exp.direction == "check":
-            mismatch = _run_check_expectation(exp, program)
+        try:
+            program = load_corpus_program(exp.file)
+        except SourceError as err:
+            mismatch = f"did not compile: {err}"
         else:
-            mismatch = _run_value_expectation(exp, program, fuel)
+            if exp.direction == "check":
+                mismatch = _run_check_expectation(exp, program)
+            else:
+                mismatch = _run_value_expectation(exp, program, fuel)
         if mismatch is None:
             result.passed += 1
         else:

@@ -55,8 +55,21 @@ class Node(tuple):
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({shown})"
+        # The recursive form's text, from a stack of text and of what is left to show.
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+            else:
+                node = isinstance(x, Node)
+                labels = [f + "=" for f in x._fields] if node else [""] * len(x)
+                parts = [f"{type(x).__name__}(" if node else "("]
+                for i, (label, y) in enumerate(zip(labels, x)):  # a node's span is left out
+                    later = type(y) is tuple or isinstance(y, Node)
+                    parts += (", " * bool(i) + label, y if later else repr(y))
+                todo += reversed(parts + [",)" if len(labels) == 1 and not node else ")"])
+        return "".join(out)
 
     def __reduce__(self):  # copies and pickles: the fields alone, no cached state
         return type(self), tuple(self)
@@ -270,8 +283,8 @@ class Program(Node):
     @cached_property
     def _table(self) -> dict:
         """The interpreter's code for the functions called so far (see
-        `interp`), keyed by the `id()` of nodes this program owns, so a copy
-        starts without it."""
+        `interp`), keyed by the `id()` of nodes this program owns and by call
+        site for calls on values, so a copy starts without it."""
         return {}
 
     def function(self, name: str) -> FunDef | None:

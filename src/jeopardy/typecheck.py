@@ -206,6 +206,11 @@ def check_term(program: Program, sigma: TypingEnv, t: Term) -> str:
 
 
 def check_program(program: Program) -> TypeReport:
+    """Each function's verdict, once per program: the report is kept in its
+    instance dict beside `_table`, so copies and pickles leave it behind."""
+    report = program.__dict__.get("_report")
+    if report is not None:
+        return report
     verdicts = []
     for f in program.functions:
         diags: tuple[Diagnostic, ...] = ()
@@ -221,4 +226,5 @@ def check_program(program: Program) -> TypeReport:
         except SourceError as e:
             diags = tuple(e.diagnostics)
         verdicts.append(FunctionVerdict(f.name, not diags, diags))
-    return TypeReport(tuple(verdicts))
+    report = program.__dict__["_report"] = TypeReport(tuple(verdicts))
+    return report

@@ -19,7 +19,7 @@ from jeopardy.interp import (
 from jeopardy.parser import parse_term, parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.suites import bundled_expectations, load_corpus_program
-from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value
+from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value, subterms
 
 
 def nat(n):
@@ -227,7 +227,7 @@ class TestInverseEvaluation:
         for a, b in [(1, 1), (1, 2)]:
             out = run_main(prog, pair(nat(a), nat(b)), inverted=True)
             assert out.violation == LINEARITY_FAULT, (a, b)
-            assert "inferred more than once" in out.message
+            assert out.message == "variable 'n' inferred more than once"
         # fibber consumes m twice too, but the base output of fib-pair is
         # explained by its first, ground clause, so fibber is never inferred.
         out = run_main(fibpair, pair(nat(1), nat(1)), inverted=True)
@@ -251,6 +251,7 @@ class TestInference:
     def test_duplicate_inference_is_linearity_fault(self, arith):
         res = infer_env_down(arith, parse_term("[pair x x]"), pair(nat(0), nat(0)))
         assert res.kind == "violation" and res.violation == LINEARITY_FAULT
+        assert res.message == "variable 'x' inferred more than once"
 
     def test_not_body_oracle(self, invertibles):
         body = invertibles.function("not").body
@@ -537,30 +538,37 @@ class TestGroundLiteral:
         self, monkeypatch, invertibles, main, small, large, inverted
     ):
         """Counted as calls of the forward closures built for the program's
-        nodes (`_node`) and for the input (`_literal`)."""
-        calls = []
+        nodes (`_node`) and of the one that reads the input (`_literal(None)`);
+        the compiler never sees the input."""
+        calls, seen = [], []
 
-        def counted(build):
-            def wrapped(t, *rest):
-                down, infer = build(t, *rest)
+        def counted(t, down):
+            def counting(s, env, d, k):
+                calls.append(s.arg if t is None else t)
+                return down(s, env, d, k)
 
-                def counting(s, env, d, k):
-                    calls.append(t)
-                    return down(s, env, d, k)
+            return counting
 
-                return counting, infer
+        def node(t, *rest):
+            seen.append(t)
+            down, infer = build(t, *rest)
+            return counted(t, down), infer
 
-            return wrapped
+        def literal(t):
+            down, infer = build_literal(t)
+            return (down if t else counted(None, down)), infer
 
-        for name in ("_node", "_literal"):
-            monkeypatch.setattr(jeopardy.interp, name, counted(getattr(jeopardy.interp, name)))
+        build, build_literal = jeopardy.interp._node, jeopardy.interp._literal
+        monkeypatch.setattr(jeopardy.interp, "_node", node)
+        monkeypatch.setattr(jeopardy.interp, "_literal", literal)
         program = copy_of(invertibles, MainDecl(FunRef(main)))
         counts = []
         for value in (small, large):
             calls.clear()
             assert run_main(program, value, inverted=inverted).ok
             ground = [t for t in calls if isinstance(t, Con) and is_value(t)]
-            assert len(ground) == 1 and ground[0] is value, "only the literal's root"
+            assert len(ground) == 1 and ground[0] is value, "only the input's root"
+            assert not {id(t) for t in seen} & {id(t) for t in subterms((value,))}
             counts.append(len(calls))
         if main == "inc":
             assert counts[0] == counts[1], "independent of the literal's size"
@@ -625,6 +633,21 @@ class TestGroundnessAtEntry:
     def test_non_ground_input_is_rejected_before_evaluation(self, invertibles, call):
         with pytest.raises(ValueError):
             call(invertibles, self.HOLE)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, v: evaluate(p, Var("y"), {"y": v}),
+            lambda p, v: infer_env_down(p, Var("y"), v),
+            lambda p, v: run_main(p, v),
+        ],
+        ids=["evaluate", "infer_env_down", "run_main"],
+    )
+    def test_a_deep_hole_is_named_in_the_error(self, invertibles, call):
+        """The message shows the offending node, however deep it is."""
+        hole = Apply(FunRef("inc"), nat(300))
+        with pytest.raises(ValueError, match=r"^not a ground value: Apply\(ref="):
+            call(invertibles, Con("suc", (hole,)))
 
     def test_deep_value_in_inference_hits_the_depth_guard(self, invertibles):
         body = invertibles.function("mapsuc").body

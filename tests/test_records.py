@@ -167,6 +167,13 @@ def test_repr_is_the_dataclass_repr(record, shown):
     assert repr(record) == shown
 
 
+def test_repr_at_any_depth():
+    deep = ZERO
+    for _ in range(10_000):
+        deep = Con("suc", (deep,))
+    assert repr(deep) == "Con(name='suc', args=(" * 10_000 + repr(ZERO) + ",))" * 10_000
+
+
 def test_every_record_kind_is_covered():
     assert {type(r) for r in RECORDS} == set(MATCH_ARGS)
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import jeopardy
 import jeopardy.interp
-from jeopardy.diagnostics import SourceError
+from jeopardy.diagnostics import SourceError, Span
 from jeopardy.interp import MATCH_FAILURE, PSI_VIOLATION, Evaluator, _to_outcome, run_main
 from jeopardy.suites import ValueGenerator, corpus_file_names, load_corpus_program
 from jeopardy.syntax import Apply, Case, Con, FunRef, MainDecl, Var
+from jeopardy.typecheck import check_program
 
 from test_interp import balanced, copy_of, nat, ones, pair
 
@@ -302,13 +303,31 @@ class TestTable:
 
     @pytest.mark.parametrize("inverted", [False, True])
     def test_only_program_owned_nodes(self, invertibles, inverted):
+        """Nodes of the program by id, and calls on values by call site:
+        `(function, inversions, span)`, never the value."""
         program = with_main(invertibles, "mirror")
         value = balanced(3)
         if inverted:
             value = run_main(program, value).value
         assert run_main(program, value, inverted=inverted).ok
-        assert program._table and set(program._table) <= owned_ids(program)
+        sites = {key for key in program._table if type(key) is tuple}
+        assert ("mirror", int(inverted), value.span) in sites
+        assert {key[:2] for key in sites} <= {("mirror", 0), ("mirror", 1)}
+        assert program._table and set(program._table) - sites <= owned_ids(program)
         assert id(value) not in program._table
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_calls_on_distinct_values_share_one_entry(self, invertibles, inverted):
+        """Once `inc` is compiled (by a call at another site), 1,000 calls
+        on 1,000 distinct values grow the table by exactly one entry."""
+        program = with_main(invertibles, "inc")
+        ref = FunRef("inc", int(inverted))
+        assert jeopardy.evaluate(program, Apply(ref, nat(1), Span(1, 1))).ok
+        before = len(program._table)
+        for n in range(1, 1_001):
+            out = jeopardy.evaluate(program, Apply(ref, nat(n)))
+            assert out.value == nat(n - 1 if inverted else n + 1)
+        assert len(program._table) == before + 1
 
     def test_an_owned_body_is_compiled_once_and_reused(self, monkeypatch, invertibles):
         """As `suites.theorem_env_round_trip` evaluates and infers bodies."""
@@ -326,26 +345,30 @@ class TestTable:
 
     @pytest.mark.parametrize("inverted", [False, True])
     def test_a_foreign_term_is_compiled_per_call(self, monkeypatch, invertibles, inverted):
-        """`run_main`'s top `Apply` and a hand-built term are compiled at each
-        call and never enter the table."""
+        """A hand-built term with a variable is compiled at each call and
+        never enters the table; a call on a value, such as `run_main`'s, is
+        built once per call site and reused, without compiling its value."""
         program = with_main(invertibles, "mirror")
-        term = Apply(FunRef("mirror", int(inverted)), Con("pair", (balanced(1), Var("x"))))
+        pattern = Con("pair", (balanced(1), Var("x")))
+        term = Apply(FunRef("mirror", int(inverted)), pattern, Span(9, 9))
         built, applied = [], []
         compiled(monkeypatch, lambda t, down, infer: built.append(t) or (down, infer))
         apply = jeopardy.interp._apply
         monkeypatch.setattr(
-            jeopardy.interp, "_apply", lambda t, *rest: applied.append(t) or apply(t, *rest)
+            jeopardy.interp, "_apply", lambda *args: applied.append(args[:3]) or apply(*args)
         )
         value = balanced(1)
-        for _ in range(2):
+        for again in (False, True):
             built.clear()
             applied.clear()
             assert run_main(program, value, inverted=inverted).ok
             assert jeopardy.evaluate(program, term, {"x": nat(0)}).violation == MATCH_FAILURE
-            assert any(t.arg is value for t in applied)
+            site = ("mirror", int(inverted), value.span)
+            assert (site in applied) != again and site in program._table
             assert {id(term), id(term.arg)} <= {id(t) for t in built}
+            assert not any(t is value for t in built)
             assert id(term) not in program._table and id(term.arg) not in program._table
-        assert set(program._table) <= owned_ids(program)
+        assert {key for key in program._table if type(key) is not tuple} <= owned_ids(program)
 
     @pytest.mark.parametrize("file", ["invertibles.jeo", "arith.jeo"])
     @pytest.mark.parametrize("fuel", [100_000, 3])
@@ -376,13 +399,17 @@ class TestTable:
         assert fuel > 3 or "undecided" in kinds
 
     def test_kept_out_of_equality_and_copies(self, invertibles):
+        """The table, and the checker's report memoised beside it."""
         program = with_main(invertibles, "mirror")
         fresh = with_main(invertibles, "mirror")
         assert run_main(program, balanced(2)).ok
+        assert check_program(program) is check_program(program)
         assert program == fresh
         assert repr(program) == repr(fresh)
         for twin in (copy.deepcopy(program), pickle.loads(pickle.dumps(program))):
             assert twin == program and "_table" not in vars(twin)
+            assert "_report" not in vars(twin)
+            assert check_program(twin) == check_program(program)
 
 
 class TestInputWalk:
@@ -411,4 +438,5 @@ class TestInputWalk:
         assert run_main(program, value, inverted=inverted).ok
         assert walks == [value]
         assert bool(listed) != inverted and not any(t is value.args[0] for t in listed)
-        assert set(program._table) <= owned_ids(program) and id(value) not in program._table
+        owned = {key for key in program._table if type(key) is not tuple}
+        assert owned <= owned_ids(program) and id(value) not in program._table

@@ -73,17 +73,29 @@ class TestSuitesAreGreen:
         assert result.total == result.passed
 
     def test_expectations_compile_each_file_once(self, monkeypatch):
-        loaded = []
+        """`load_corpus_program`'s memo is the only cache: each file named is
+        compiled once, a broken one too, however many rows name it."""
+        names = {read_corpus_file(name): name for name in corpus_file_names()}
+        compiled = []
+        compile_source = suites.compile_source
 
-        def load(name):
-            loaded.append(name)
-            return load_corpus_program(name)
+        def compiling(src):
+            compiled.append(names[src])
+            if names[src] == "arith.jeo":
+                raise SourceError.single("P001", "broken")
+            return compile_source(src)
 
-        monkeypatch.setattr(suites, "load_corpus_program", load)
-        result = expectation_suite()
-        assert result.ok, result.failures
-        assert sorted(loaded) == sorted({e.file for e in bundled_expectations()})
-        assert result.total == len(bundled_expectations()) > len(loaded)
+        monkeypatch.setattr(suites, "compile_source", compiling)
+        suites._load.cache_clear()
+        try:
+            result = expectation_suite()
+            again = expectation_suite()
+        finally:
+            suites._load.cache_clear()
+        arith = [e for e in bundled_expectations() if e.file == "arith.jeo"]
+        assert result.failed == again.failed == len(arith) > 1, result.failures
+        assert sorted(compiled) == sorted({e.file for e in bundled_expectations()})
+        assert result.total == len(bundled_expectations()) > len(compiled)
 
     def test_file_that_does_not_compile_fails_its_expectations(self, monkeypatch):
         def load(name):
@@ -143,7 +155,7 @@ class TestDeterminism:
         monkeypatch.setattr(
             suites, "compile_source", lambda src: compiled.append(names[src]) or compile_source(src)
         )
-        suites.load_corpus_program.cache_clear()
+        suites._load.cache_clear()
         first = [r.summary_line() for r in run_suites(seed=3, cases=5)]
         node = jeopardy.interp._node
         monkeypatch.setattr(
