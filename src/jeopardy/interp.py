@@ -118,11 +118,11 @@ class Evaluator:
     takes; what the program settles is in the closures themselves.
 
     A compiled node is a pair of closures: `down(s, env, d, k)` evaluates
-    it under `env`, `infer(s, v, d, k)` infers an environment under which
-    it evaluates to `v`; `d` is the depth of the rule application and `k`
-    whether it runs inside a search, which inference always does.  Fuel is
-    spent by every rule application inside a search, none outside one;
-    nesting beyond `DEFAULT_MAX_DEPTH` is undecided.  `arg`: see `_on_value`.
+    it under `env`, `infer(s, v, d)` infers an environment under which it
+    evaluates to `v`; `d` is the depth of the rule application and `k`
+    whether the evaluation runs inside a search, as inference always does.
+    Fuel is spent by every rule application inside a search, none outside
+    one; nesting beyond `DEFAULT_MAX_DEPTH` is undecided.  `arg`: see `_on_value`.
     """
 
     __slots__ = ("fuel", "enforce_psi", "trace", "arg")
@@ -149,17 +149,13 @@ def _stop(d: int):
 _FATAL = (LINEARITY_FAULT, UNKNOWN_FUNCTION)
 
 
-def _union(envs, span: Span, what: str) -> Env:
-    """Disjoint union, checked by size; on a clash it names the first
-    variable bound twice, in the order the environments are given."""
-    out: Env = {}
-    for e in envs:
-        out |= e
-    if len(out) != sum(map(len, envs)):
-        names = [x for e in envs for x in e]
-        x = next(x for i, x in enumerate(names) if x in names[:i])
-        raise _Violation(LINEARITY_FAULT, f"variable {x!r} {what}", span)
-    return out
+def _join(env: Env, more: Env, span: Span) -> None:
+    """Add `more` to `env` in place, both fresh inference results the caller
+    owns; a clash names the first variable of `more` already bound."""
+    if not env.keys().isdisjoint(more):
+        x = next(x for x in more if x in env)
+        raise _Violation(LINEARITY_FAULT, f"variable {x!r} inferred more than once", span)
+    env.update(more)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +187,14 @@ def _compile(program: Program, roots, code: dict) -> dict:
     return code
 
 
-def _code(program: Program, t: Term, s: Evaluator | None = None) -> tuple:
-    """The closures of `t`: from the table when a function of `program`
-    owns it, else built for this call only, since the id of a foreign
-    term may later name another object.  A call on a value is `_on_value`'s,
-    handed the value in `s`, or without `s` by two entry closures."""
+def _code(program: Program, t: Term, s: Evaluator) -> tuple:
+    """The closures of `t` for the run `s`: from the table when a function
+    of `program` owns it, else built for this call only, since the id of a
+    foreign term may later name another object.  A call on a value is
+    `_on_value`'s, handed the value in `s.arg`."""
     if type(t) is Apply and is_value(t.arg):
-        code, v = _on_value(program, t.ref.base, t.ref.inversions, t.span), t.arg
-        if s is None:
-            return tuple(
-                lambda ev, x, d, k, go=go: setattr(ev, "arg", v) or go(ev, x, d, k) for go in code
-            )
-        s.arg = v
-        return code
+        s.arg = t.arg
+        return _on_value(program, t.ref.base, t.ref.inversions, t.span)
     code = program._table.get(id(t))
     if code is None:
         owner = [f for f in program.functions if t is f.body or t is f.param]
@@ -295,10 +286,10 @@ def _var(x: str, span: Span) -> tuple:
             s._emit("eval-variable", span, v)
         return v
 
-    def infer(s, v, d, k):
-        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+    def infer(s, v, d):
+        if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        s.fuel -= 1
         if s.trace is not None:
             s._emit("infer-variable", span, v)
         return {x: v}
@@ -321,10 +312,10 @@ def _literal(t: Con | None) -> tuple:
             _show(s, "eval-constructor", t or s.arg)
         return t or s.arg
 
-    def infer(s, v, d, k):
-        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+    def infer(s, v, d):
+        if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        s.fuel -= 1
         env = match(v) if match else unify(v, s.arg)
         if env is not None and s.trace is not None:
             _show(s, "infer-constructor", t or s.arg)
@@ -356,22 +347,23 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
             s._emit("eval-constructor", span, v)
         return v
 
-    def infer(s, v, d, k):
-        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+    def infer(s, v, d):
+        if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        s.fuel -= 1
         if v.name != c or len(v.args) != n:
             return None
         envs = []
         for arg, w in zip(infers, v.args):
-            e = arg(s, w, d + 1, True)
+            e = arg(s, w, d + 1)
             if e is None:
                 return None
             envs.append(e)
-        out = envs[0] if n == 1 else _union(envs, span, "inferred more than once")
+        for e in envs[1:]:
+            _join(envs[0], e, span)
         if s.trace is not None:
             s._emit("infer-constructor", span, v)
-        return out
+        return envs[0]
 
     return down, infer
 
@@ -383,10 +375,11 @@ def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program:
     f = program.function(base)
     if f is None:
 
-        def missing(s, x, d, k):
-            if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+        def missing(s, x, d, *k):  # either judgement; see `_step`
+            search = not k or k[0]
+            if d > DEFAULT_MAX_DEPTH or search and s.fuel <= 0:
                 _stop(d)
-            s.fuel -= k
+            s.fuel -= search
             raise _Violation(UNKNOWN_FUNCTION, f"unknown function {base!r}", span)
 
         levels = (missing,) * 4
@@ -395,25 +388,26 @@ def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program:
     for _ in range(inversions):
         down, up, infer, infer_up = levels
         levels = (
-            _step(up, "eval-invert", span, True),
-            _step(down, "inverse-invert", span, True),
-            _step(infer_up, "infer-invert", span, False),
-            _step(infer, "inverse-infer-invert", span, False),
+            _step(up, "eval-invert", span),
+            _step(down, "inverse-invert", span),
+            _step(infer_up, "infer-invert", span),
+            _step(infer, "inverse-infer-invert", span),
         )
     return levels[0], levels[2]
 
 
-def _step(inner, rule: str, span: Span, shows_result: bool):
-    """One `invert`: a rule application that runs `inner` one level deeper
-    and traces its result (evaluation) or the sought value (inference)."""
+def _step(inner, rule: str, span: Span):
+    """One `invert`: a rule application running `inner` one level deeper.  Evaluation
+    passes `k` on and traces the result; inference passes none and traces the sought value."""
 
-    def step(s, x, d, k):
-        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+    def step(s, x, d, *k):
+        search = not k or k[0]
+        if d > DEFAULT_MAX_DEPTH or search and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
-        out = inner(s, x, d + 1, k)
+        s.fuel -= search
+        out = inner(s, x, d + 1, *k)
         if s.trace is not None:
-            s._emit(rule, span, out if shows_result else x)
+            s._emit(rule, span, out if k else x)
         return out
 
     return step
@@ -445,7 +439,7 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
         s.fuel -= k
         v_out = arg_down(s, env, d + 1, k)
         infer_body, param_down = fn.legs[0]
-        inferred = infer_body(s, v_out, d + 1, True)
+        inferred = infer_body(s, v_out, d + 1)
         if inferred is None:
             raise _Violation(
                 MATCH_FAILURE, f"no preimage: {base!r} cannot produce {pretty_value(v_out)}", span
@@ -458,12 +452,12 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
     def search(leg: int, rule: str):
         # Infer one end of the function, evaluate the other inside the
         # search, then infer the argument from what that gives.
-        def infer(s, v, d, k):
-            if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+        def infer(s, v, d):
+            if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
                 _stop(d)
-            s.fuel -= k
+            s.fuel -= 1
             infer_end, eval_end = fn.legs[leg]
-            env = infer_end(s, v, d + 1, True)
+            env = infer_end(s, v, d + 1)
             if env is None:
                 return None
             try:
@@ -472,7 +466,7 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
                 if e.kind in _FATAL:
                     raise
                 return None
-            out = arg_infer(s, w, d + 1, True)
+            out = arg_infer(s, w, d + 1)
             if s.trace is not None:
                 s._emit(rule, span, v)
             return out
@@ -513,10 +507,7 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
             binding = match(v_sel)
             if binding is None:
                 continue
-            branch_env = env | binding
-            if len(branch_env) != len(env) + len(binding):
-                _union((env, binding), span, "rebound by a branch pattern")
-            v = body(s, branch_env, d + 1, k)
+            v = body(s, env | binding, d + 1, k)  # the pattern shadows, as the checker scopes it
             # psi is obligatory inside inference: a skipped check there
             # would let a non-unique derivation pass as found.
             if k or s.enforce_psi:
@@ -524,7 +515,7 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
                     if literal is not None:
                         if literal(v) is None:
                             continue
-                    elif hs is not None and v.name not in hs or probe(s, v, d + 1, True) is None:
+                    elif hs is not None and v.name not in hs or probe(s, v, d + 1) is None:
                         continue
                     raise _Violation(
                         PSI_VIOLATION, f"branch {j} can also produce {pretty_value(v)}", span
@@ -534,16 +525,16 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
             return v
         raise _Violation(MATCH_FAILURE, f"no branch matches {pretty_value(v_sel)}", span)
 
-    def infer(s, v, d, k):
+    def infer(s, v, d):
         # Commit to the first body able to produce v; the branch must then
         # survive its remaining premises without backtracking.
-        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+        if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        s.fuel -= 1
         for hs, body, pattern, drop, earlier in arms:
             if hs is not None and v.name not in hs:
                 continue
-            env_body = body(s, v, d + 1, True)
+            env_body = body(s, v, d + 1)
             if env_body is not None:
                 break
         else:
@@ -557,18 +548,15 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
         for match in earlier:  # an earlier pattern takes the selector value
             if match(v_sel) is not None:
                 return None
-        kept = env_body  # fresh, as every inference's result is: its caller owns it
-        for x in drop:
-            del kept[x]
-        env_sel = sel_infer(s, v_sel, d + 1, True)
+        for x in drop:  # `env_body` is fresh, as every inference's result is
+            del env_body[x]
+        env_sel = sel_infer(s, v_sel, d + 1)
         if env_sel is None:
             return None
-        if not kept.keys().isdisjoint(env_sel):
-            _union((kept, env_sel), span, "inferred more than once")
-        kept.update(env_sel)
+        _join(env_body, env_sel, span)
         if s.trace is not None:
             s._emit("infer-case", span, v)
-        return kept
+        return env_body
 
     return case_down, infer
 
@@ -609,7 +597,7 @@ def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Ou
 def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
     ensure_value(value)
     s = Evaluator(**opts)
-    return _to_infer_result(_code(program, term, s)[1], s, value, 1, True)
+    return _to_infer_result(_code(program, term, s)[1], s, value, 1)
 
 
 def run_main(

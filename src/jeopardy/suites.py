@@ -5,7 +5,8 @@ corpus programs, the environment-inference round trip on every accepted
 function body, the inversion round trip on the invertible functions,
 and parse/print stability.  All generation is seeded, so two runs with
 the same seed produce identical summaries.  Each corpus file is compiled
-once per process, and its functions once into that program.
+once per process, and its functions once into that program; the recorded
+expectations are read, and their values parsed, once per process too.
 """
 
 from __future__ import annotations
@@ -232,8 +233,15 @@ def parse_expectations(text: str) -> list[Expectation]:
     return out
 
 
-def bundled_expectations() -> list[Expectation]:
-    return parse_expectations(read_corpus_file("expectations.txt"))
+@cache
+def bundled_expectations() -> tuple[Expectation, ...]:
+    """Read once per process, like each row's values (`_value`)."""
+    return tuple(parse_expectations(read_corpus_file("expectations.txt")))
+
+
+@cache
+def _value(text: str) -> Con:
+    return parse_value(text)
 
 
 def _run_check_expectation(exp: Expectation, program: Program) -> str | None:
@@ -250,7 +258,7 @@ def _run_check_expectation(exp: Expectation, program: Program) -> str | None:
 
 
 def _run_value_expectation(exp: Expectation, program: Program, fuel: int | None) -> str | None:
-    value = parse_value(exp.value_text)
+    value = _value(exp.value_text)
     opts = {} if fuel is None else {"fuel": fuel}
     outcome = run_main(
         program,
@@ -264,8 +272,7 @@ def _run_value_expectation(exp: Expectation, program: Program, fuel: int | None)
     elif exp.expect == "undecided":
         held = outcome.kind == "undecided"
     else:
-        expected = parse_value(exp.expect)
-        held = outcome.ok and outcome.value == expected
+        held = outcome.ok and outcome.value == _value(exp.expect)
     return None if held else f"got {_show_outcome(outcome)}"
 
 

@@ -11,8 +11,10 @@ interpretation) only ever sees the core layer:
     callable g ::= f | (invert g)
 
 A value is a ground pattern.  Environments map variable names to values
-and are treated linearly: the interpreter joins them by disjoint union
-and faults on any overlap, even an agreeing one.
+and are treated linearly: inference joins them by disjoint union and
+faults on any overlap, even an agreeing one.  In forward evaluation a
+branch pattern shadows the outer variables it names, as the checker
+scopes them.
 """
 
 from __future__ import annotations
@@ -135,9 +137,6 @@ class FunRef(Node):
 
     def __new__(cls, base: str, inversions: int = 0, span: Span = NO_SPAN):
         return tuple.__new__(cls, (base, inversions, span))
-
-    def invert(self) -> "FunRef":
-        return FunRef(self.base, self.inversions + 1, self.span)
 
     @property
     def inverted(self) -> bool:

@@ -13,7 +13,7 @@ import jeopardy
 from jeopardy.cli import main
 from jeopardy.suites import read_corpus_file
 
-from test_interp import DEEP_BODY
+from test_interp import DEEP_BODY, SHADOWING
 
 CORPUS = [
     "arith.jeo",
@@ -83,6 +83,16 @@ class TestRun:
             capsys, "run", "--invert", str(corpus_dir / "invertibles.jeo"), "[false]"
         )
         assert (code, out) == (0, "[true]\n")
+
+    @pytest.mark.parametrize(
+        "main, x, y", [("dec", "[suc [zero]]", "[zero]"), ("twice", "[zero]", "[suc [suc [zero]]]")]
+    )
+    def test_a_shadowing_pattern_runs_both_ways(self, capsys, tmp_path, main, x, y):
+        path = tmp_path / f"{main}.jeo"
+        path.write_text(SHADOWING.replace("main dec.", f"main {main}."), encoding="utf-8")
+        assert run_cli(capsys, "check", str(path)) == (0, "", "")
+        assert run_cli(capsys, "run", str(path), x) == (0, f"{y}\n", "")
+        assert run_cli(capsys, "run", "--invert", str(path), y) == (0, f"{x}\n", "")
 
     def test_violation_exits_1_and_keeps_stdout_clean(self, capsys, corpus_dir):
         code, out, err = run_cli(

@@ -20,6 +20,7 @@ from jeopardy.parser import parse_term, parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.suites import bundled_expectations, load_corpus_program
 from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value, subterms
+from jeopardy.typecheck import check_program
 
 
 def nat(n):
@@ -92,12 +93,14 @@ class TestForwardEvaluation:
         out = evaluate(arith, term, {"n": nat(2)})
         assert out.violation == MATCH_FAILURE
 
-    def test_branch_pattern_rebinding_faults(self, arith):
-        # The branch body sees the whole outer environment, so a pattern
-        # variable colliding with an outer name is a linearity fault.
+    def test_branch_pattern_shadows(self, arith):
+        # A pattern variable shadows an outer name, as the checker scopes
+        # it; inference gives the outer name back.
         term = parse_term("case n : nat of n -> n")
         out = evaluate(arith, term, {"n": nat(1)})
-        assert out.violation == LINEARITY_FAULT
+        assert ok_value(out) == nat(1)
+        inferred = infer_env_down(arith, term, nat(1))
+        assert inferred.found and inferred.env == {"n": nat(1)}
 
     def test_environment_not_consumed_by_selector(self, fibpair):
         # fibber's lifted case evaluates add (m, n) as its selector, yet
@@ -236,6 +239,41 @@ class TestInverseEvaluation:
     def test_unknown_function_in_inverse(self, arith):
         out = evaluate(arith, Apply(FunRef("ghost", 1), nat(0)))
         assert out.violation == UNKNOWN_FUNCTION
+
+
+# `dec`'s branch pattern and `twice`'s `let` pattern rebind the variable
+# their selector consumes.
+SHADOWING = """\
+data nat = [zero] [suc nat].
+inc (n : nat) : nat = [suc n].
+dec (x : nat) : nat = case x : nat of [suc x] -> x.
+twice (x : nat) : nat = let x = inc x in inc x.
+main dec.
+"""
+
+
+class TestShadowing:
+    """A pattern that rebinds a consumed variable shadows it, as the checker
+    scopes it, so the functions it accepts run forward, inverted, and back."""
+
+    @pytest.mark.parametrize(
+        "name, x, y", [("dec", 1, 0), ("dec", 3, 2), ("twice", 0, 2), ("twice", 2, 4)]
+    )
+    def test_runs_both_ways(self, name, x, y):
+        program = jeopardy.compile_source(SHADOWING)
+        assert check_program(program).accepted
+        program = copy_of(program, MainDecl(FunRef(name)))
+        assert ok_value(run_main(program, nat(x))) == nat(y)
+        back = run_main(program, nat(y), inverted=True)
+        assert ok_value(back) == nat(x)
+        assert ok_value(run_main(program, back.value)) == nat(y)
+
+    def test_outside_the_domain_and_the_image(self):
+        program = jeopardy.compile_source(SHADOWING)
+        dec, twice = (copy_of(program, MainDecl(FunRef(f))) for f in ("dec", "twice"))
+        assert run_main(dec, nat(0)).violation == MATCH_FAILURE
+        for y in (0, 1):
+            assert run_main(twice, nat(y), inverted=True).violation == MATCH_FAILURE
 
 
 class TestInference:
@@ -519,7 +557,7 @@ class TestGroundLiteral:
         for fuel in range(21):
             lines = []
             ev = Evaluator(fuel=fuel, trace=lines.append if traced else None)
-            down = jeopardy.interp._code(program, Apply(FunRef("pick", 1), Con(result)))[0]
+            down = jeopardy.interp._code(program, Apply(FunRef("pick", 1), Con(result)), ev)[0]
             out = jeopardy.interp._to_outcome(lambda: down(ev, {}, 1, False))
             if fuel < 4:
                 assert (out.kind, out.message, ev.fuel) == ("undecided", "fuel exhausted", 0)

@@ -3,10 +3,11 @@
 The generator draws typed, linear programs over `nat` and `tree`: one to
 three functions of one to three clauses each, whose bodies use every
 pattern variable exactly once, in constructors, calls of earlier
-functions, `let` and `case` on a call.  A function calls itself only on a
-variable bound strictly inside its pattern, so forward evaluation
-terminates.  On every program the checker accepts, every function must
-satisfy
+functions, `let` and `case` on a call.  A `let` or branch pattern may
+rebind, and so shadow, a variable that its bound term or selector
+consumes.  A function calls itself only on a variable bound strictly
+inside its pattern, so forward evaluation terminates.  On every program
+the checker accepts, every function must satisfy
 
 1. forward success => inverting the result gives the input back, or is
    undecided;
@@ -49,21 +50,29 @@ class Draft:
         self.functions = []  # (name, argument type, result type), callable by later ones
         self.fresh = 0
 
-    def var(self):
+    def var(self, ty, shadow):
+        """A fresh name, or sometimes the name of a variable of type `ty` in
+        `shadow`, taken out of it so that one pattern binds it once."""
+        same = [v for v in shadow if v[1] == ty]
+        if same and self.draw(st.booleans()):
+            v = self.draw(st.sampled_from(same))
+            shadow.remove(v)
+            return v[0]
         self.fresh += 1
         return f"x{self.fresh}"
 
-    def pattern(self, ty, depth, argument=False, inside=False):
+    def pattern(self, ty, depth, argument=False, inside=False, shadow=()):
         """A pattern of type `ty` and its variables as (name, type, sub):
         `sub` marks a variable bound strictly inside a function's argument
-        pattern, the only kind a function may call itself on."""
+        pattern, the only kind a function may call itself on.  Its variables
+        may rebind names from `shadow`, variables consumed just before."""
         if depth == 0 or self.draw(st.integers(0, 2)) == 0:
-            name = self.var()
+            name = self.var(ty, shadow)
             return name, [(name, ty, argument and inside)]
         ctor, arg_types = self.draw(st.sampled_from(SIGNATURE[ty]))
         texts, names = [ctor], []
         for arg_ty in arg_types:
-            text, bound = self.pattern(arg_ty, depth - 1, argument, True)
+            text, bound = self.pattern(arg_ty, depth - 1, argument, True, shadow)
             texts.append(text)
             names += bound
         return f"[{' '.join(texts)}]", names
@@ -152,7 +161,7 @@ class Draft:
     def let(self, me, ty, names, depth):
         bound_ty = self.draw(st.sampled_from(TYPES))
         used, rest = self.split(names)
-        pattern, bound = self.pattern(bound_ty, 1)
+        pattern, bound = self.pattern(bound_ty, 1, shadow=list(used))
         if not (self.feasible(me, bound_ty, used) and self.feasible(me, ty, rest + bound)):
             return None
         value = self.term(me, bound_ty, used, depth)
@@ -169,7 +178,7 @@ class Draft:
         arg = used[0][0] if arg_ty is None else self.term(me, arg_ty, used, depth)
         branches = []
         for _ in range(self.draw(st.integers(1, 3))):
-            pattern, bound = self.pattern(sel_ty, 2)
+            pattern, bound = self.pattern(sel_ty, 2, shadow=list(used))
             if not self.feasible(me, ty, rest + bound):
                 return None
             branches.append(f"{pattern} -> {self.term(me, ty, rest + bound, depth)}")

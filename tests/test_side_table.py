@@ -28,7 +28,7 @@ def observe(program, term, fuel, psi, traced):
     """Everything a run shows: its outcome, the fuel left and the trace."""
     lines = []
     ev = Evaluator(fuel=fuel, enforce_psi=psi, trace=lines.append if traced else None)
-    down = jeopardy.interp._code(program, term)[0]
+    down = jeopardy.interp._code(program, term, ev)[0]
     out = _to_outcome(lambda: down(ev, {}, 1, False))
     return out.kind, out.violation, out.message, out.span, out.value, ev.fuel, lines
 
@@ -187,10 +187,10 @@ def psi_searches(monkeypatch):
     calls = []
 
     def wrap(t, down, infer):
-        def counting(s, v, d, k):
+        def counting(s, v, d):
             if sys._getframe(1).f_code.co_name == "case_down":
                 calls.append(t)
-            return infer(s, v, d, k)
+            return infer(s, v, d)
 
         return down, counting
 
@@ -316,6 +316,19 @@ class TestTable:
         assert program._table and set(program._table) - sites <= owned_ids(program)
         assert id(value) not in program._table
 
+    @pytest.mark.parametrize("program, f", corpus())
+    def test_inference_takes_no_search_flag(self, program, f):
+        """Inference is always a search, so only evaluation takes a `k`: every
+        inference closure the runs leave in the table takes `(s, v, d)`."""
+        program = with_main(program, f.name)
+        gen = ValueGenerator(program, random.Random(f.name), max_depth=4)
+        for inverted in (False, True):
+            value = gen.value(f.result_type if inverted else f.arg_type)
+            run_main(program, value, inverted=inverted)
+        assert (f.name, 1, value.span) in program._table  # an `invert` step among them
+        infers = [code[1] for code in program._table.values() if type(code) is tuple]
+        assert {infer.__code__.co_argcount for infer in infers} == {3}
+
     @pytest.mark.parametrize("inverted", [False, True])
     def test_calls_on_distinct_values_share_one_entry(self, invertibles, inverted):
         """Once `inc` is compiled (by a call at another site), 1,000 calls
@@ -378,9 +391,10 @@ class TestTable:
         the same outcome, trace and fuel left.  At fuel 3 some runs are
         undecided, and compared too."""
 
-        def run(down):
+        def run(build):
             lines = []
             ev = Evaluator(fuel=fuel, trace=lines.append)
+            down = build(ev)
             return _to_outcome(lambda: down(ev, {}, 1, False)), lines, ev.fuel
 
         program = load_corpus_program(file)
@@ -390,11 +404,12 @@ class TestTable:
             for inversions, type_name in ((0, f.arg_type), (1, f.result_type)):
                 for _ in range(5):
                     term = Apply(FunRef(f.name, inversions), gen.value(type_name))
-                    expected = run(jeopardy.interp._compile(program, (term,), {})[id(term)][0])
+                    compiled = jeopardy.interp._compile(program, (term,), {})[id(term)][0]
+                    expected = run(lambda ev: compiled)
                     lines = []
                     out = jeopardy.evaluate(program, term, fuel=fuel, trace=lines.append)
                     assert (out, lines) == expected[:2], (f.name, inversions)
-                    assert run(jeopardy.interp._code(program, term)[0]) == expected
+                    assert run(lambda ev: jeopardy.interp._code(program, term, ev)[0]) == expected
                     kinds.add(out.kind)
         assert fuel > 3 or "undecided" in kinds
 

@@ -97,6 +97,20 @@ class TestSuitesAreGreen:
         assert sorted(compiled) == sorted({e.file for e in bundled_expectations()})
         assert result.total == len(bundled_expectations()) > len(compiled)
 
+    def test_rows_are_read_and_parsed_once_per_process(self, monkeypatch):
+        """After one run, a second reads no file and parses no value."""
+        parsed, read = [], []
+        parse, read_file = suites.parse_value, suites.read_corpus_file
+        monkeypatch.setattr(suites, "parse_value", lambda t: parsed.append(t) or parse(t))
+        monkeypatch.setattr(suites, "read_corpus_file", lambda n: read.append(n) or read_file(n))
+        suites._value.cache_clear()
+        assert expectation_suite().ok
+        assert parsed and len(parsed) == len(set(parsed))
+        parsed.clear()
+        read.clear()
+        assert expectation_suite().ok
+        assert (parsed, read) == ([], [])
+
     def test_file_that_does_not_compile_fails_its_expectations(self, monkeypatch):
         def load(name):
             if name == "arith.jeo":

@@ -61,10 +61,9 @@ class TestShapes:
         assert pattern_vars(p) == ["x", "x"]
 
     def test_fun_ref_parity(self):
-        ref = FunRef("f")
-        assert not ref.inverted
-        assert ref.invert().inverted
-        assert not ref.invert().invert().inverted
+        assert not FunRef("f").inverted
+        assert FunRef("f", 1).inverted
+        assert not FunRef("f", 2).inverted
 
 
 class TestDeepValues:
