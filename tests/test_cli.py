@@ -411,3 +411,24 @@ class TestTest:
         _, first, _ = run_cli(capsys, "test", "--seed", "42", "--cases", "15")
         _, second, _ = run_cli(capsys, "test", "--seed", "42", "--cases", "15")
         assert first == second
+
+    def test_failures_show_five_counterexamples(self, capsys, monkeypatch):
+        """Each value row of the expectations is undecided: eleven failures."""
+        undecided = jeopardy.Outcome("undecided", message="forced")
+        monkeypatch.setattr("jeopardy.suites.run_main", lambda *a, **k: undecided)
+        code, out, err = run_cli(capsys, "test", "--filter", "expectations")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "expectations: FAIL total=17 passed=6 failed=11 skipped=0 undecided=0",
+            "  counterexample: arith.jeo forward ([zero], [suc [zero]]) [enforce] -> [suc [zero]]:"
+            " got undecided: forced",
+            "  counterexample: arith.jeo forward ([zero], [zero]) [enforce] -> [zero]:"
+            " got undecided: forced",
+            "  counterexample: arith.jeo forward ([suc [zero]], [zero]) [enforce] -> PsiViolation:"
+            " got undecided: forced",
+            "  counterexample: arith.jeo invert [suc [zero]] [enforce] -> ([zero], [suc [zero]]):"
+            " got undecided: forced",
+            "  counterexample: invertibles.jeo forward [true] [enforce] -> [false]:"
+            " got undecided: forced",
+            "  ... and 6 more",
+        ]

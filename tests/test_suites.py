@@ -7,6 +7,7 @@ import pytest
 import jeopardy.interp
 from jeopardy import suites
 from jeopardy.diagnostics import SourceError
+from jeopardy.interp import InferResult, Outcome
 from jeopardy.suites import (
     SuiteResult,
     ValueGenerator,
@@ -22,6 +23,7 @@ from jeopardy.suites import (
     run_suites,
     theorem_env_round_trip,
 )
+from jeopardy.syntax import Con
 
 
 def test_corpus_inventory():
@@ -199,6 +201,178 @@ def test_check_expectation_mismatch_messages(row, mismatch):
     (exp,) = parse_expectations(row)
     program = load_corpus_program(exp.file)
     assert suites._run_check_expectation(exp, program) == mismatch
+
+
+UNDECIDED = Outcome("undecided", message="forced")
+FAULT = Outcome("violation", violation="MatchFailure", message="forced")
+BOGUS = Outcome("success", value=Con("bogus"))
+
+
+def report(result, shown=1):
+    """The summary line and the first `shown` failure lines."""
+    return [result.summary_line(), *result.failures[:shown]]
+
+
+class TestFailureReports:
+    """Each way a suite case can fail or stay undecided, forced by a stub
+    in place of the call that decides it, reports these exact lines."""
+
+    @pytest.mark.parametrize(
+        "stub, lines",
+        [
+            (
+                {"evaluate": lambda *a: UNDECIDED},
+                [
+                    "env-inference-round-trip: FAIL total=10 passed=0 failed=0 skipped=0 undecided=10",
+                    "arith.jeo:add under {%0 = ([zero], [suc [zero]])}: forward undecided",
+                ],
+            ),
+            (
+                {"infer_env_down": lambda *a: InferResult("undecided", message="forced")},
+                [
+                    "env-inference-round-trip: FAIL total=10 passed=0 failed=0 skipped=2 undecided=8",
+                    "arith.jeo:add under {%0 = ([zero], [suc [zero]])}: inference undecided",
+                ],
+            ),
+            (
+                {"infer_env_down": lambda *a: InferResult("found", {})},
+                [
+                    "env-inference-round-trip: FAIL total=10 passed=0 failed=8 skipped=2 undecided=0",
+                    "arith.jeo:add: evaluated {%0 = ([zero], [suc [zero]])} to [suc [zero]], inferred {}",
+                ],
+            ),
+            (
+                {"infer_env_down": lambda *a: InferResult("none")},
+                [
+                    "env-inference-round-trip: FAIL total=10 passed=0 failed=8 skipped=2 undecided=0",
+                    "arith.jeo:add: evaluated {%0 = ([zero], [suc [zero]])} to [suc [zero]], inferred none",
+                ],
+            ),
+        ],
+    )
+    def test_env_round_trip(self, monkeypatch, stub, lines):
+        for name, fn in stub.items():
+            monkeypatch.setattr(suites, name, fn)
+        assert report(theorem_env_round_trip(seed=1, cases=1)) == lines
+
+    def test_env_round_trip_replay(self, monkeypatch):
+        """The evaluation after each inference, the replay, faults."""
+        infer, evaluate, replaying = suites.infer_env_down, suites.evaluate, []
+
+        def inferring(*args):
+            replaying.append(True)
+            return infer(*args)
+
+        def evaluating(*args):
+            return FAULT if replaying and replaying.pop() else evaluate(*args)
+
+        monkeypatch.setattr(suites, "infer_env_down", inferring)
+        monkeypatch.setattr(suites, "evaluate", evaluating)
+        assert report(theorem_env_round_trip(seed=1, cases=1)) == [
+            "env-inference-round-trip: FAIL total=10 passed=0 failed=8 skipped=2 undecided=0",
+            "arith.jeo:add: replay of inferred environment gave MatchFailure: forced",
+        ]
+
+    @pytest.mark.parametrize(
+        "inversions, stub, lines",
+        [
+            (
+                0,
+                FAULT,
+                [
+                    "inversion-round-trip: FAIL total=10 passed=0 failed=10 skipped=0 undecided=0",
+                    "not [true]: MatchFailure: forced",
+                    "not ((invert not) [true]): expected [true], got MatchFailure: forced",
+                ],
+            ),
+            (
+                1,
+                BOGUS,
+                [
+                    "inversion-round-trip: FAIL total=10 passed=0 failed=10 skipped=0 undecided=0",
+                    "(invert not) (not [true]): expected [true], got [bogus]",
+                    "not ((invert not) [true]): expected [true], got MatchFailure: no branch matches [bogus]",
+                ],
+            ),
+            (
+                1,
+                UNDECIDED,
+                [
+                    "inversion-round-trip: FAIL total=10 passed=0 failed=5 skipped=0 undecided=5",
+                    "(invert not) (not [true]): expected [true], got undecided: forced",
+                    "(invert not) [true]: undecided",
+                ],
+            ),
+        ],
+    )
+    def test_inversion_round_trip(self, monkeypatch, inversions, stub, lines):
+        """Every call in one direction gives `stub`."""
+        evaluate = suites.evaluate
+        monkeypatch.setattr(
+            suites,
+            "evaluate",
+            lambda p, t, *a: stub if t.ref.inversions == inversions else evaluate(p, t, *a),
+        )
+        assert report(corollary_inversion_round_trip(seed=1, cases=1), 2) == lines
+
+    def test_inversion_round_trip_forward_after_the_inverse(self, monkeypatch):
+        """Only a forward call on what the inverse just returned is wrong."""
+        evaluate, last = suites.evaluate, [None]
+
+        def evaluating(p, t, *a):
+            again = t.ref.inversions == 0 and t.arg is last[0]
+            out = evaluate(p, t, *a)
+            last[0] = out.value if t.ref.inversions else None
+            return BOGUS if again else out
+
+        monkeypatch.setattr(suites, "evaluate", evaluating)
+        assert report(corollary_inversion_round_trip(seed=1, cases=1), 2) == [
+            "inversion-round-trip: FAIL total=10 passed=5 failed=5 skipped=0 undecided=0",
+            "not ((invert not) [true]): expected [true], got [bogus]",
+            "inc ((invert inc) [suc [zero]]): expected [suc [zero]], got [bogus]",
+        ]
+
+    @pytest.mark.parametrize(
+        "printing, line",
+        [
+            (
+                lambda pretty, p, n: "f (",
+                "arith.jeo: printed form does not parse: <input>:1:4: error[P001]:"
+                " expected a pattern, found end of input",
+            ),
+            (
+                lambda pretty, p, n: pretty(p) + "\ndata extra = [x].\n",
+                "arith.jeo: reparsed program differs",
+            ),
+            (
+                lambda pretty, p, n: pretty(p) + "\n" * (n % 2 == 0),
+                "arith.jeo: printing is not stable",
+            ),
+        ],
+    )
+    def test_parse_print_round_trip(self, monkeypatch, printing, line):
+        """`printing` prints a file's program in place of `pretty_program`;
+        `n` counts the printings so far, so an even `n` is a reprinting."""
+        pretty, printed = suites.pretty_program, []
+
+        def counting(p):
+            printed.append(p)
+            return printing(pretty, p, len(printed))
+
+        monkeypatch.setattr(suites, "pretty_program", counting)
+        assert report(parse_print_round_trip()) == [
+            "parse-print-round-trip: FAIL total=6 passed=0 failed=6 skipped=0 undecided=0",
+            line,
+        ]
+
+    def test_expectation_mismatch(self, monkeypatch):
+        monkeypatch.setattr(suites, "run_main", lambda *a, **k: UNDECIDED)
+        assert report(expectation_suite(), 2) == [
+            "expectations: FAIL total=17 passed=6 failed=11 skipped=0 undecided=0",
+            "arith.jeo forward ([zero], [suc [zero]]) [enforce] -> [suc [zero]]:"
+            " got undecided: forced",
+            "arith.jeo forward ([zero], [zero]) [enforce] -> [zero]: got undecided: forced",
+        ]
 
 
 class TestValueGenerator:
