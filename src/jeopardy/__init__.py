@@ -29,12 +29,17 @@ from .interp import (
 )
 from .parser import parse_program, parse_value
 from .pretty import pretty_value
-from .suites import compile_source
 from .syntax import Con, Program
 from .typecheck import TypeReport, check_program
 from .validate import validate
 
 __version__ = "0.1.0"
+
+
+def compile_source(source: str) -> Program:
+    """Parse, desugar, and validate a program text."""
+    return validate(desugar(parse_program(source)))
+
 
 __all__ = [
     "LINEARITY_FAULT",

@@ -12,12 +12,12 @@ import argparse
 import os
 import sys
 
+from . import compile_source
 from .astjson import emit_ast
 from .diagnostics import Diagnostic, SourceError
 from .interp import run_main
 from .parser import parse_value
 from .pretty import pretty_value
-from .suites import compile_source, run_suites
 from .syntax import Con, Program
 from .typecheck import TypeReport, check_program
 
@@ -146,6 +146,8 @@ def cmd_ast(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    from .suites import run_suites  # the harness loads for this command only
+
     results = run_suites(
         seed=args.seed,
         cases=args.cases,

@@ -4,9 +4,13 @@ Four suites back the `test` subcommand: recorded expectations for the
 corpus programs, the environment-inference round trip on every accepted
 function body, the inversion round trip on the invertible functions,
 and parse/print stability.  All generation is seeded, so two runs with
-the same seed produce identical summaries.  Each corpus file is compiled
-once per process, and its functions once into that program; the recorded
-expectations are read, and their values parsed, once per process too.
+the same seed produce identical summaries.  Each case is a call that
+returns its verdict (passed, skipped, failed or undecided) and, for the
+last two only, the counterexample's text; `SuiteResult.record` counts it.
+Each corpus file is compiled once per process, and its functions once
+into that program; the recorded expectations are read, and their values
+parsed, once per process too.  Neither `import jeopardy` nor the other
+commands load this module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import cache
 from importlib import resources
 from typing import NamedTuple
 
-from .desugar import desugar
+from . import compile_source
 from .diagnostics import NO_SPAN, SourceError
 from .interp import (
     LINEARITY_FAULT,
@@ -31,20 +35,14 @@ from .interp import (
 )
 from .parser import parse_program, parse_value
 from .pretty import pretty_program, pretty_value
-from .syntax import Apply, Con, Ctor, Env, FunRef, Program
+from .syntax import Apply, Con, Ctor, Env, FunRef, Program, Term
 from .typecheck import bind_types, check_program
-from .validate import validate
 
 VIOLATION_KINDS = frozenset(
     {MATCH_FAILURE, PSI_VIOLATION, LINEARITY_FAULT, UNBOUND_VARIABLE, UNKNOWN_FUNCTION}
 )
 
 MAX_VALUE_DEPTH = 6
-
-
-def compile_source(source: str) -> Program:
-    """Parse, desugar, and validate a program text."""
-    return validate(desugar(parse_program(source)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +150,22 @@ def _derived_rng(seed: int, *parts: str) -> random.Random:
 
 
 class SuiteResult:
-    def __init__(
-        self,
-        name: str,
-        total: int = 0,
-        passed: int = 0,
-        failed: int = 0,
-        skipped: int = 0,
-        undecided: int = 0,
-        failures: list[str] | None = None,
-    ):
-        self.name, self.total, self.passed, self.failed = name, total, passed, failed
-        self.skipped, self.undecided = skipped, undecided
-        self.failures = [] if failures is None else failures
+    def __init__(self, name: str):
+        self.name = name
+        self.total = self.passed = self.failed = self.skipped = self.undecided = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:
         return self.failed == 0 and self.undecided == 0
 
-    def fail(self, detail: str) -> None:
-        self.failed += 1
-        self.failures.append(detail)
+    def record(self, verdict: str, detail: str = "") -> None:
+        """Count one case as "passed", "skipped", "failed" or "undecided";
+        a failed or undecided case keeps `detail`, its counterexample."""
+        self.total += 1
+        setattr(self, verdict, getattr(self, verdict) + 1)
+        if verdict == "failed" or verdict == "undecided":
+            self.failures.append(detail)
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
@@ -279,7 +272,6 @@ def _run_value_expectation(exp: Expectation, program: Program, fuel: int | None)
 def expectation_suite(fuel: int | None = None) -> SuiteResult:
     result = SuiteResult("expectations")
     for exp in bundled_expectations():
-        result.total += 1
         try:
             program = load_corpus_program(exp.file)
         except SourceError as err:
@@ -290,9 +282,9 @@ def expectation_suite(fuel: int | None = None) -> SuiteResult:
             else:
                 mismatch = _run_value_expectation(exp, program, fuel)
         if mismatch is None:
-            result.passed += 1
+            result.record("passed")
         else:
-            result.fail(f"{exp.label()}: {mismatch}")
+            result.record("failed", f"{exp.label()}: {mismatch}")
     return result
 
 
@@ -305,49 +297,36 @@ def expectation_suite(fuel: int | None = None) -> SuiteResult:
 # statement about successful evaluations.
 
 
+def _env_case(program: Program, body: Term, where: str, env: Env) -> tuple[str, str]:
+    forward = evaluate(program, body, dict(env))
+    if forward.kind == "violation":
+        return "skipped", ""
+    if forward.kind == "undecided":
+        return "undecided", f"{where} under {_show_env(env)}: forward undecided"
+    assert forward.value is not None
+    inferred = infer_env_down(program, body, forward.value)
+    if inferred.kind == "undecided":
+        return "undecided", f"{where} under {_show_env(env)}: inference undecided"
+    if not inferred.found or inferred.env != env:
+        got = _show_env(inferred.env) if inferred.found else inferred.kind
+        return "failed", (
+            f"{where}: evaluated {_show_env(env)} to {pretty_value(forward.value)}, inferred {got}"
+        )
+    replay = evaluate(program, body, dict(inferred.env))
+    if not replay.ok or replay.value != forward.value:
+        return "failed", f"{where}: replay of inferred environment gave {_show_outcome(replay)}"
+    return "passed", ""
+
+
 def theorem_env_round_trip(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("env-inference-round-trip")
     for name, program in accepted_corpus_programs():
         for f in program.functions:
-            rng = _derived_rng(seed, "env", name, f.name)
-            generator = ValueGenerator(program, rng)
+            generator = ValueGenerator(program, _derived_rng(seed, "env", name, f.name))
             typing = bind_types(program, f.param, f.arg_type)
             for _ in range(cases):
                 env = {x: generator.value(typing[x]) for x in sorted(typing)}
-                result.total += 1
-                forward = evaluate(program, f.body, dict(env))
-                if forward.kind == "violation":
-                    result.skipped += 1
-                    continue
-                if forward.kind == "undecided":
-                    result.undecided += 1
-                    result.failures.append(
-                        f"{name}:{f.name} under {_show_env(env)}: forward undecided"
-                    )
-                    continue
-                assert forward.value is not None
-                inferred = infer_env_down(program, f.body, forward.value)
-                if inferred.kind == "undecided":
-                    result.undecided += 1
-                    result.failures.append(
-                        f"{name}:{f.name} under {_show_env(env)}: inference undecided"
-                    )
-                    continue
-                if not inferred.found or inferred.env != env:
-                    got = _show_env(inferred.env) if inferred.found else inferred.kind
-                    result.fail(
-                        f"{name}:{f.name}: evaluated {_show_env(env)}"
-                        f" to {pretty_value(forward.value)}, inferred {got}"
-                    )
-                    continue
-                replay = evaluate(program, f.body, dict(inferred.env))
-                if not replay.ok or replay.value != forward.value:
-                    result.fail(
-                        f"{name}:{f.name}: replay of inferred environment"
-                        f" gave {_show_outcome(replay)}"
-                    )
-                    continue
-                result.passed += 1
+                result.record(*_env_case(program, f.body, f"{name}:{f.name}", env))
     return result
 
 
@@ -362,51 +341,42 @@ def theorem_env_round_trip(seed: int, cases: int) -> SuiteResult:
 INVERSION_CORPUS = "invertibles.jeo"
 
 
+def _label(ref: FunRef) -> str:
+    return f"(invert {ref.base})" if ref.inversions else ref.base
+
+
+def _returned(program: Program, there: FunRef, back: FunRef, v: Con) -> tuple[str, str]:
+    """One leg: `back` must undo `there` on `v`.  The invertible functions
+    are total forwards, so only an inverse may refuse `v` or stay undecided."""
+    first = evaluate(program, Apply(there, v))
+    if first.ok:
+        assert first.value is not None
+        second = evaluate(program, Apply(back, first.value))
+        if second.ok and second.value == v:
+            return "passed", ""
+        shown = pretty_value(v)
+        return "failed", (
+            f"{_label(back)} ({_label(there)} {shown}):"
+            f" expected {shown}, got {_show_outcome(second)}"
+        )
+    if not there.inversions:
+        return "failed", f"{there.base} {pretty_value(v)}: {_show_outcome(first)}"
+    if first.kind == "violation":
+        return "skipped", ""
+    return "undecided", f"{_label(there)} {pretty_value(v)}: undecided"
+
+
 def corollary_inversion_round_trip(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("inversion-round-trip")
     program = load_corpus_program(INVERSION_CORPUS)
     for f in program.functions:
-        rng = _derived_rng(seed, "inv", f.name)
-        generator = ValueGenerator(program, rng)
-        forward_ref = FunRef(f.name)
-        inverse_ref = FunRef(f.name, 1)
+        generator = ValueGenerator(program, _derived_rng(seed, "inv", f.name))
+        forward_ref, inverse_ref = FunRef(f.name), FunRef(f.name, 1)
         for _ in range(cases):
             v = generator.value(f.arg_type)
-            result.total += 1
-            out = evaluate(program, Apply(forward_ref, v))
-            if not out.ok:
-                result.fail(f"{f.name} {pretty_value(v)}: {_show_outcome(out)}")
-            else:
-                assert out.value is not None
-                back = evaluate(program, Apply(inverse_ref, out.value))
-                if back.ok and back.value == v:
-                    result.passed += 1
-                else:
-                    result.fail(
-                        f"(invert {f.name}) ({f.name} {pretty_value(v)}):"
-                        f" expected {pretty_value(v)}, got {_show_outcome(back)}"
-                    )
+            result.record(*_returned(program, forward_ref, inverse_ref, v))
             w = generator.value(f.result_type)
-            result.total += 1
-            pre = evaluate(program, Apply(inverse_ref, w))
-            if pre.kind == "violation":
-                result.skipped += 1
-                continue
-            if pre.kind == "undecided":
-                result.undecided += 1
-                result.failures.append(
-                    f"(invert {f.name}) {pretty_value(w)}: undecided"
-                )
-                continue
-            assert pre.value is not None
-            again = evaluate(program, Apply(forward_ref, pre.value))
-            if again.ok and again.value == w:
-                result.passed += 1
-            else:
-                result.fail(
-                    f"{f.name} ((invert {f.name}) {pretty_value(w)}):"
-                    f" expected {pretty_value(w)}, got {_show_outcome(again)}"
-                )
+            result.record(*_returned(program, inverse_ref, forward_ref, w))
     return result
 
 
@@ -414,25 +384,24 @@ def corollary_inversion_round_trip(seed: int, cases: int) -> SuiteResult:
 # Parse/print round trip
 
 
+def _reprinted(name: str) -> tuple[str, str]:
+    first = parse_program(read_corpus_file(name))
+    printed = pretty_program(first)
+    try:
+        second = parse_program(printed)
+    except SourceError as err:
+        return "failed", f"{name}: printed form does not parse: {err}"
+    if second != first:
+        return "failed", f"{name}: reparsed program differs"
+    if pretty_program(second) != printed:
+        return "failed", f"{name}: printing is not stable"
+    return "passed", ""
+
+
 def parse_print_round_trip() -> SuiteResult:
     result = SuiteResult("parse-print-round-trip")
     for name in corpus_file_names():
-        result.total += 1
-        text = read_corpus_file(name)
-        first = parse_program(text)
-        printed = pretty_program(first)
-        try:
-            second = parse_program(printed)
-        except SourceError as err:
-            result.fail(f"{name}: printed form does not parse: {err}")
-            continue
-        if second != first:
-            result.fail(f"{name}: reparsed program differs")
-            continue
-        if pretty_program(second) != printed:
-            result.fail(f"{name}: printing is not stable")
-            continue
-        result.passed += 1
+        result.record(*_reprinted(name))
     return result
 
 

@@ -116,6 +116,13 @@ class TestRun:
         assert out == ""
         assert "undecided" in err
 
+    def test_a_file_that_does_not_compile_will_not_run(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jeo"
+        bad.write_text("data nat = .\nmain f.", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(bad), "[zero]")
+        assert (code, out) == (3, "")
+        assert "P001" in err
+
     def test_rejected_program_will_not_run(self, capsys, corpus_dir):
         code, out, err = run_cli(
             capsys, "run", str(corpus_dir / "swap.jeo"), "([zero], [zero])"
@@ -372,6 +379,17 @@ class TestDeepNesting:
         body = "[suc " * 1_000 + "n" + "]" * 1_000
         program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")
         self.assert_one_p005(run_process(argv[0], str(program), *argv[1:]))
+
+    def test_deep_constructor_body_in_process(self, capsys, tmp_path):
+        """`main`'s own net: the desugarer's `RecursionError` becomes a P005.
+        The iterative fold over core terms that ROADMAP.md plans would make
+        this body check like any other."""
+        program = tmp_path / "deep.jeo"
+        body = "[suc " * 1_000 + "n" + "]" * 1_000
+        program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(program))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"{program}: error[P005]: nesting too deep"]
 
     def test_deep_parameter_pattern_in_ast(self, tmp_path):
         # `ast` builds and writes a pattern's tree on explicit stacks, so it

@@ -45,19 +45,32 @@ def test_every_export_is_used_outside_the_tests():
     assert sorted(set(jeopardy.__all__) - used) == []
 
 
-def test_importing_the_package_generates_no_code():
-    """Each `jeopardy` command is a process of its own that pays for the
-    import first; `dataclasses` writes and compiles methods for every class
-    it decorates, which was most of that import."""
+def loaded_by_import(module):
+    """Is `module` in `sys.modules` after `import jeopardy, jeopardy.cli`
+    in a fresh process?"""
     src = str(Path(jeopardy.__file__).resolve().parents[1])
-    probe = "import sys, jeopardy, jeopardy.cli; print('dataclasses' in sys.modules)"
+    probe = f"import sys, jeopardy, jeopardy.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout == "True\n"
+
+
+def test_importing_the_package_generates_no_code():
+    """Each `jeopardy` command is a process of its own that pays for the
+    import first; `dataclasses` writes and compiles methods for every class
+    it decorates, which was most of that import."""
+    assert not loaded_by_import("dataclasses")
+
+
+def test_importing_the_package_leaves_the_suites_out():
+    """`jeopardy run`, `check` and `ast` do not load the test harness;
+    `jeopardy test` imports it when it runs."""
+    assert not loaded_by_import("jeopardy.suites")
 
 
 def test_no_match_statement_in_the_package():

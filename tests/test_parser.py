@@ -142,6 +142,15 @@ class TestTerms:
 
 
 class TestPrograms:
+    def test_deep_parentheses_are_one_p005(self):
+        """The parser reads `( … )` by recursion; past the stack it is one
+        diagnostic without a span, not a `RecursionError`."""
+        body = "(" * 400 + "n" + ")" * 400
+        with pytest.raises(SourceError) as info:
+            parse_program(f"f (n : nat) : nat = {body}.\nmain f.")
+        [d] = info.value.diagnostics
+        assert (d.code, d.message) == ("P005", "nesting too deep")
+
     def test_data_declaration(self):
         prog = parse_program("data nat = [zero] [suc nat].\nmain f.")
         (d,) = prog.datatypes

@@ -75,6 +75,12 @@ class TestTerms:
             "case f x : nat of [zero] -> [zero] ; [suc k] -> k",
             "(invert add) p",
             "let a : nat = f p in [suc a]",
+            # Each of these prints only with its parentheses.
+            "case (case x : nat of y -> y) : nat of z -> z",
+            "case (let y = x in y) : nat of z -> z",
+            "case x : nat of [zero] -> (case y : nat of z -> z) ; w -> w",
+            "case x : nat of [zero] -> (let z = y in z) ; w -> w",
+            "f ([zero] : [])",
         ]:
             t = parse_term(text)
             assert parse_term(pretty_term(t)) == t, text

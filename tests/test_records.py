@@ -291,11 +291,14 @@ def test_the_evaluator_takes_keywords_and_spends_its_fuel():
 
 
 def test_a_suite_result_counts_in_place():
-    r = SuiteResult("demo", total=2, passed=1)
-    r.fail("boom")
+    r = SuiteResult("demo")
+    r.record("passed")
+    r.record("failed", "boom")
     assert (r.name, r.total, r.passed, r.failed, r.skipped, r.undecided) == ("demo", 2, 1, 1, 0, 0)
     assert r.failures == ["boom"] and not r.ok
     assert SuiteResult("a").failures is not SuiteResult("b").failures
-    assert SuiteResult("c", 1, 1).summary_line() == (
+    c = SuiteResult("c")
+    c.record("passed")
+    assert c.summary_line() == (
         "c: PASS total=1 passed=1 failed=0 skipped=0 undecided=0"
     )

@@ -3,11 +3,11 @@
 The generator draws typed, linear programs over `nat` and `tree`: one to
 three functions of one to three clauses each, whose bodies use every
 pattern variable exactly once, in constructors, calls of earlier
-functions, `let` and `case` on a call.  A `let` or branch pattern may
-rebind, and so shadow, a variable that its bound term or selector
-consumes.  A function calls itself only on a variable bound strictly
-inside its pattern, so forward evaluation terminates.  On every program
-the checker accepts, every function must satisfy
+functions and of their inverses, `let` and `case` on a call.  A `let` or
+branch pattern may rebind, and so shadow, a variable that its bound term
+or selector consumes.  A function calls itself only on a variable bound
+strictly inside its pattern, so forward evaluation terminates.  On
+every program the checker accepts, every function must satisfy
 
 1. forward success => inverting the result gives the input back, or is
    undecided;
@@ -142,8 +142,14 @@ class Draft:
 
     def callee(self, me, res, names):
         """A call of result type `res` on an argument using `names`: an
-        earlier function on any term, or `me` on one inner variable."""
+        earlier function or its inverse on any term, or `me` on one inner
+        variable."""
         options = [(g, a) for g, a, r in self.functions if r == res and self.feasible(me, a, names)]
+        options += [
+            (f"(invert {g})", r)
+            for g, a, r in self.functions
+            if a == res and self.feasible(me, r, names)
+        ]
         if self.recursive(me, res, names):
             options.append((me[0], None))
         if not options:
@@ -245,6 +251,24 @@ def test_inversion_is_the_inverse_of_forward(source, seed):
     forward_fails, inverse_fails = round_trip_failures(program, seed)
     assert forward_fails == [], source
     assert inverse_fails == [], source
+
+
+def test_a_violation_inside_an_inverted_call_means_no_preimage():
+    """Inverting `f` runs `h` forward inside the search, where `h`'s
+    `MatchFailure` on `[suc [zero]]` means no derivation, not a fault."""
+    program = jeopardy.compile_source(
+        DATA
+        + "h (n : nat) : nat = case n : nat of [zero] -> [zero].\n"
+        + "f (x : nat) : nat = (invert h) x.\nmain f.\n"
+    )
+    assert check_program(program).accepted
+    value = jeopardy.parse_value("[suc [zero]]")
+    out = jeopardy.run_main(program, value, inverted=True)
+    assert (out.violation, out.message) == (
+        "MatchFailure",
+        "no preimage: 'f' cannot produce [suc [zero]]",
+    )
+    assert_saves(program, "f", value, True)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

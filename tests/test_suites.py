@@ -396,7 +396,10 @@ class TestValueGenerator:
 
 
 def test_summary_line_shape():
-    r = SuiteResult("demo", total=3, passed=2, failed=1, failures=["boom"])
+    r = SuiteResult("demo")
+    r.record("passed")
+    r.record("failed", "boom")
+    r.record("passed")
     assert r.summary_line() == (
         "demo: FAIL total=3 passed=2 failed=1 skipped=0 undecided=0"
     )

@@ -155,6 +155,11 @@ class TestProgramVerdicts:
         report = check_program(compile(PAIR + "f (n : nat) : pair = n.\nmain f."))
         assert "T005" in codes_of(report, "f")
 
+    def test_constructor_argument_type_enforced(self):
+        src = NAT + "data bool = [true] [false].\nf (n : nat) : nat = [suc [true]].\nmain f."
+        [d] = by_name(check_program(compile(src)))["f"].diagnostics
+        assert (d.code, d.message) == ("T005", "argument of 'suc' has type 'bool', expected 'nat'")
+
     def test_case_annotation_must_match_selector(self):
         src = (
             PAIR

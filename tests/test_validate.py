@@ -23,6 +23,21 @@ def test_corpus_is_well_formed(corpus_programs):
     assert len(corpus_programs) == 6
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("data Nat = [zero].\nf (n : Nat) : Nat = n.\nmain f.", "invalid type name 'Nat'"),
+        ("data nat = [Zero].\nf (n : nat) : nat = n.\nmain f.", "invalid constructor name 'Zero'"),
+        (NAT + "F (n : nat) : nat = n.\nmain F.", "invalid function name 'F'"),
+    ],
+    ids=["type", "constructor", "function"],
+)
+def test_upper_case_name(source, message):
+    with pytest.raises(SourceError) as exc:
+        run(source)
+    assert [(d.code, d.message) for d in exc.value.diagnostics] == [("V007", message)]
+
+
 def test_duplicate_datatype():
     with pytest.raises(SourceError) as exc:
         run(NAT + "data nat = [zero].\nf (n : nat) : nat = n.\nmain f.")
