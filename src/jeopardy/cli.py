@@ -148,12 +148,7 @@ def cmd_ast(args: argparse.Namespace) -> int:
 def cmd_test(args: argparse.Namespace) -> int:
     from .suites import run_suites  # the harness loads for this command only
 
-    results = run_suites(
-        seed=args.seed,
-        cases=args.cases,
-        name_filter=args.filter,
-        fuel=_resolve_fuel(None),
-    )
+    results = run_suites(seed=args.seed, cases=args.cases, name_filter=args.filter)
     if not results:
         print(f"no suite matches filter {args.filter!r}", file=sys.stderr)
         return EXIT_VIOLATION

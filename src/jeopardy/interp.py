@@ -620,5 +620,5 @@ def run_main(
     ref = program.main.ref
     s = Evaluator(enforce_psi=psi_mode == "enforce", **opts)
     s.arg = value
-    down = _on_value(program, ref.base, ref.inversions + inverted, value.span)[0]
+    down = _on_value(program, ref.base, ref.inversions + inverted, ref.span)[0]
     return _to_outcome(down, s, {}, 1, False)

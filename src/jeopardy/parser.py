@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from .diagnostics import Span, SourceError
+from .diagnostics import NO_SPAN, SourceError
 from .lexer import _NAME, PUNCT, Tokens, lex
 from .syntax import (
     RESERVED,
@@ -43,7 +43,6 @@ from .syntax import (
     SurfaceProgram,
     Term,
     Var,
-    is_value,
 )
 
 
@@ -338,126 +337,104 @@ def parse_term(source: str) -> Term:
 
 
 def parse_value(source: str) -> Con:
-    """Parse a ground value.  Text the value reader refuses goes to the
-    parser, which gives every diagnostic."""
+    """Parse a ground value.  A value is data, so no node keeps a position:
+    each has `NO_SPAN`.  Text the value reader refuses goes to the parser
+    only for its diagnostic."""
     if (v := _read_value(source)) is not None:
         return v
-    t = parse_term(source)
-    if not is_value(t):
-        raise SourceError.single("P004", "expected a ground value")
-    assert isinstance(t, Con)
-    return t
+    parse_term(source)  # L001 or P001-P005, unless the text is a term
+    raise SourceError.single("P004", "expected a ground value")
 
 
 # ---------------------------------------------------------------------------
 # The value reader
 
-# Value tokens, split where `lex` splits them: an opening bracket with the
-# constructor name right after it, a name, a run of `]`, the other
-# punctuation a value uses, a newline, a comment, any other character (never
-# part of a value) or the empty end.  Each match is (blanks, name, token).
+# Blanks, newlines and comments, each matched in one way only: a comment
+# runs to the end of its line, so a refused text cannot backtrack.
+_SKIP = r"(?:[ \t\r\n]|--[^\n]*(?![^\n]))*"
+# Value tokens after what `_SKIP` skips, split where `lex` splits them:
+# `[` with the constructor name or the `]` of `[]` after it, a name, a run
+# of `]`, the other punctuation a value uses, any other character (never
+# part of a value, a lone `[` included) or the empty end.  Each match is
+# (name, token).
 _VALUE_TOKEN = re.compile(
-    rf"([ \t\r]*)(?:\[({_NAME})|({_NAME}|\]+|[\[(),:]|\n|--[^\n]*|.|\Z))"
+    rf"{_SKIP}(?:\[{_SKIP}({_NAME}|\])|({_NAME}|\]+|[(),:]|.|\Z))"
 )
 
 # What the reader expects next: an atom in a cons chain, a constructor's
-# next argument or its `]`, a `:` or the chain's end, or the name after `[`.
-_ATOM, _ARGS, _NEXT, _OPENED = 0, 1, 2, 3
+# next argument or its `]`, or a `:` or the chain's end.
+_ATOM, _ARGS, _NEXT = 0, 1, 2
 
 
 def _read_value(source: str) -> Con | None:
     """Read `[c v ..]`, `[]`, `(v)`, `(v, w)` and `v : w` in one pass over an
-    explicit stack, giving each node the span `Parser.term` gives it; None
-    for any other text.
+    explicit stack, to the value `Parser.term` reads but with no position;
+    None for any other text.
 
-    A frame is `[span, name, args]` for an open bracket, or `[span, None,
-    parts, first]` for a cons chain: the whole value (span None) or one in
+    A frame is `[name, args]` for an open bracket, or `[None, parts,
+    first]` for a cons chain: the whole value (the bottom frame) or one in
     parentheses, where `first` holds the part before a pair's comma.
     """
-    new = tuple.__new__  # all fields known: no need for `Span.__new__` or `Con.__new__`
-    line = col = 1
-    top: list = [None, None, [], None]
+    new = tuple.__new__  # all fields known: no need for `Con.__new__`
+    top: list = [None, [], None]
     frames = [top]
-    items = top[2]  # the top frame's arguments or chain parts
+    items = top[1]  # the top frame's arguments or chain parts
     mode = _ATOM
-    lb = None  # the span of the last `[`
-    for blanks, name, tok in _VALUE_TOKEN.findall(source):
-        col += len(blanks)
+    for name, tok in _VALUE_TOKEN.findall(source):
         if name:
-            if mode > _ARGS:
+            if mode == _NEXT:
                 return None
-            lb = new(Span, (line, col, line, col + 1))
-            col += 1
-        elif mode == _OPENED and tok[:1].isalpha():
-            name = tok  # after `[` and a newline, blanks or a comment
-        if name:
-            if name in RESERVED or not name[0].isalpha():
+            if name == "]":
+                items.append(new(Con, ("nil", (), NO_SPAN)))
+                mode = _NEXT if top[0] is None else _ARGS
+            elif name in RESERVED or not name[0].isalpha():
                 return None
-            top = [lb, name, []]
-            frames.append(top)
-            items = top[2]
-            mode = _ARGS
-            col += len(name)
-            continue
-        if tok[:1] == "]":
+            else:
+                top = [name, []]
+                frames.append(top)
+                items = top[1]
+                mode = _ARGS
+        elif tok[:1] == "]":
             for _ in tok:
-                if mode == _ARGS:
-                    span, name, args = frames.pop()
-                    node = new(Con, (name, tuple(args), span))
-                    top = frames[-1]
-                    items = top[2]
-                elif mode == _OPENED:
-                    node = new(Con, ("nil", (), lb))
-                else:
+                if mode != _ARGS:
                     return None
-                items.append(node)
-                mode = _NEXT if top[1] is None else _ARGS
-            col += len(tok)
-            continue
-        if tok == ":":
+                head, args = frames.pop()
+                top = frames[-1]
+                items = top[1]
+                items.append(new(Con, (head, tuple(args), NO_SPAN)))
+                mode = _NEXT if top[0] is None else _ARGS
+        elif tok == ":":
             if mode != _NEXT:
                 return None
             mode = _ATOM
-        elif tok == "[":
-            if mode > _ARGS:
-                return None
-            lb = new(Span, (line, col, line, col + 1))
-            mode = _OPENED
         elif tok == "(":
-            if mode > _ARGS:
+            if mode == _NEXT:
                 return None
-            top = [new(Span, (line, col, line, col + 1)), None, [], None]
+            top = [None, [], None]
             frames.append(top)
-            items = top[2]
+            items = top[1]
             mode = _ATOM
         elif tok == ",":
-            if mode != _NEXT or top[0] is None or top[3] is not None:
+            if mode != _NEXT or len(frames) == 1 or top[2] is not None:
                 return None
-            top[3] = _fold_cons(items)
-            items = top[2] = []
+            top[2] = _fold_cons(items)
+            items = top[1] = []
             mode = _ATOM
         elif tok == ")":
-            if mode != _NEXT or top[0] is None:
+            if mode != _NEXT or len(frames) == 1:
                 return None
-            span, _, parts, first = frames.pop()
+            _, parts, first = frames.pop()
             node = _fold_cons(parts)
             if first is not None:
-                node = new(Con, ("pair", (first, node), span))
+                node = new(Con, ("pair", (first, node), NO_SPAN))
             top = frames[-1]
-            items = top[2]
+            items = top[1]
             items.append(node)
-            mode = _NEXT if top[1] is None else _ARGS
-        elif tok == "\n":
-            line += 1
-            col = 1
-            continue
-        elif tok[:2] == "--":
-            continue  # as in `lex`: only `\n` or the end follows
-        elif tok or mode != _NEXT or top[0] is not None:
+            mode = _NEXT if top[0] is None else _ARGS
+        elif tok or mode != _NEXT or len(frames) > 1:
             return None
         else:  # the end
             out = _fold_cons(items)
             assert isinstance(out, Con)
             return out
-        col += 1
     return None

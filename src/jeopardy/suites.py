@@ -410,13 +410,10 @@ def parse_print_round_trip() -> SuiteResult:
 
 
 def run_suites(
-    seed: int = 42,
-    cases: int = 100,
-    name_filter: str | None = None,
-    fuel: int | None = None,
+    seed: int = 42, cases: int = 100, name_filter: str | None = None
 ) -> list[SuiteResult]:
     runners = [
-        ("expectations", lambda: expectation_suite(fuel)),
+        ("expectations", expectation_suite),
         ("env-inference-round-trip", lambda: theorem_env_round_trip(seed, cases)),
         ("inversion-round-trip", lambda: corollary_inversion_round_trip(seed, cases)),
         ("parse-print-round-trip", parse_print_round_trip),

@@ -1,6 +1,5 @@
 """Term helpers that only the tests need: a `let`-freeness check for
-desugarer output, pattern instantiation as an oracle for `unify`, and a
-value comparison that also compares spans."""
+desugarer output and pattern instantiation as an oracle for `unify`."""
 
 from jeopardy.syntax import Apply, Case, Con, Env, Term, Var, is_pattern
 
@@ -32,14 +31,3 @@ def instantiate(pattern: Term, env: Env) -> Con:
         case _:
             raise ValueError(f"not a pattern: {pattern!r}")
 
-
-def same_tree(a: Con, b: Con) -> bool:
-    """Equal values with equal spans at every node, walked on an explicit
-    stack: `==` ignores spans."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if (x.name, len(x.args), x.span) != (y.name, len(y.args), y.span):
-            return False
-        todo += zip(x.args, y.args)
-    return True

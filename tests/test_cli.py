@@ -26,7 +26,9 @@ CORPUS = [
 
 # `run --trace` stderr for mapsuc, captured before trace rendering
 # became lazy, and for mirror, captured while ground literals were still
-# evaluated node by node; the text must not change.
+# evaluated node by node; the text must not change.  Since values keep
+# no position, the input's nodes show `0:0` and the main call is placed
+# at `main`'s function name (27:6).
 GOLDEN = Path(__file__).parent / "golden"
 TREE = "[node [node [leaf [zero]] [leaf [suc [zero]]]] [leaf [zero]]]"
 MIRRORED = "[node [leaf [zero]] [node [leaf [suc [zero]]] [leaf [zero]]]]"
@@ -212,6 +214,20 @@ class TestRun:
             "[suc [zero]]",
         )
         assert (code, out, err) == (0, "([zero], [suc [zero]])\n", "")
+
+    def test_a_violation_of_the_main_call_is_placed_at_main(self, capsys, tmp_path, monkeypatch):
+        """At `pred` in `main pred.`, not where `[zero]` starts in the value."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pred.jeo").write_text(
+            "data nat = [zero] [suc nat].\npred ([suc n] : nat) : nat = n.\nmain pred.\n",
+            encoding="utf-8",
+        )
+        assert run_cli(capsys, "run", "pred.jeo", "  [zero]") == (
+            1,
+            "",
+            "pred.jeo:3:6: error[MatchFailure]:"
+            " argument [zero] does not match the parameter of 'pred'\n",
+        )
 
     def test_garbage_fuel_env_var_is_ignored_with_warning(
         self, capsys, corpus_dir, monkeypatch
@@ -424,6 +440,15 @@ class TestTest:
         assert code == 1
         assert out == ""
         assert "no suite matches" in err
+
+    def test_the_fuel_variable_is_for_run_only(self, capsys, monkeypatch):
+        """The suites run at the default budget whatever `JEOPARDY_FUEL` says,
+        so runs with the same seed print the same text."""
+        monkeypatch.delenv("JEOPARDY_FUEL", raising=False)
+        unset = run_cli(capsys, "test", "--cases", "3")
+        monkeypatch.setenv("JEOPARDY_FUEL", "0")
+        assert unset[0] == 0
+        assert run_cli(capsys, "test", "--cases", "3") == unset
 
     def test_summaries_are_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "test", "--seed", "42", "--cases", "15")

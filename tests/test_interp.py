@@ -16,7 +16,8 @@ from jeopardy.interp import (
     infer_env_down,
     run_main,
 )
-from jeopardy.parser import parse_term, parse_value
+from jeopardy.desugar import desugar
+from jeopardy.parser import parse_program, parse_term, parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.suites import bundled_expectations, load_corpus_program
 from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value, subterms
@@ -323,6 +324,15 @@ class TestInference:
         term = Apply(FunRef("inc", 2), Var("y"))
         res = infer_env_down(invertibles, term, nat(1))
         assert res.found and res.env == {"y": nat(0)}
+
+    def test_a_fatal_violation_inside_a_search_is_not_a_missing_derivation(self):
+        """Inverting `f` evaluates its body inside the search: an unknown
+        callee there is the program's fault, not a branch that fails to
+        match.  The program is desugared but never validated."""
+        program = desugar(parse_program("f (x : nat) : nat = g x.\nmain f."))
+        res = infer_env_down(program, Apply(FunRef("f", 1), Var("y")), Con("zero"))
+        assert (res.kind, res.violation) == ("violation", UNKNOWN_FUNCTION)
+        assert res.message == "unknown function 'g'"
 
 
 class TestFuelAndLimits:

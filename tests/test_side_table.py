@@ -311,7 +311,7 @@ class TestTable:
             value = run_main(program, value).value
         assert run_main(program, value, inverted=inverted).ok
         sites = {key for key in program._table if type(key) is tuple}
-        assert ("mirror", int(inverted), value.span) in sites
+        assert ("mirror", int(inverted), program.main.ref.span) in sites
         assert {key[:2] for key in sites} <= {("mirror", 0), ("mirror", 1)}
         assert program._table and set(program._table) - sites <= owned_ids(program)
         assert id(value) not in program._table
@@ -325,7 +325,7 @@ class TestTable:
         for inverted in (False, True):
             value = gen.value(f.result_type if inverted else f.arg_type)
             run_main(program, value, inverted=inverted)
-        assert (f.name, 1, value.span) in program._table  # an `invert` step among them
+        assert (f.name, 1, program.main.ref.span) in program._table  # an `invert` step among them
         infers = [code[1] for code in program._table.values() if type(code) is tuple]
         assert {infer.__code__.co_argcount for infer in infers} == {3}
 
@@ -376,7 +376,7 @@ class TestTable:
             applied.clear()
             assert run_main(program, value, inverted=inverted).ok
             assert jeopardy.evaluate(program, term, {"x": nat(0)}).violation == MATCH_FAILURE
-            site = ("mirror", int(inverted), value.span)
+            site = ("mirror", int(inverted), program.main.ref.span)
             assert (site in applied) != again and site in program._table
             assert {id(term), id(term.arg)} <= {id(t) for t in built}
             assert not any(t is value for t in built)

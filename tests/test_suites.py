@@ -74,6 +74,13 @@ class TestSuitesAreGreen:
         assert result.ok, result.failures
         assert result.total == result.passed
 
+    def test_an_undecided_row_holds_only_when_undecided(self, arith):
+        """No bundled row expects `undecided`: one unit of fuel leaves this
+        inversion undecided, the default budget decides it."""
+        exp = suites.Expectation("arith.jeo", "[suc [zero]]", "invert", "enforce", "undecided", 1)
+        assert suites._run_value_expectation(exp, arith, 1) is None
+        assert suites._run_value_expectation(exp, arith, None) == "got ([zero], [suc [zero]])"
+
     def test_expectations_compile_each_file_once(self, monkeypatch):
         """`load_corpus_program`'s memo is the only cache: each file named is
         compiled once, a broken one too, however many rows name it."""

@@ -1,7 +1,7 @@
 """`parse_value`'s own reader and the iterative `pretty_value`.
 
-The reader must give exactly what the term parser (without the
-desugarer's `%N` names) and the groundness check give, spans included,
+The reader must give the value the term parser (without the desugarer's
+`%N` names) and the groundness check give, with no position on any node,
 and refuse everything else to them, so that they stay the only source of
 diagnostics."""
 
@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jeopardy import parser
-from jeopardy.diagnostics import Span, SourceError
+from jeopardy.diagnostics import NO_SPAN, SourceError
 from jeopardy.lexer import lex
 from jeopardy.parser import Parser, parse_value
 from jeopardy.pretty import pretty_value
 from jeopardy.syntax import Con, is_value
-from terms import same_tree
 
 
 def parse_value_by_parser(text):
@@ -25,6 +24,17 @@ def parse_value_by_parser(text):
     if not is_value(t):
         raise SourceError.single("P004", "expected a ground value")
     return t
+
+
+def positions(v):
+    """The spans other than `NO_SPAN` among `v`'s nodes, walked on an explicit stack."""
+    todo, found = [v], []
+    while todo:
+        node = todo.pop()
+        if node.span != NO_SPAN:
+            found.append(node.span)
+        todo += node.args
+    return found
 
 
 def outcome(read, text):
@@ -39,7 +49,7 @@ def assert_same_outcome(text):
     if isinstance(want, list):
         assert got == want
     else:
-        assert isinstance(got, Con) and same_tree(got, want)
+        assert isinstance(got, Con) and got == want and positions(got) == []
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +156,29 @@ def test_reader_agrees_with_the_parser_on_examples(text):
     assert_same_outcome(text)
 
 
-def test_spans_are_those_of_the_bracket_paren_and_cons_head():
-    v = parse_value("( [zero]\n : [] ,[])")
-    assert v.span == Span(1, 1, 1, 2)
-    cons, nil = v.args
-    assert (cons.span, nil.span) == (Span(1, 3, 1, 4), Span(2, 8, 2, 9))
-    assert [a.span for a in cons.args] == [Span(1, 3, 1, 4), Span(2, 4, 2, 5)]
+def test_a_value_keeps_no_position():
+    v = parse_value("( [suc -- one\n [zero]]\n : [] ,([]))")
+    nat1 = Con("suc", (Con("zero"),))
+    assert v == Con("pair", (Con("cons", (nat1, Con("nil"))), Con("nil")))
+    assert positions(v) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" + " " * 20_000 + "(",
+        "[" + "-- a -- b " * 3_000 + "\n(",
+        "[" + "-- -- " * 3_000 + "\n(",
+    ],
+    ids=["blanks", "comments", "dashes"],
+)
+def test_a_refusal_takes_linear_time(text):
+    """Each blank or comment is skipped in one way only: a pattern that
+    could end a comment early would try every split of the dashes line
+    into comments before refusing it."""
+    with pytest.raises(SourceError) as err:
+        parse_value(text)
+    assert [d.code for d in err.value.diagnostics] == ["P001"]
 
 
 def test_values_never_reach_the_parser(monkeypatch, bench_gen):
@@ -168,7 +195,8 @@ def test_values_never_reach_the_parser(monkeypatch, bench_gen):
 
     monkeypatch.setattr(parser, "_parse", refuse)
     for text, value in zip(texts, want):
-        assert same_tree(parse_value(text), value)
+        got = parse_value(text)
+        assert got == value and positions(got) == []
 
 
 # ---------------------------------------------------------------------------
