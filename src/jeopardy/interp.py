@@ -22,21 +22,23 @@ takes a branch to a value, no earlier body can produce it, so inference
 commits to that same branch.  A decided inversion therefore returns
 exactly the input forward maps to the output.
 
-The judgements are compiled, not walked (Feeley & Lapalme, "Using
-closures for code generation", 1987): on its first call a function becomes
-two closures per node, one per direction, kept in `Program._table` by the
-node's `id()`.  A closure call is one rule application.  Dispatch, callee,
-`invert`s, matchers and what the text settles (`_facts`) are fixed when it
-is built.  A call on a value is compiled once per function, `invert`s and
-call span into the same table, never walking the value, which each run
-hands it in `Evaluator.arg`.  A ground term's matcher, an iterative
-equality test, settles it in one rule application either way (traced,
-one line per node) and for free in psi, so no value is compared by `==`;
-a psi search for a value whose constructor a body cannot produce is not run.  Fuel and depth
-are spent only by the rules that do run, so a decided outcome is the one an
-unbounded run gives.  Against the term-walking judgements this took a
-depth-6 `mirror` round trip from 2.0 to 1.1 ms (CPython 3.11, shared 2-core
-x86-64 host; `wide` `op_ms_p50` fell 20%, `BENCH_14.json`).
+The judgements are compiled, not walked (Feeley & Lapalme, "Using closures for
+code generation", 1987): on its first call a function becomes two closures per
+node, one per direction, kept in `Program._table` by the node's `id()`.  A
+closure call is one rule application.  Dispatch, callee, `invert`s, matchers
+and what the text settles (`_facts`) are fixed when it is built.  A call on a
+value is compiled once per function, `invert`s and call span, never walking the
+value, which each run hands it in `Evaluator.arg`.  A ground term's matcher, an
+iterative equality test, settles it in one rule application either way (traced,
+one line per node) and for free in psi, so no value is compared by `==`; a psi
+search for a value whose constructor a body cannot produce is not run.  Three
+shapes run their variables' rules inline, at the generic closures' exact cost
+but with no closure, dict or join per variable: a `let`, `case t of x -> body`
+(`_bind`, no first-match search), and in inference `[c x1 .. xn]` of distinct
+variables and any other case's variable selector.  Fuel and depth are spent
+only by the rules that run, so a decided outcome is the one an unbounded run
+gives.  Against term walking, a depth-6 `mirror` round trip fell from 2.0 to
+1.1 ms (CPython 3.11, 2-core x86-64, `BENCH_14.json`).
 """
 
 from __future__ import annotations
@@ -247,11 +249,9 @@ def _matcher(p: Term) -> Callable[[Con], Env | None]:
     if type(p) is Var:
         x = p.name
         return lambda v: {x: v}
-    if type(p) is Con:
-        names = [a.name for a in p.args if type(a) is Var]
-        if len(set(names)) == len(p.args):
-            c, n = p.name, len(names)
-            return lambda v: dict(zip(names, v.args)) if v.name == c and len(v.args) == n else None
+    if type(p) is Con and (names := _variables(p.args)) is not None:
+        c, n = p.name, len(names)
+        return lambda v: dict(zip(names, v.args)) if v.name == c and len(v.args) == n else None
     return lambda v: unify(v, p)
 
 
@@ -264,6 +264,8 @@ def _node(t: Term, code: dict, ground: set[int], heads: dict, program: Program) 
     if kind is Apply:
         return _apply(t.ref.base, t.ref.inversions, t.span, *code[id(t.arg)], program)
     if kind is Case:
+        if len(t.branches) == 1 and _variables([t.branches[0][0]]):
+            return _bind(t, code, heads)
         return _case(t, code, ground, heads)
     # Only the desugarer's core reaches the rules; anything else is a
     # caller's bug, reported where it is reached.
@@ -272,6 +274,12 @@ def _node(t: Term, code: dict, ground: set[int], heads: dict, program: Program) 
 
 def _refuse(what: str, t: Term, *_):
     raise ValueError(f"cannot {what} non-core term {t!r}")
+
+
+def _variables(terms) -> list[str] | None:
+    """The names of `terms` if they are distinct variables: the shapes run inline."""
+    names = [t.name for t in terms if type(t) is Var]
+    return names if len(set(names)) == len(terms) else None
 
 
 def _var(x: str, span: Span) -> tuple:
@@ -334,6 +342,7 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
     c, n, span = t.name, len(kids), t.span
     new = tuple.__new__  # skips `Con.__new__`
     downs, infers = [kid[0] for kid in kids], [kid[1] for kid in kids]
+    names, spans = _variables(t.args), [a.span for a in t.args]
 
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
@@ -353,6 +362,16 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
         s.fuel -= 1
         if v.name != c or len(v.args) != n:
             return None
+        if names is not None:  # `[c x1 .. xn]`: each variable's rule inline, at d + 1
+            for x_span, w in zip(spans, v.args):
+                if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:
+                    _stop(d + 1)
+                s.fuel -= 1
+                if s.trace is not None:
+                    s._emit("infer-variable", x_span, w)
+            if s.trace is not None:
+                s._emit("infer-constructor", span, v)
+            return dict(zip(names, v.args))
         envs = []
         for arg, w in zip(infers, v.args):
             e = arg(s, w, d + 1)
@@ -478,7 +497,7 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
 
 def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
     sel_down, sel_infer = code[id(t.selector)]
-    span = t.span
+    span, (y,) = t.span, _variables([t.selector]) or [None]
     matches = [_matcher(p) for p, _ in t.branches]
     # How psi treats each body: a ground one by its matcher, for free; one
     # whose head set lacks the value's constructor not at all; else a search.
@@ -550,15 +569,64 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
                 return None
         for x in drop:  # `env_body` is fresh, as every inference's result is
             del env_body[x]
-        env_sel = sel_infer(s, v_sel, d + 1)
-        if env_sel is None:
+        if y is None:
+            if (env_sel := sel_infer(s, v_sel, d + 1)) is None:
+                return None
+            _join(env_body, env_sel, span)
+        else:  # the selector variable's rule, at d + 1
+            if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:
+                _stop(d + 1)
+            s.fuel -= 1
+            if s.trace is not None:
+                s._emit("infer-variable", t.selector.span, v_sel)
+            if y in env_body:
+                _join(env_body, {y: v_sel}, span)  # raises the clash
+            env_body[y] = v_sel
+        if s.trace is not None:
+            s._emit("infer-case", span, v)
+        return env_body
+
+    return case_down, infer
+
+
+def _bind(t: Case, code: dict, heads: dict) -> tuple:
+    """A `let`, `case t of x -> body`: `_case`'s rules for a pattern that always matches."""
+    ((p, body),) = t.branches
+    (sel_down, sel_infer), (body_down, body_infer) = code[id(t.selector)], code[id(body)]
+    x, hs, span = p.name, heads.get(id(body)), t.span
+
+    def down(s, env, d, k):
+        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
+            _stop(d)
+        s.fuel -= k
+        inner = env.copy()
+        inner[x] = sel_down(s, env, d + 1, k)
+        v = body_down(s, inner, d + 1, k)
+        if s.trace is not None:
+            s._emit("eval-case", span, v)
+        return v
+
+    def infer(s, v, d):
+        if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
+            _stop(d)
+        s.fuel -= 1
+        if hs is not None and v.name not in hs or (env_body := body_infer(s, v, d + 1)) is None:
+            return None
+        if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:  # the pattern variable's rule, at d + 1
+            _stop(d + 1)
+        s.fuel -= 1
+        if (v_sel := env_body.pop(x, None)) is None:
+            return None
+        if s.trace is not None:
+            s._emit("eval-variable", p.span, v_sel)
+        if (env_sel := sel_infer(s, v_sel, d + 1)) is None:
             return None
         _join(env_body, env_sel, span)
         if s.trace is not None:
             s._emit("infer-case", span, v)
         return env_body
 
-    return case_down, infer
+    return down, infer
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,12 @@ def validate(program: Program) -> Program:
         functions.add(f.name)
 
     # Uses, in pre-order.  Besides terms the stack holds the `main`
-    # reference at the bottom and `(type name, span)` pairs: each
-    # function's signature after its body, and a case's annotation after
-    # its selector and before its branches.
+    # reference at the bottom, `(type name, span)` pairs (each function's
+    # signature after its body, and a case's annotation after its selector
+    # and before its branches) and `[p]` for a term `p` in a pattern position.
     stack: list = [program.main.ref]
     for f in reversed(program.functions):
-        stack += ((f.result_type, f.span), (f.arg_type, f.span), f.body, f.param)
+        stack += ((f.result_type, f.span), (f.arg_type, f.span), f.body, [f.param])
     while stack:
         t = stack.pop()
         kind = type(t)
@@ -78,11 +78,18 @@ def validate(program: Program) -> Program:
             stack += (t.arg, t.ref)
         elif kind is Case:
             for p, b in reversed(t.branches):
-                stack += (b, p)
+                stack += (b, [p])
             stack += ((t.type_name, t.span), t.selector)
         elif kind is FunRef:
             if program.function(t.base) is None:
                 report("V006", f"unknown function {t.base!r}", t.span)
+        elif kind is list:  # `[p]`, itself the stack of a walk over `p`'s constructors
+            stack.append(t[0])
+            while t:
+                if type(p := t.pop()) is Con:
+                    t += p.args
+                elif type(p) is not Var:
+                    report("V009", f"not a pattern: {p!r}", p.span)
         elif kind is tuple:
             # A None annotation stands for a name reported where it is used.
             if t[0] is not None and program.datatype(t[0]) is None:

@@ -166,3 +166,35 @@ def test_deep_terms_do_not_exhaust_the_stack():
     with pytest.raises(SourceError) as exc:
         validate(broken)
     assert codes(exc) == ["V005"]
+
+
+@pytest.mark.parametrize("where", ["branch", "parameter"])
+def test_a_non_pattern_in_a_pattern_position(where):
+    """A hand-built program the parser never gives: an application where a
+    pattern belongs, as a branch pattern or inside a parameter pattern, is
+    V009 at the application, not a checker crash or a failed match."""
+    from jeopardy.diagnostics import Span
+    from jeopardy.syntax import (
+        Apply,
+        Case,
+        Con,
+        Ctor,
+        DataDecl,
+        FunDef,
+        FunRef,
+        MainDecl,
+        Program,
+        Var,
+    )
+
+    nat = DataDecl("nat", (Ctor("zero", ()), Ctor("suc", ("nat",))))
+    call = Apply(FunRef("id"), Var("y"), Span(1, 9))
+    if where == "branch":
+        f = FunDef("id", Var("x"), "nat", "nat", Case(Var("x"), "nat", ((call, Var("y")),)))
+    else:
+        f = FunDef("id", Con("suc", (call,)), "nat", "nat", Var("y"))
+    with pytest.raises(SourceError) as exc:
+        validate(Program((nat,), (f,), MainDecl(FunRef("id"))))
+    assert [(d.code, d.message, d.span) for d in exc.value.diagnostics] == [
+        ("V009", f"not a pattern: {call!r}", call.span)
+    ]
