@@ -42,16 +42,17 @@ from .syntax import (
     ctor_table,
 )
 
+_new = tuple.__new__  # a record from all its fields, without its Python-level `__new__`
+
 
 class Desugarer:
     def __init__(self, surface: SurfaceProgram):
         self.surface = surface
         self.ctors = ctor_table(surface.datatypes)
-        self.signatures: dict[str, tuple[str, str]] = {}
         self._counter = 0
 
     def fresh(self) -> Var:
-        v = Var(f"%{self._counter}")
+        v = _new(Var, (f"%{self._counter}", NO_SPAN))
         self._counter += 1
         return v
 
@@ -59,8 +60,7 @@ class Desugarer:
 
     def run(self) -> Program:
         groups = self._grouped_clauses()
-        for name, clauses in groups:
-            self.signatures[name] = self._signature(name, clauses)
+        self.signatures = {name: self._signature(name, cs) for name, cs in groups}
         if len(self.surface.mains) != 1:
             span = self.surface.mains[1].span if self.surface.mains else NO_SPAN
             raise SourceError.single(
@@ -143,10 +143,10 @@ class Desugarer:
             if not lifted:
                 return t
             arg_types = self.ctors[t.name][1].arg_types if t.name in self.ctors else ()
-            out: Term = Con(t.name, tuple(args), t.span)
+            out: Term = _new(Con, (t.name, tuple(args), t.span))
             for k, selector in reversed(lifted):
                 ty = arg_types[k] if k < len(arg_types) else None
-                out = Case(selector, ty, ((args[k], out),), t.span)
+                out = _new(Case, (selector, ty, ((args[k], out),), t.span))
             return out
         if kind is Apply:
             arg = self.term(t.arg)
@@ -155,7 +155,7 @@ class Desugarer:
             v = self.fresh()
             sig = self._signature_of(t.ref)
             arg_t = None if sig is None else sig[0]
-            return Case(arg, arg_t, ((v, Apply(t.ref, v, t.span)),), t.span)
+            return _new(Case, (arg, arg_t, ((v, _new(Apply, (t.ref, v, t.span))),), t.span))
         if kind is Case:
             branches = tuple((p, self.term(b)) for p, b in t.branches)
             selector = self.term(t.selector)
@@ -163,11 +163,11 @@ class Desugarer:
                 b is old for (_, b), (_, old) in zip(branches, t.branches)
             ):
                 return t
-            return Case(selector, t.type_name, branches, t.span)
+            return _new(Case, (selector, t.type_name, branches, t.span))
         if kind is Let:
             annotation = t.type_name or self._let_type(t.bound, t.span)
             bound = self.term(t.bound)
-            return Case(bound, annotation, ((t.pattern, self.term(t.body)),), t.span)
+            return _new(Case, (bound, annotation, ((t.pattern, self.term(t.body)),), t.span))
         raise AssertionError(f"unhandled term {t!r}")
 
     def _signature_of(self, ref: FunRef) -> tuple[str, str] | None:

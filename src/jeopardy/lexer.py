@@ -11,6 +11,11 @@ the character after it could itself continue a name; anywhere else it
 must open a comment (`--`) or an arrow (`->`).  A `%` is never part of
 a token, so the desugarer's fresh names (`%0`, `%1`, ...) cannot be
 written in a source file or a value.
+
+The token pattern tries punctuation (never a name's start) first, and its
+repeats are possessive (`*+`, `++`; Python 3.11): a token always follows the
+blanks, and nothing later in a token could take what a repeat gave back, so
+no place to return to is kept.  The value reader splits names with `_NAME` too.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ PUNCT = frozenset(("->", "[", "]", "(", ")", "=", ".", ":", ",", ";"))
 # A name starts with a letter and goes on with letters, digits, `_`,
 # `'`, and dashes that are followed by one of those.  `[^\W\d_]` also
 # admits digit-like characters such as `²`; `lex` turns those away.
-_NAME = r"[^\W\d_][\w']*(?:-[\w']+)*"
-# Punctuation, a newline, a comment (it runs to the end of the line),
-# any other single character (always an error), or the empty end.
-_OTHER = r"->|[][()=.:,;]|\n|--[^\n]*|.|\Z"
-# Each match is one string, a token after its blanks: no tuple per match.
-_SOURCE = re.compile(rf"[ \t\r]*(?:{_NAME}|{_OTHER})")
+_NAME = r"[^\W\d_][\w']*+(?:-[\w']++)*+"
+# Each match is one string, a token after its blanks: punctuation, a name,
+# a newline, a comment (it runs to the end of the line), any other single
+# character (always an error), or the empty end.  No tuple per match.
+_SOURCE = re.compile(rf"[ \t\r]*+(?:->|[][()=.:,;]|{_NAME}|\n|--[^\n]*+|.|\Z)")
 
 
 class Tokens(list):

@@ -53,6 +53,7 @@ _HEAD = "):"
 # variable (or function or type name) unless it is also a keyword.
 _NOT_NAME = PUNCT | {""}
 _NOT_VAR = _NOT_NAME | RESERVED
+_new = tuple.__new__  # a record from all its fields, without its Python-level `__new__`
 
 
 def _fold_cons(parts: list[Term]) -> Term:
@@ -139,10 +140,10 @@ class Parser:
         after = tokens[self.i]
         if after == "[" or after == "(" or after not in _NOT_VAR:
             if ref is None:
-                ref = FunRef(t, 0, self.span(i))
-            return Apply(ref, self._bracketed(self.term, "a term"), ref.span)
+                ref = _new(FunRef, (t, 0, self.span(i)))
+            return _new(Apply, (ref, self._bracketed(self.term, "a term"), ref.span))
         if ref is None:
-            return Var(t, self.span(i))
+            return _new(Var, (t, self.span(i)))
         raise self.error("P003", "an inverted callable must be applied to an argument")
 
     def case_term(self) -> Term:
@@ -155,7 +156,7 @@ class Parser:
         while self.tokens[self.i] == ";":
             self.i += 1
             branches.append(self.branch())
-        return Case(selector, ty, tuple(branches), self.span(kw))
+        return _new(Case, (selector, ty, tuple(branches), self.span(kw)))
 
     def branch(self) -> tuple[Term, Term]:
         p = self.pattern()
@@ -173,7 +174,7 @@ class Parser:
         bound = self.term()
         self.expect("in")
         body = self.term(closer)
-        return Let(pat, ty, bound, body, self.span(kw))
+        return _new(Let, (pat, ty, bound, body, self.span(kw)))
 
     # ------------------------------------------------------------------
     # Patterns
@@ -193,8 +194,7 @@ class Parser:
         """One atom: a variable, `inner` in parentheses, a pair of two, or
         `[c a1 .. an]`.  Bracket nesting is kept on an explicit stack, so
         its depth is not bounded by Python's."""
-        tokens, span = self.tokens, self.span
-        new = tuple.__new__  # skips the records' Python-level `__new__`
+        tokens, span, new = self.tokens, self.span, _new
         stack: list[tuple[int, str, list[Term]]] = []  # `[`'s index, name, args
         while True:
             i = self.i
@@ -294,7 +294,7 @@ class Parser:
         self.expect("=")
         body = self.term()
         self.expect(".")
-        return Clause(name, pat, arg_ty, res_ty, body, self.span(start))
+        return _new(Clause, (name, pat, arg_ty, res_ty, body, self.span(start)))
 
     def program(self) -> SurfaceProgram:
         datatypes: list[DataDecl] = []

@@ -20,6 +20,7 @@ scopes them.
 from __future__ import annotations
 
 from collections import _tuplegetter  # the getter `namedtuple` installs
+from collections.abc import Callable
 from functools import cached_property
 from operator import itemgetter
 
@@ -265,19 +266,20 @@ class Program(Node):
     ):
         return tuple.__new__(cls, (datatypes, functions, main))
 
-    # Name indexes, built once into the instance dict (no `__slots__` here);
-    # reversed, so the first of duplicate names wins.
+    # Lookups by name, each one C call: the `get` of an index built into the
+    # instance dict (no `__slots__` here) on first use, so a copy builds its own.
+    # Reversed, so the first of duplicate names wins; `ctor` gives the datatype too.
     @cached_property
-    def _functions(self) -> dict[str, FunDef]:
-        return {f.name: f for f in reversed(self.functions)}
+    def function(self) -> Callable[[str], FunDef | None]:
+        return {f.name: f for f in reversed(self.functions)}.get
 
     @cached_property
-    def _datatypes(self) -> dict[str, DataDecl]:
-        return {d.name: d for d in reversed(self.datatypes)}
+    def datatype(self) -> Callable[[str], DataDecl | None]:
+        return {d.name: d for d in reversed(self.datatypes)}.get
 
     @cached_property
-    def _ctors(self) -> dict[str, tuple[DataDecl, Ctor]]:
-        return ctor_table(self.datatypes)
+    def ctor(self) -> Callable[[str], tuple[DataDecl, Ctor] | None]:
+        return ctor_table(self.datatypes).get
 
     @cached_property
     def _table(self) -> dict:
@@ -285,16 +287,6 @@ class Program(Node):
         `interp`), keyed by the `id()` of nodes this program owns and by call
         site for calls on values, so a copy starts without it."""
         return {}
-
-    def function(self, name: str) -> FunDef | None:
-        return self._functions.get(name)
-
-    def datatype(self, name: str) -> DataDecl | None:
-        return self._datatypes.get(name)
-
-    def ctor(self, name: str) -> tuple[DataDecl, Ctor] | None:
-        """Find a constructor and the datatype that declares it."""
-        return self._ctors.get(name)
 
 
 # ---------------------------------------------------------------------------

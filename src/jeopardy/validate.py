@@ -18,6 +18,7 @@ def validate(program: Program) -> Program:
     `SourceError` listing each problem: declarations first, then each
     function's parameter, body and signature in turn, then `main`."""
     out: list[Diagnostic] = []
+    function, datatype, ctor = program.function, program.datatype, program.ctor
 
     def report(code: str, message: str, span: Span) -> None:
         out.append(Diagnostic("error", code, message, span))
@@ -41,7 +42,7 @@ def validate(program: Program) -> Program:
     for d in program.datatypes:
         for c in d.ctors:
             for t in c.arg_types:
-                if program.datatype(t) is None:
+                if datatype(t) is None:
                     report("V004", f"constructor {c.name!r} mentions unknown type {t!r}", d.span)
     functions: set[str] = set()
     for f in program.functions:
@@ -64,7 +65,7 @@ def validate(program: Program) -> Program:
         if kind is Var:
             continue
         if kind is Con:
-            found = program.ctor(t.name)
+            found = ctor(t.name)
             if found is None:
                 report("V005", f"unknown constructor {t.name!r}", t.span)
             elif (arity := len(found[1].arg_types)) != len(t.args):
@@ -81,7 +82,7 @@ def validate(program: Program) -> Program:
                 stack += (b, [p])
             stack += ((t.type_name, t.span), t.selector)
         elif kind is FunRef:
-            if program.function(t.base) is None:
+            if function(t.base) is None:
                 report("V006", f"unknown function {t.base!r}", t.span)
         elif kind is list:  # `[p]`, itself the stack of a walk over `p`'s constructors
             stack.append(t[0])
@@ -92,7 +93,7 @@ def validate(program: Program) -> Program:
                     report("V009", f"not a pattern: {p!r}", p.span)
         elif kind is tuple:
             # A None annotation stands for a name reported where it is used.
-            if t[0] is not None and program.datatype(t[0]) is None:
+            if t[0] is not None and datatype(t[0]) is None:
                 report("V004", f"unknown type {t[0]!r}", t[1])
         else:
             report("V008", f"surface form survived desugaring: {t!r}", t.span)

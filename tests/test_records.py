@@ -278,6 +278,24 @@ def test_a_pickled_program_comes_back_without_its_table():
     assert back._table == {}
 
 
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_program_rebuilds_its_lookups_from_its_fields(clone):
+    # Duplicate names, so first-wins shows: `nat`'s second `zero` takes a
+    # `nat`, and the second `f` binds `y`.
+    dup = DataDecl("nat", (Ctor("zero", ("nat",)),), S)
+    f1 = FunDef("f", Var("x"), "nat", "nat", Var("x"))
+    f2 = FunDef("f", Var("y"), "nat", "nat", Var("y"))
+    program = Program((NAT, dup), (f1, f2), MAIN)
+    assert program.function("f") is f1 and program.datatype("nat") is NAT
+    assert program.ctor("zero") == (NAT, Ctor("zero"))
+    assert {"function", "datatype", "ctor"} <= vars(program).keys()  # built on first use
+    back = clone(program)
+    assert back == program and not vars(back)
+    assert back.function("f") is back.functions[0] and back.datatype("nat") is back.datatypes[0]
+    owner, ctor = back.ctor("zero")
+    assert owner is back.datatypes[0] and ctor == Ctor("zero") and back.function("g") is None
+
+
 def test_the_evaluator_takes_keywords_and_spends_its_fuel():
     ev = Evaluator(fuel=5, enforce_psi=False)
     assert (ev.fuel, ev.enforce_psi, ev.trace) == (5, False, None)

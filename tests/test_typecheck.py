@@ -1,5 +1,7 @@
 """Linear discipline: every variable consumed exactly once, types agree."""
 
+import random
+
 import pytest
 
 import jeopardy
@@ -106,6 +108,16 @@ class TestProgramVerdicts:
             "swap.jeo": False,
             "fib.jeo": False,
         }
+
+    def test_the_benchmark_pool_gets_its_known_verdicts(self, bench_gen):
+        # All 15 programs of the `big-program` pool; `diagnostics.txt` pins
+        # only the four smallest.
+        pool = bench_gen.program_pool(random.Random(7))
+        assert len(pool) == 15 and {p.accepted for p in pool} == {True, False}
+        for k, generated in enumerate(pool):
+            report = check_program(compile(generated.source))
+            codes = {d.code for v in report.functions for d in v.diagnostics}
+            assert (k, report.accepted, codes) == (k, generated.accepted, generated.codes)
 
     def test_fibber_duplicates_m(self, fibpair):
         report = check_program(fibpair)
