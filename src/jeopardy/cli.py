@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Exit codes are part of the contract: 0 success, 1 runtime violation,
-2 type error, 3 parse or validation error, 4 undecided.  Standard
+2 type error, 3 parse, validation or usage error, 4 undecided.  Standard
 output carries only the result payload (a value, an AST document, or
 the test summary); everything else goes to the error stream.
 """
@@ -15,7 +15,7 @@ import sys
 from . import compile_source
 from .astjson import emit_ast
 from .diagnostics import Diagnostic, SourceError
-from .interp import run_main
+from .interp import DEFAULT_FUEL, run_main
 from .parser import parse_value
 from .pretty import pretty_value
 from .syntax import Con, Program
@@ -60,13 +60,13 @@ def _print_type_report(report: TypeReport, filename: str) -> None:
             print(d.render(filename), file=sys.stderr)
 
 
-def _resolve_fuel(flag_value: int | None) -> int | None:
+def _resolve_fuel(flag_value: int | None) -> int:
     """Flag wins over the environment; both absent leaves the default."""
     if flag_value is not None:
         return flag_value
     raw = os.environ.get(FUEL_ENV_VAR)
     if raw is None:
-        return None
+        return DEFAULT_FUEL
     try:
         return int(raw)
     except ValueError:
@@ -74,7 +74,7 @@ def _resolve_fuel(flag_value: int | None) -> int | None:
             f"warning: ignoring non-numeric {FUEL_ENV_VAR}={raw!r}",
             file=sys.stderr,
         )
-        return None
+        return DEFAULT_FUEL
 
 
 def _read_value_argument(text: str) -> Con | None:
@@ -111,18 +111,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_SOURCE_ERROR
     if args.skip_psi:
         print(SKIP_PSI_BANNER, file=sys.stderr)
-    opts = {}
-    fuel = _resolve_fuel(args.fuel)
-    if fuel is not None:
-        opts["fuel"] = fuel
-    if args.trace:
-        opts["trace"] = lambda line: print(line, file=sys.stderr)
     outcome = run_main(
         program,
         value,
         inverted=args.invert,
         psi_mode="skip" if args.skip_psi else "enforce",
-        **opts,
+        fuel=_resolve_fuel(args.fuel),
+        trace=(lambda line: print(line, file=sys.stderr)) if args.trace else None,
     )
     if outcome.ok:
         assert outcome.value is not None
@@ -201,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse has printed the usage error, or the help
+        return EXIT_SOURCE_ERROR if stop.code == 2 else stop.code
     try:
         return args.handler(args)
     except RecursionError:

@@ -72,11 +72,16 @@ DEFAULT_FUEL = 100_000
 # stack limit, though one judgement level spans one Python frame.
 DEFAULT_MAX_DEPTH = 260
 
+Trace = Callable[[str], None] | None  # takes one tab-separated `rule span value` line
+
 MATCH_FAILURE = "MatchFailure"
 PSI_VIOLATION = "PsiViolation"
 LINEARITY_FAULT = "LinearityFault"
 UNBOUND_VARIABLE = "UnboundVariable"
 UNKNOWN_FUNCTION = "UnknownFunction"
+VIOLATION_KINDS = frozenset(
+    {MATCH_FAILURE, PSI_VIOLATION, LINEARITY_FAULT, UNBOUND_VARIABLE, UNKNOWN_FUNCTION}
+)
 
 _DEPTH_LIMIT = "recursion depth limit reached"
 _FUEL_EXHAUSTED = "fuel exhausted"
@@ -105,10 +110,17 @@ class InferResult(NamedTuple):
         return self.kind == "found"
 
 
-class _Violation(Exception):
-    def __init__(self, kind: str, message: str, span: Span = NO_SPAN):
-        super().__init__(message)
-        self.kind, self.message, self.span = kind, message, span
+class _Refusal(Exception):
+    """A run ends without a value; its `args` are the kind, message and span."""
+
+
+class _Violation(_Refusal):
+    """A premise fails: inside a search, only that no derivation exists."""
+
+
+class _Fault(_Refusal):
+    """The program's own fault (a linearity clash, an unknown callee): it
+    escapes every search."""
 
 
 class _Undecided(Exception):
@@ -134,7 +146,7 @@ class Evaluator:
         *,
         fuel: int = DEFAULT_FUEL,
         enforce_psi: bool = True,
-        trace: Callable[[str], None] | None = None,
+        trace: Trace = None,
     ):
         self.fuel, self.enforce_psi, self.trace = fuel, enforce_psi, trace
 
@@ -146,17 +158,12 @@ def _stop(d: int):
     raise _Undecided(_DEPTH_LIMIT if d > DEFAULT_MAX_DEPTH else _FUEL_EXHAUSTED)
 
 
-# Faults of the program itself; any other violation of a premise evaluated
-# inside a search only means that the candidate derivation does not exist.
-_FATAL = (LINEARITY_FAULT, UNKNOWN_FUNCTION)
-
-
 def _join(env: Env, more: Env, span: Span) -> None:
     """Add `more` to `env` in place, both fresh inference results the caller
     owns; a clash names the first variable of `more` already bound."""
     if not env.keys().isdisjoint(more):
         x = next(x for x in more if x in env)
-        raise _Violation(LINEARITY_FAULT, f"variable {x!r} inferred more than once", span)
+        raise _Fault(LINEARITY_FAULT, f"variable {x!r} inferred more than once", span)
     env.update(more)
 
 
@@ -399,7 +406,7 @@ def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program:
             if d > DEFAULT_MAX_DEPTH or search and s.fuel <= 0:
                 _stop(d)
             s.fuel -= search
-            raise _Violation(UNKNOWN_FUNCTION, f"unknown function {base!r}", span)
+            raise _Fault(UNKNOWN_FUNCTION, f"unknown function {base!r}", span)
 
         levels = (missing,) * 4
     else:
@@ -481,9 +488,7 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
                 return None
             try:
                 w = eval_end(s, env, d + 1, True)
-            except _Violation as e:
-                if e.kind in _FATAL:
-                    raise
+            except _Violation:
                 return None
             out = arg_infer(s, w, d + 1)
             if s.trace is not None:
@@ -560,9 +565,7 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
             return None
         try:
             v_sel = pattern(s, env_body, d + 1, True)
-        except _Violation as e:
-            if e.kind in _FATAL:
-                raise
+        except _Violation:
             return None
         for match in earlier:  # an earlier pattern takes the selector value
             if match(v_sel) is not None:
@@ -590,7 +593,9 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
 
 
 def _bind(t: Case, code: dict, heads: dict) -> tuple:
-    """A `let`, `case t of x -> body`: `_case`'s rules for a pattern that always matches."""
+    """A `let`, `case t of x -> body`: `_case`'s rules for a pattern that always matches.
+    Kept apart: folded into `_case`, `wide` ran 3.4% slower (op_ms_p50, CPython 3.11, 2 cores),
+    so an inference rule added to one goes in both (`test_shape_rules.generic` compares them)."""
     ((p, body),) = t.branches
     (sel_down, sel_infer), (body_down, body_infer) = code[id(t.selector)], code[id(body)]
     x, hs, span = p.name, heads.get(id(body)), t.span
@@ -637,8 +642,8 @@ def _bind(t: Case, code: dict, heads: dict) -> tuple:
 def _to_outcome(run, *args) -> Outcome:
     try:
         value = run(*args)
-    except _Violation as e:
-        return Outcome("violation", violation=e.kind, message=e.message, span=e.span)
+    except _Refusal as e:
+        return Outcome("violation", None, *e.args)
     except _Undecided as e:
         return Outcome("undecided", message=str(e))
     return tuple.__new__(Outcome, ("success", value, None, "", NO_SPAN))  # skips `__new__`
@@ -647,8 +652,8 @@ def _to_outcome(run, *args) -> Outcome:
 def _to_infer_result(run, *args) -> InferResult:
     try:
         env = run(*args)
-    except _Violation as e:
-        return InferResult("violation", violation=e.kind, message=e.message)
+    except _Refusal as e:
+        return InferResult("violation", None, *e.args[:2])
     except _Undecided as e:
         return InferResult("undecided", message=str(e))
     if env is None:
@@ -656,15 +661,24 @@ def _to_infer_result(run, *args) -> InferResult:
     return tuple.__new__(InferResult, ("found", env, None, ""))
 
 
-def evaluate(program: Program, term: Term, env: Env | None = None, **opts) -> Outcome:
+def evaluate(
+    program: Program,
+    term: Term,
+    env: Env | None = None,
+    *,
+    fuel: int = DEFAULT_FUEL,
+    trace: Trace = None,
+) -> Outcome:
     env = {x: ensure_value(v) for x, v in (env or {}).items()}
-    s = Evaluator(**opts)
+    s = Evaluator(fuel=fuel, trace=trace)
     return _to_outcome(_code(program, term, s)[0], s, env, 1, False)
 
 
-def infer_env_down(program: Program, term: Term, value: Con, **opts) -> InferResult:
+def infer_env_down(
+    program: Program, term: Term, value: Con, *, fuel: int = DEFAULT_FUEL, trace: Trace = None
+) -> InferResult:
     ensure_value(value)
-    s = Evaluator(**opts)
+    s = Evaluator(fuel=fuel, trace=trace)
     return _to_infer_result(_code(program, term, s)[1], s, value, 1)
 
 
@@ -674,19 +688,21 @@ def run_main(
     inverted: bool = False,
     *,
     psi_mode: str = "enforce",
-    **opts,
+    fuel: int = DEFAULT_FUEL,
+    trace: Trace = None,
 ) -> Outcome:
     """Apply the declared main function to a value in the empty context.
 
     `psi_mode="skip"` disables the psi checks of forward case evaluation
     only; inference always keeps them, since branch selection depends on
-    them.  Results produced under "skip" are not reversible evidence.
+    them, so the inverse runs as under "enforce".  Results produced under
+    "skip" are not reversible evidence.
     """
     if psi_mode not in ("enforce", "skip"):
         raise ValueError("psi_mode must be 'enforce' or 'skip'")
     ensure_value(value)  # the one walk of the input
     ref = program.main.ref
-    s = Evaluator(enforce_psi=psi_mode == "enforce", **opts)
+    s = Evaluator(fuel=fuel, enforce_psi=psi_mode == "enforce", trace=trace)
     s.arg = value
     down = _on_value(program, ref.base, ref.inversions + inverted, ref.span)[0]
     return _to_outcome(down, s, {}, 1, False)

@@ -22,25 +22,11 @@ from typing import NamedTuple
 
 from . import compile_source
 from .diagnostics import NO_SPAN, SourceError
-from .interp import (
-    LINEARITY_FAULT,
-    MATCH_FAILURE,
-    PSI_VIOLATION,
-    UNBOUND_VARIABLE,
-    UNKNOWN_FUNCTION,
-    Outcome,
-    evaluate,
-    infer_env_down,
-    run_main,
-)
+from .interp import DEFAULT_FUEL, VIOLATION_KINDS, Outcome, evaluate, infer_env_down, run_main
 from .parser import parse_program, parse_value
 from .pretty import pretty_program, pretty_value
 from .syntax import Apply, Con, Ctor, Env, FunRef, Program, Term
 from .typecheck import bind_types, check_program
-
-VIOLATION_KINDS = frozenset(
-    {MATCH_FAILURE, PSI_VIOLATION, LINEARITY_FAULT, UNBOUND_VARIABLE, UNKNOWN_FUNCTION}
-)
 
 MAX_VALUE_DEPTH = 6
 
@@ -252,13 +238,12 @@ def _run_check_expectation(exp: Expectation, program: Program) -> str | None:
 
 def _run_value_expectation(exp: Expectation, program: Program, fuel: int | None) -> str | None:
     value = _value(exp.value_text)
-    opts = {} if fuel is None else {"fuel": fuel}
     outcome = run_main(
         program,
         value,
         inverted=exp.direction == "invert",
         psi_mode=exp.psi_mode,
-        **opts,
+        fuel=DEFAULT_FUEL if fuel is None else fuel,
     )
     if exp.expect in VIOLATION_KINDS:
         held = outcome.kind == "violation" and outcome.violation == exp.expect

@@ -278,6 +278,36 @@ def run_process(*argv, stdin=None):
     )
 
 
+class TestUsage:
+    """A command line argparse refuses exits 3, as other ill-formed input
+    does, so that 2 stays the checker's; argparse's message goes to stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frob"], "invalid choice: 'frob'"),
+            (["run", "x.jeo"], "the following arguments are required: value"),
+            (["run", "--fuel", "abc", "a", "b"], "argument --fuel: invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_errors_exit_3(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("usage: jeopardy") and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: jeopardy")
+
+    def test_the_process_exits_3(self):
+        proc = run_process("frob")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "Traceback" not in proc.stderr
+
+
 class TestUnreadableFile:
     @pytest.mark.parametrize("argv", [["check"], ["ast"], ["run", "[zero]"]])
     def test_non_utf8_source_exits_3_without_traceback(self, tmp_path, argv):

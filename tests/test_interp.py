@@ -1,5 +1,9 @@
 """Evaluation in both directions, environment inference, fuel, psi."""
 
+import inspect
+import random
+from unittest import mock
+
 import pytest
 
 import jeopardy
@@ -19,8 +23,28 @@ from jeopardy.interp import (
 from jeopardy.desugar import desugar
 from jeopardy.parser import parse_program, parse_term, parse_value
 from jeopardy.pretty import pretty_value
-from jeopardy.suites import bundled_expectations, load_corpus_program
-from jeopardy.syntax import Apply, Con, FunRef, Let, MainDecl, Program, Var, is_value, subterms
+from jeopardy.suites import (
+    ValueGenerator,
+    bundled_expectations,
+    corpus_file_names,
+    load_corpus_program,
+    read_corpus_file,
+)
+from jeopardy.syntax import (
+    Apply,
+    Case,
+    Con,
+    Ctor,
+    DataDecl,
+    FunDef,
+    FunRef,
+    Let,
+    MainDecl,
+    Program,
+    Var,
+    is_value,
+    subterms,
+)
 from jeopardy.typecheck import check_program
 
 
@@ -723,3 +747,139 @@ class TestRunMain:
         broken = Program(arith.datatypes, arith.functions, MainDecl(FunRef("ghost")))
         out = run_main(broken, nat(0))
         assert out.violation == UNKNOWN_FUNCTION
+
+
+def with_fuel_left(entry, *args, **options):
+    """`entry`'s outcome and the fuel its run has left, read from the one
+    `Evaluator` the entry point builds."""
+    built = []
+
+    class Kept(Evaluator):
+        def __init__(self, **settings):
+            super().__init__(**settings)
+            built.append(self)
+
+    with mock.patch.object(jeopardy.interp, "Evaluator", Kept):
+        out = entry(*args, **options)
+    (s,) = built
+    return out, s.fuel
+
+
+# What `TestBoundary.case_on_a_call` builds its program from.
+NAT = DataDecl("nat", (Ctor("zero", ()), Ctor("suc", ("nat",))))
+PAIR = DataDecl("pair", (Ctor("pair", ("nat", "nat")),))
+DUP = FunDef("dup", Var("x"), "nat", "pair", Con("pair", (Var("x"), Var("x"))))
+
+
+class TestBoundary:
+    """What the entry points take, and which violations a search keeps."""
+
+    @pytest.mark.parametrize(
+        "entry, positional, options",
+        [
+            (evaluate, ["program", "term", "env"], ["fuel", "trace"]),
+            (infer_env_down, ["program", "term", "value"], ["fuel", "trace"]),
+            (run_main, ["program", "value", "inverted"], ["psi_mode", "fuel", "trace"]),
+        ],
+    )
+    def test_entry_points_take_named_options_only(self, entry, positional, options):
+        params = inspect.signature(entry).parameters.values()
+        assert [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD] == positional
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == options
+        assert len(params) == len(positional) + len(options)
+
+    def test_psi_has_one_spelling(self, arith):
+        with pytest.raises(TypeError, match="enforce_psi"):
+            run_main(arith, nat(0), enforce_psi=False)
+        for entry, term in [(evaluate, nat(0)), (infer_env_down, Var("x"))]:
+            with pytest.raises(TypeError, match="enforce_psi"):
+                entry(arith, term, nat(0), enforce_psi=False)
+
+    def test_the_budget_defaults_to_default_fuel(self, arith):
+        """Forward evaluation outside a search spends none of it."""
+        assert with_fuel_left(run_main, arith, pair(nat(0), nat(1)))[1] == DEFAULT_FUEL
+        term = Apply(FunRef("add", 1), nat(1))
+        assert 0 < with_fuel_left(evaluate, arith, term)[1] < DEFAULT_FUEL
+
+    @staticmethod
+    def assert_skip_moves_nothing(program, f, values):
+        """Inference always checks psi, so an inverse run under "skip" is the
+        run under "enforce", to the fuel left; and `infer_env_down` needs no
+        psi switch."""
+        main = copy_of(program, MainDecl(FunRef(f)))
+        for value in values:
+            cost = DEFAULT_FUEL - with_fuel_left(run_main, main, value, inverted=True)[1]
+            for fuel in sorted({cost // 2, DEFAULT_FUEL}):
+                enforce, skip = [
+                    with_fuel_left(run_main, main, value, inverted=True, psi_mode=mode, fuel=fuel)
+                    for mode in ("enforce", "skip")
+                ]
+                assert skip == enforce, (f, pretty_value(value), fuel)
+
+    @pytest.mark.parametrize("file", corpus_file_names())
+    def test_skip_mode_never_moves_an_inverse_run(self, file):
+        program = load_corpus_program(file)
+        for f in program.functions:
+            gen = ValueGenerator(program, random.Random(f.name), max_depth=4)
+            values = [gen.value(f.result_type) for _ in range(3)]
+            self.assert_skip_moves_nothing(program, f.name, values)
+
+    def test_skip_mode_never_moves_a_forward_run_inside_a_search(self):
+        """Inverting `undo` runs `add` forward inside the search, where a
+        `suc`-led pair trips psi: no preimage, under "skip" too."""
+        program = jeopardy.compile_source(
+            read_corpus_file("arith.jeo").replace(
+                "main add.", "undo (n : nat) : pair = (invert add) n.\nmain undo."
+            )
+        )
+        values = [pair(nat(a), nat(b)) for a in range(3) for b in range(3)]
+        self.assert_skip_moves_nothing(program, "undo", values)
+        out = run_main(program, pair(nat(1), nat(0)), inverted=True, psi_mode="skip")
+        assert out.message == "no preimage: 'undo' cannot produce ([suc [zero]], [zero])"
+
+    def test_a_fault_escapes_the_search_of_an_application(self):
+        """Inverting `f` evaluates its body inside the search, where `dup`'s
+        inverse infers `x` twice.  An unknown callee at the same site is
+        `test_a_fatal_violation_inside_a_search_is_not_a_missing_derivation`."""
+        program = jeopardy.compile_source(
+            "data nat = [zero] [suc nat].\n"
+            "data pair = [pair nat nat].\n"
+            "dup (x : nat) : pair = [pair x x].\n"
+            "f (p : pair) : nat = (invert dup) p.\n"
+            "main f.\n"
+        )
+        res = infer_env_down(program, Apply(FunRef("f", 1), Var("y")), pair(nat(0), nat(0)))
+        assert (res.kind, res.violation) == ("violation", LINEARITY_FAULT)
+        assert res.message == "variable 'x' inferred more than once"
+
+    @staticmethod
+    def case_on_a_call(callee):
+        """`f x = case x of callee y -> y`; case inference rebuilds the
+        selector value from the pattern, `callee y`, inside a search.
+        `validate` refuses a call as a pattern (V009), so the program is
+        built by hand."""
+        body = Case(Var("x"), "nat", ((Apply(callee, Var("y")), Var("y")),))
+        f = FunDef("f", Var("x"), "nat", "nat", body)
+        return Program((NAT, PAIR), (DUP, f), MainDecl(FunRef("f"))), body
+
+    @pytest.mark.parametrize(
+        "callee, value, violation, message",
+        [
+            (FunRef("g"), nat(0), UNKNOWN_FUNCTION, "unknown function 'g'"),
+            (
+                FunRef("dup", 1),
+                pair(nat(0), nat(0)),
+                LINEARITY_FAULT,
+                "variable 'x' inferred more than once",
+            ),
+        ],
+    )
+    def test_a_fault_escapes_the_search_of_a_case(self, callee, value, violation, message):
+        program, body = self.case_on_a_call(callee)
+        res = infer_env_down(program, body, value)
+        assert (res.kind, res.violation, res.message) == ("violation", violation, message)
+
+    def test_a_failed_premise_in_the_search_of_a_case_is_no_derivation(self):
+        """`dup`'s inverse has no preimage for `[zero]`: a `MatchFailure`."""
+        program, body = self.case_on_a_call(FunRef("dup", 1))
+        assert infer_env_down(program, body, nat(0)).kind == "none"
