@@ -135,8 +135,8 @@ class Evaluator:
     it under `env`, `infer(s, v, d)` infers an environment under which it
     evaluates to `v`; `d` is the depth of the rule application and `k`
     whether the evaluation runs inside a search, as inference always does.
-    Fuel is spent by every rule application inside a search, none outside
-    one; nesting beyond `DEFAULT_MAX_DEPTH` is undecided.  `arg`: see `_on_value`.
+    Fuel is spent by every rule application inside a search; one outside
+    touches no budget.  Nesting beyond `DEFAULT_MAX_DEPTH` is undecided.  `arg`: see `_on_value`.
     """
 
     __slots__ = ("fuel", "enforce_psi", "trace", "arg")
@@ -252,12 +252,20 @@ def _cell(program: Program, f: FunDef) -> _Fn:
 
 def _matcher(p: Term) -> Callable[[Con], Env | None]:
     """Match a value against `p`: a variable or a flat linear `[c x1 .. xn]`
-    directly, anything else by `unify`."""
+    directly (a dict display for one or two variables), anything else by `unify`."""
     if type(p) is Var:
         x = p.name
         return lambda v: {x: v}
     if type(p) is Con and (names := _variables(p.args)) is not None:
         c, n = p.name, len(names)
+        if n == 1:
+            (x,) = names
+            return lambda v: {x: v.args[0]} if v.name == c and len(v.args) == 1 else None
+        if n == 2:
+            x, y = names
+            return lambda v: (
+                {x: v.args[0], y: v.args[1]} if v.name == c and len(v.args) == 2 else None
+            )
         return lambda v: dict(zip(names, v.args)) if v.name == c and len(v.args) == n else None
     return lambda v: unify(v, p)
 
@@ -293,7 +301,8 @@ def _var(x: str, span: Span) -> tuple:
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         v = env.get(x)
         if v is None:
             raise _Violation(UNBOUND_VARIABLE, f"unbound variable {x!r}", span)
@@ -322,7 +331,8 @@ def _literal(t: Con | None) -> tuple:
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         if s.trace is not None:
             _show(s, "eval-constructor", t or s.arg)
         return t or s.arg
@@ -349,12 +359,14 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
     c, n, span = t.name, len(kids), t.span
     new = tuple.__new__  # skips `Con.__new__`
     downs, infers = [kid[0] for kid in kids], [kid[1] for kid in kids]
-    names, spans = _variables(t.args), [a.span for a in t.args]
+    spans = [a.span for a in t.args]
+    flat = _variables(t.args) is not None and _matcher(t)  # `[c x1 .. xn]`
 
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         args = []
         for arg in downs:
             args.append(arg(s, env, d + 1, k))
@@ -369,7 +381,7 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
         s.fuel -= 1
         if v.name != c or len(v.args) != n:
             return None
-        if names is not None:  # `[c x1 .. xn]`: each variable's rule inline, at d + 1
+        if flat:  # each variable's rule inline, at d + 1
             for x_span, w in zip(spans, v.args):
                 if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:
                     _stop(d + 1)
@@ -378,7 +390,7 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
                     s._emit("infer-variable", x_span, w)
             if s.trace is not None:
                 s._emit("infer-constructor", span, v)
-            return dict(zip(names, v.args))
+            return flat(v)
         envs = []
         for arg, w in zip(infers, v.args):
             e = arg(s, w, d + 1)
@@ -402,10 +414,10 @@ def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program:
     if f is None:
 
         def missing(s, x, d, *k):  # either judgement; see `_step`
-            search = not k or k[0]
-            if d > DEFAULT_MAX_DEPTH or search and s.fuel <= 0:
+            if d > DEFAULT_MAX_DEPTH or (search := not k or k[0]) and s.fuel <= 0:
                 _stop(d)
-            s.fuel -= search
+            if search:
+                s.fuel -= 1
             raise _Fault(UNKNOWN_FUNCTION, f"unknown function {base!r}", span)
 
         levels = (missing,) * 4
@@ -427,10 +439,10 @@ def _step(inner, rule: str, span: Span):
     passes `k` on and traces the result; inference passes none and traces the sought value."""
 
     def step(s, x, d, *k):
-        search = not k or k[0]
-        if d > DEFAULT_MAX_DEPTH or search and s.fuel <= 0:
+        if d > DEFAULT_MAX_DEPTH or (search := not k or k[0]) and s.fuel <= 0:
             _stop(d)
-        s.fuel -= search
+        if search:
+            s.fuel -= 1
         out = inner(s, x, d + 1, *k)
         if s.trace is not None:
             s._emit(rule, span, out if k else x)
@@ -445,7 +457,8 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         v_arg = arg_down(s, env, d + 1, k)
         binding = fn.match(v_arg)
         if binding is None:
@@ -462,7 +475,8 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
     def up(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         v_out = arg_down(s, env, d + 1, k)
         infer_body, param_down = fn.legs[0]
         inferred = infer_body(s, v_out, d + 1)
@@ -523,7 +537,8 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
     def case_down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         v_sel = sel_down(s, env, d + 1, k)
         for head, match, body, earlier in picks:
             if head is not None and head != v_sel.name:
@@ -603,7 +618,8 @@ def _bind(t: Case, code: dict, heads: dict) -> tuple:
     def down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
             _stop(d)
-        s.fuel -= k
+        if k:
+            s.fuel -= 1
         inner = env.copy()
         inner[x] = sel_down(s, env, d + 1, k)
         v = body_down(s, inner, d + 1, k)

@@ -15,7 +15,7 @@ written in a source file or a value.
 The token pattern tries punctuation (never a name's start) first, and its
 repeats are possessive (`*+`, `++`; Python 3.11): a token always follows the
 blanks, and nothing later in a token could take what a repeat gave back, so
-no place to return to is kept.  The value reader splits names with `_NAME` too.
+no place to return to is kept.  The value reader checks each name with `_NAME` too.
 """
 
 from __future__ import annotations

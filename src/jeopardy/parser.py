@@ -338,8 +338,9 @@ def parse_term(source: str) -> Term:
 
 def parse_value(source: str) -> Con:
     """Parse a ground value.  A value is data, so no node keeps a position:
-    each has `NO_SPAN`.  Text the value reader refuses goes to the parser
-    only for its diagnostic."""
+    each has `NO_SPAN`.  The value reader splits the text with string
+    operations and reads the pieces on an explicit stack; text it refuses
+    goes to the parser only for its diagnostic."""
     if (v := _read_value(source)) is not None:
         return v
     parse_term(source)  # L001 or P001-P005, unless the text is a term
@@ -349,17 +350,15 @@ def parse_value(source: str) -> Con:
 # ---------------------------------------------------------------------------
 # The value reader
 
-# Blanks, newlines and comments, each matched in one way only: a comment
-# runs to the end of its line, so a refused text cannot backtrack.
-_SKIP = r"(?:[ \t\r\n]|--[^\n]*(?![^\n]))*"
-# Value tokens after what `_SKIP` skips, split where `lex` splits them:
-# `[` with the constructor name or the `]` of `[]` after it, a name, a run
-# of `]`, the other punctuation a value uses, any other character (never
-# part of a value, a lone `[` included) or the empty end.  Each match is
-# (name, token).
-_VALUE_TOKEN = re.compile(
-    rf"{_SKIP}(?:\[{_SKIP}({_NAME}|\])|({_NAME}|\]+|[(),:]|.|\Z))"
-)
+# The reader splits a text with C string operations, not a pattern match per
+# token.  Comments go first: a name never holds `--`, so each `--` opens one,
+# as in `lex`.  A text with a blank `lex` refuses is refused whole (`\s` is
+# `str.split`'s predicate).  The punctuation a value uses, spaced apart, then
+# splits from the names at the blanks, and each distinct name is checked once:
+# all of it `_NAME`, no keyword, a letter first.
+_COMMENT = re.compile(r"--[^\n]*+")
+_FOREIGN_BLANK = re.compile(r"[^\S \t\r\n]")
+_IS_NAME = re.compile(_NAME).fullmatch
 
 # What the reader expects next: an atom in a cons chain, a constructor's
 # next argument or its `]`, or a `:` or the chain's end.
@@ -375,34 +374,42 @@ def _read_value(source: str) -> Con | None:
     first]` for a cons chain: the whole value (the bottom frame) or one in
     parentheses, where `first` holds the part before a pair's comma.
     """
+    text = _COMMENT.sub("", source)
+    if _FOREIGN_BLANK.search(text):
+        return None
+    for c in "[](),:":
+        text = text.replace(c, f" {c} ")
+    tokens = iter(text.split())
     new = tuple.__new__  # all fields known: no need for `Con.__new__`
     top: list = [None, [], None]
     frames = [top]
     items = top[1]  # the top frame's arguments or chain parts
     mode = _ATOM
-    for name, tok in _VALUE_TOKEN.findall(source):
-        if name:
+    names = set()  # the names checked so far
+    for tok in tokens:
+        if tok == "[":
             if mode == _NEXT:
                 return None
+            name = next(tokens, "")
             if name == "]":
                 items.append(new(Con, ("nil", (), NO_SPAN)))
                 mode = _NEXT if top[0] is None else _ARGS
-            elif name in RESERVED or not name[0].isalpha():
-                return None
-            else:
+            elif name in names or _IS_NAME(name) and name not in RESERVED and name[0].isalpha():
+                names.add(name)
                 top = [name, []]
                 frames.append(top)
                 items = top[1]
                 mode = _ARGS
-        elif tok[:1] == "]":
-            for _ in tok:
-                if mode != _ARGS:
-                    return None
-                head, args = frames.pop()
-                top = frames[-1]
-                items = top[1]
-                items.append(new(Con, (head, tuple(args), NO_SPAN)))
-                mode = _NEXT if top[0] is None else _ARGS
+            else:
+                return None
+        elif tok == "]":
+            if mode != _ARGS:
+                return None
+            head, args = frames.pop()
+            top = frames[-1]
+            items = top[1]
+            items.append(new(Con, (head, tuple(args), NO_SPAN)))
+            mode = _NEXT if top[0] is None else _ARGS
         elif tok == ":":
             if mode != _NEXT:
                 return None
@@ -431,10 +438,6 @@ def _read_value(source: str) -> Con | None:
             items = top[1]
             items.append(node)
             mode = _NEXT if top[0] is None else _ARGS
-        elif tok or mode != _NEXT or len(frames) > 1:
+        else:  # a name outside `[`, or text no value holds
             return None
-        else:  # the end
-            out = _fold_cons(items)
-            assert isinstance(out, Con)
-            return out
-    return None
+    return _fold_cons(items) if mode == _NEXT and len(frames) == 1 else None

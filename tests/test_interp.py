@@ -5,6 +5,7 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jeopardy
 import jeopardy.interp
@@ -44,6 +45,7 @@ from jeopardy.syntax import (
     Var,
     is_value,
     subterms,
+    unify,
 )
 from jeopardy.typecheck import check_program
 
@@ -384,6 +386,25 @@ class TestFuelAndLimits:
         out = run_main(arith, pair(nat(0), nat(5)), fuel=0)
         assert ok_value(out) == nat(5)
 
+    @pytest.mark.parametrize(
+        "name, value", [("mirror", balanced(7)), ("mapsuc", ones(85)), ("inc", nat(256))]
+    )
+    @pytest.mark.parametrize("fuel", [0, 7])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_forward_outside_a_search_leaves_the_budget_alone(
+        self, invertibles, name, value, fuel, traced
+    ):
+        """At any budget, a forward run that needs no search gives the value
+        and trace of a run at the default budget, and leaves its fuel as it was."""
+        from test_side_table import observe  # imported here: it imports this module
+
+        term = Apply(FunRef(name, 0), value)
+        got = observe(invertibles, term, fuel, True, traced)
+        want = observe(invertibles, term, DEFAULT_FUEL, True, traced)
+        assert got[0] == "success" and bool(got[6]) == traced
+        assert got[:5] + got[6:] == want[:5] + want[6:]
+        assert (got[5], want[5]) == (fuel, DEFAULT_FUEL)
+
     def test_divergent_recursion_becomes_undecided(self):
         src = (
             "data nat = [zero] [suc nat].\n"
@@ -399,6 +420,39 @@ class TestFuelAndLimits:
         out = run_main(arith, pair(nat(2000), nat(0)), psi_mode="skip")
         assert out.kind == "undecided"
         assert "depth" in out.message
+
+
+@st.composite
+def flat_patterns(draw):
+    """A flat linear pattern `[c x1 .. xn]`, n = 0..4, and a value of its
+    constructor and arity, or of another."""
+    n = draw(st.integers(0, 4))
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=n, max_size=n, unique=True))
+    pattern = Con("node", tuple(Var(x) for x in names))
+    name = draw(st.sampled_from(["node", "node", "leaf"]))
+    arity = draw(st.sampled_from([n, n, n + 1, abs(n - 1)]))
+    args = draw(st.lists(st.integers(0, 3).map(nat), min_size=arity, max_size=arity))
+    return pattern, Con(name, tuple(args))
+
+
+class TestFlatPatterns:
+    """A flat linear pattern binds as `unify` does, keys in its order: a
+    clash names the first key of the later environment (`_join`)."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(flat_patterns())
+    def test_the_matcher_and_inference_give_unifys_items(self, arith, case):
+        pattern, value = case
+        want = unify(value, pattern)
+        fits = value.name == pattern.name and len(value.args) == len(pattern.args)
+        assert (want is not None) == fits
+        got = jeopardy.interp._matcher(pattern)(value)
+        assert got is None if want is None else list(got.items()) == list(want.items())
+        out = infer_env_down(arith, pattern, value, fuel=DEFAULT_FUEL)
+        if want is None:
+            assert out.kind == "none"
+        else:
+            assert out.found and list(out.env.items()) == list(want.items())
 
 
 class TestTrace:

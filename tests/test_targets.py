@@ -3,16 +3,17 @@
 Each target is rejected by the strictly linear checker although it is
 invertible, or is an uninvertible piece that one of them uses
 invertibly: the programs the paper's analysis of implicitly available
-arguments is for.  They are `dup`, and `keep` with its `len`
+arguments is for.  They are `dup`, `keep` with its `len`, and `rle`
 (`tests/targets/`), and the bundled `fib`, `first` (both `fib.jeo`) and
-`swap`.  The two new files stay out of the bundled corpus, which
-`jeopardy test` and the benchmark read whole.
+`swap`.  The files in `tests/targets/` stay out of the bundled corpus,
+which `jeopardy test` and the benchmark read whole.
 
 For each target this pins its check codes and the outcome (kind,
 violation, message, value) of its forward and inverse runs at the default
 budget.  A change that moves a row moves the scoreboard: how many targets
-the checker accepts, and how many invert their forward output back to
-the input.
+the checker accepts together with the rest of their file, as `jeopardy
+check` judges it, and how many invert their forward output back to the
+input.
 """
 
 from functools import cache
@@ -36,6 +37,12 @@ CHECKS = {
     "fib": ("fib.jeo", ["T002"]),
     "first": ("fib.jeo", ["T003"]),
     "swap": ("swap.jeo", ["T002"]),
+    "rle": ("rle.jeo", []),
+}
+# Functions a target calls that are rejected on their own.
+CALLEES = {
+    "eq": ("rle.jeo", ["T003"]),
+    "push": ("rle.jeo", ["T003"]),
 }
 
 NO_PREIMAGE = "no preimage: {!r} cannot produce {}"
@@ -81,6 +88,25 @@ RUNS = {
     ("swap", 1, "([suc [zero]], [zero])"): (
         "violation", "MatchFailure", NO_PREIMAGE.format("swap", "([suc [zero]], [zero])"), None
     ),
+    # Forward, push's two branches overlap under psi, and so do eq's [true] bodies.
+    ("rle", 0, "[zero] : [zero] : [suc [zero]] : []"): (
+        "violation",
+        "PsiViolation",
+        "branch 1 can also produce"
+        " [run ([zero], [suc [zero]]) [run ([suc [zero]], [suc [zero]]) [none]]]",
+        None,
+    ),
+    ("rle", 0, "[zero] : []"): ("success", None, "", "[run ([zero], [suc [zero]]) [none]]"),
+    ("rle", 0, "[suc [zero]] : [zero] : []"): (
+        "violation", "PsiViolation", "branch 2 can also produce [false]", None
+    ),
+    ("rle", 1, "[run ([zero], [suc [suc [zero]]]) [run ([suc [zero]], [suc [zero]]) [none]]]"): (
+        "violation", "LinearityFault", TWICE.format("y"), None
+    ),
+    ("rle", 1, "[run ([zero], [suc [zero]]) [none]]"): ("success", None, "", "[zero] : []"),
+    ("rle", 1, "[run ([suc [zero]], [suc [zero]]) [run ([zero], [suc [zero]]) [none]]]"): (
+        "violation", "LinearityFault", TWICE.format("y"), None
+    ),
 }
 
 # Targets the checker accepts, and targets whose inverse takes their
@@ -97,7 +123,7 @@ def program(file):
 
 
 def codes(target):
-    file, _ = CHECKS[target]
+    file, _ = {**CHECKS, **CALLEES}[target]
     [verdict] = [v for v in check_program(program(file)).functions if v.name == target]
     return verdict.accepted, [d.code for d in verdict.diagnostics]
 
@@ -107,9 +133,10 @@ def run(target, inversions, value):
     return evaluate(program(file), Apply(FunRef(target, inversions), value))
 
 
-@pytest.mark.parametrize("target", CHECKS)
+@pytest.mark.parametrize("target", [*CHECKS, *CALLEES])
 def test_check_codes(target):
-    assert codes(target) == (not CHECKS[target][1], CHECKS[target][1])
+    _, want = {**CHECKS, **CALLEES}[target]
+    assert codes(target) == (not want, want)
 
 
 @pytest.mark.parametrize("target, inversions, text", RUNS)
@@ -121,8 +148,8 @@ def test_runs(target, inversions, text):
 
 def test_the_scoreboard():
     accepted = inverting = 0
-    for target in CHECKS:
-        accepted += codes(target)[0]
+    for target, (file, _) in CHECKS.items():
+        accepted += check_program(program(file)).accepted
         x = jeopardy.parse_value(next(text for t, n, text in RUNS if (t, n) == (target, 0)))
         y = run(target, 0, x)
         inverting += y.ok and run(target, 1, y.value).value == x

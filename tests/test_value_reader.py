@@ -150,6 +150,21 @@ def test_reader_agrees_with_the_parser(text):
         "[²]",
         "[suc [zero] : []]",
         "([zero]",
+        # blanks `str.split` splits at but `lex` refuses
+        "[suc\f[zero]]",
+        "[suc\v[zero]]",
+        "[suc\x1c[zero]]",
+        "[suc\xa0[zero]]",
+        "[zero] -- a comment may hold one: \xa0\f\n",
+        # comments, blanks and brackets
+        "[suc--c\n[zero]]",
+        "[ suc [ zero ] ]",
+        "[]]",
+        "[zero]]",
+        "[zero]$",
+        # names: whole, no keyword, a letter first
+        "[x-]",
+        "[a'b-c]",
     ],
 )
 def test_reader_agrees_with_the_parser_on_examples(text):
