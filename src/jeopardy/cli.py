@@ -1,15 +1,15 @@
 """Command-line front door.
 
 Exit codes are part of the contract: 0 success, 1 runtime violation,
-2 type error, 3 parse, validation or usage error, 4 undecided.  Standard
-output carries only the result payload (a value, an AST document, or
-the test summary); everything else goes to the error stream.
+2 type error, 3 parse, validation or usage error (a `run` value outside
+`main`'s input type too), 4 undecided.  Standard output carries only the
+result payload (a value, an AST document, or the test summary);
+everything else goes to the error stream.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import compile_source
@@ -18,8 +18,8 @@ from .diagnostics import Diagnostic, SourceError
 from .interp import DEFAULT_FUEL, run_main
 from .parser import parse_value
 from .pretty import pretty_value
-from .syntax import Con, Program
-from .typecheck import TypeReport, check_program
+from .syntax import Con, FunRef, Program
+from .typecheck import check_program, effective_signature
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -27,88 +27,78 @@ EXIT_TYPE_ERROR = 2
 EXIT_SOURCE_ERROR = 3
 EXIT_UNDECIDED = 4
 
-FUEL_ENV_VAR = "JEOPARDY_FUEL"
-
 SKIP_PSI_BANNER = (
     "warning: first-match checks are skipped;"
     " results are forward-only and not reversible evidence"
 )
 
 
-def _print_source_error(err: SourceError, filename: str) -> None:
-    for d in err.diagnostics:
-        print(d.render(filename), file=sys.stderr)
+class _Stop(Exception):
+    """Ends a command with the exit code it carries."""
 
 
-def _load_program(path: str) -> Program | None:
+def _report(code: int, origin: str, diagnostics: list[Diagnostic]) -> int:
+    """Print each diagnostic at `origin` to the error stream; return `code`."""
+    for d in diagnostics:
+        print(d.render(origin), file=sys.stderr)
+    return code
+
+
+def _load_program(path: str, *, check: bool) -> Program:
+    """The program in `path`, type-checked when `check`; a file that does
+    not load, compile or check stops the command with its diagnostics."""
     try:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"{path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
-        return None
+        raise _Stop(EXIT_SOURCE_ERROR)
     try:
-        return compile_source(source)
+        program = compile_source(source)
     except SourceError as err:
-        _print_source_error(err, path)
-        return None
+        raise _Stop(_report(EXIT_SOURCE_ERROR, path, err.diagnostics))
+    if check and not (report := check_program(program)).accepted:
+        diagnostics = [d for verdict in report.functions for d in verdict.diagnostics]
+        raise _Stop(_report(EXIT_TYPE_ERROR, path, diagnostics))
+    return program
 
 
-def _print_type_report(report: TypeReport, filename: str) -> None:
-    for verdict in report.functions:
-        for d in verdict.diagnostics:
-            print(d.render(filename), file=sys.stderr)
-
-
-def _resolve_fuel(flag_value: int | None) -> int:
-    """Flag wins over the environment; both absent leaves the default."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(FUEL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_FUEL
-    try:
-        return int(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring non-numeric {FUEL_ENV_VAR}={raw!r}",
-            file=sys.stderr,
-        )
-        return DEFAULT_FUEL
-
-
-def _read_value_argument(text: str) -> Con | None:
-    source = sys.stdin.read() if text == "-" else text
-    origin = "<stdin>" if text == "-" else "<value>"
-    try:
-        return parse_value(source)
-    except SourceError as err:
-        _print_source_error(err, origin)
-        return None
+def _ill_typed(program: Program, value: Con, tau: str) -> Diagnostic | None:
+    """The first node of `value` that is not of type `tau`, reported as
+    `validate` (V005) or the checker (T005) reports it in a program.  An
+    explicit stack, as a literal may be nested 100,000 deep."""
+    stack = [(value, tau)]
+    while stack:
+        c, expected = stack.pop()
+        if (found := program.ctor(c.name)) is None:
+            return Diagnostic("V005", f"unknown constructor {c.name!r}")
+        owner, ctor = found
+        if (arity := len(ctor.arg_types)) != len(c.args):
+            message = f"constructor {c.name!r} takes {arity} arguments, got {len(c.args)}"
+            return Diagnostic("V005", message)
+        if owner.name != expected:
+            message = f"constructor {c.name!r} belongs to {owner.name!r}, not {expected!r}"
+            return Diagnostic("T005", message)
+        stack += zip(reversed(c.args), reversed(ctor.arg_types))
+    return None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    if program is None:
-        return EXIT_SOURCE_ERROR
-    report = check_program(program)
-    if report.accepted:
-        return EXIT_OK
-    _print_type_report(report, args.file)
-    return EXIT_TYPE_ERROR
+    _load_program(args.file, check=True)
+    return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    if program is None:
-        return EXIT_SOURCE_ERROR
-    report = check_program(program)
-    if not report.accepted:
-        _print_type_report(report, args.file)
-        return EXIT_TYPE_ERROR
-    value = _read_value_argument(args.value)
-    if value is None:
-        return EXIT_SOURCE_ERROR
+    program = _load_program(args.file, check=True)
+    origin = "<stdin>" if args.value == "-" else "<value>"
+    try:
+        value = parse_value(sys.stdin.read() if args.value == "-" else args.value)
+    except SourceError as err:
+        return _report(EXIT_SOURCE_ERROR, origin, err.diagnostics)
+    ref = program.main.ref
+    arg_type, _ = effective_signature(program, FunRef(ref.base, ref.inversions + args.invert))
+    if (wrong := _ill_typed(program, value, arg_type)) is not None:
+        return _report(EXIT_SOURCE_ERROR, origin, [wrong])
     if args.skip_psi:
         print(SKIP_PSI_BANNER, file=sys.stderr)
     outcome = run_main(
@@ -116,7 +106,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         value,
         inverted=args.invert,
         psi_mode="skip" if args.skip_psi else "enforce",
-        fuel=_resolve_fuel(args.fuel),
+        fuel=args.fuel,
         trace=(lambda line: print(line, file=sys.stderr)) if args.trace else None,
     )
     if outcome.ok:
@@ -127,16 +117,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"undecided: {outcome.message}", file=sys.stderr)
         return EXIT_UNDECIDED
     assert outcome.violation is not None
-    diagnostic = Diagnostic("error", outcome.violation, outcome.message, outcome.span)
-    print(diagnostic.render(args.file), file=sys.stderr)
-    return EXIT_VIOLATION
+    violation = Diagnostic(outcome.violation, outcome.message, outcome.span)
+    return _report(EXIT_VIOLATION, args.file, [violation])
 
 
 def cmd_ast(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    if program is None:
-        return EXIT_SOURCE_ERROR
-    sys.stdout.write(emit_ast(program))
+    sys.stdout.write(emit_ast(_load_program(args.file, check=False)))
     return EXIT_OK
 
 
@@ -173,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.add_argument("value", help="value literal, or - to read it from standard input")
     run.add_argument("--invert", action="store_true", help="run main's inverse")
-    run.add_argument("--fuel", type=int, default=None, help="search budget override")
+    run.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="search budget")
     run.add_argument(
         "--skip-psi",
         action="store_true",
@@ -202,13 +188,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SOURCE_ERROR if stop.code == 2 else stop.code
     try:
         return args.handler(args)
+    except _Stop as stop:
+        return stop.args[0]
     except RecursionError:
         # The parser reads `[ … ]` at any depth and raises P005 itself for
         # `( … )`, `case` and `let`, which it still reads by recursion; the
         # passes after it recurse once per level of a term.
-        err = SourceError.single("P005", "nesting too deep")
-        _print_source_error(err, getattr(args, "file", "jeopardy"))
-        return EXIT_SOURCE_ERROR
+        too_deep = Diagnostic("P005", "nesting too deep")
+        return _report(EXIT_SOURCE_ERROR, getattr(args, "file", "jeopardy"), [too_deep])
 
 
 if __name__ == "__main__":

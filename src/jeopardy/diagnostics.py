@@ -1,7 +1,7 @@
 """Source positions and structured diagnostics.
 
 Every front-end stage (lexing, parsing, desugaring, validation, typing)
-reports problems as `Diagnostic` records so the CLI can print them
+reports its errors as `Diagnostic` records so the CLI can print them
 uniformly and tests can match on stable codes instead of message text.
 """
 
@@ -28,14 +28,13 @@ NO_SPAN = Span(0, 0)
 
 
 class Diagnostic(NamedTuple):
-    severity: str  # "error" or "warning"
     code: str
     message: str
     span: Span = NO_SPAN
 
     def render(self, filename: str = "<input>") -> str:
         loc = f"{filename}:{self.span}" if self.span.line else filename
-        return f"{loc}: {self.severity}[{self.code}]: {self.message}"
+        return f"{loc}: error[{self.code}]: {self.message}"
 
 
 class SourceError(Exception):
@@ -50,4 +49,4 @@ class SourceError(Exception):
 
     @classmethod
     def single(cls, code: str, message: str, span: Span = NO_SPAN) -> "SourceError":
-        return cls([Diagnostic("error", code, message, span)])
+        return cls([Diagnostic(code, message, span)])

@@ -24,7 +24,7 @@ from . import compile_source
 from .diagnostics import NO_SPAN, SourceError
 from .interp import DEFAULT_FUEL, VIOLATION_KINDS, Outcome, evaluate, infer_env_down, run_main
 from .parser import parse_program, parse_value
-from .pretty import pretty_program, pretty_value
+from .pretty import pretty_fun_ref, pretty_program, pretty_value
 from .syntax import Apply, Con, Ctor, Env, FunRef, Program, Term
 from .typecheck import bind_types, check_program
 
@@ -186,7 +186,6 @@ class Expectation(NamedTuple):
     direction: str  # "forward" | "invert" | "check"
     psi_mode: str
     expect: str
-    line: int
 
     def label(self) -> str:
         if self.direction == "check":
@@ -208,7 +207,7 @@ def parse_expectations(text: str) -> list[Expectation]:
             raise ValueError(f"expectations line {line_no}: bad direction {direction!r}")
         if direction != "check" and psi_mode not in ("enforce", "skip"):
             raise ValueError(f"expectations line {line_no}: bad psi mode {psi_mode!r}")
-        out.append(Expectation(file, value_text, direction, psi_mode, expect, line_no))
+        out.append(Expectation(file, value_text, direction, psi_mode, expect))
     return out
 
 
@@ -326,10 +325,6 @@ def theorem_env_round_trip(seed: int, cases: int) -> SuiteResult:
 INVERSION_CORPUS = "invertibles.jeo"
 
 
-def _label(ref: FunRef) -> str:
-    return f"(invert {ref.base})" if ref.inversions else ref.base
-
-
 def _returned(program: Program, there: FunRef, back: FunRef, v: Con) -> tuple[str, str]:
     """One leg: `back` must undo `there` on `v`.  The invertible functions
     are total forwards, so only an inverse may refuse `v` or stay undecided."""
@@ -341,14 +336,14 @@ def _returned(program: Program, there: FunRef, back: FunRef, v: Con) -> tuple[st
             return "passed", ""
         shown = pretty_value(v)
         return "failed", (
-            f"{_label(back)} ({_label(there)} {shown}):"
+            f"{pretty_fun_ref(back)} ({pretty_fun_ref(there)} {shown}):"
             f" expected {shown}, got {_show_outcome(second)}"
         )
     if not there.inversions:
         return "failed", f"{there.base} {pretty_value(v)}: {_show_outcome(first)}"
     if first.kind == "violation":
         return "skipped", ""
-    return "undecided", f"{_label(there)} {pretty_value(v)}: undecided"
+    return "undecided", f"{pretty_fun_ref(there)} {pretty_value(v)}: undecided"
 
 
 def corollary_inversion_round_trip(seed: int, cases: int) -> SuiteResult:

@@ -21,7 +21,7 @@ def validate(program: Program) -> Program:
     function, datatype, ctor = program.function, program.datatype, program.ctor
 
     def report(code: str, message: str, span: Span) -> None:
-        out.append(Diagnostic("error", code, message, span))
+        out.append(Diagnostic(code, message, span))
 
     # Declarations.  These sets only find duplicates; every lookup goes
     # through the indexes.

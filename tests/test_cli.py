@@ -196,24 +196,33 @@ class TestRun:
         assert err == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_fuel_env_var(self, capsys, corpus_dir, monkeypatch):
+        """`JEOPARDY_FUEL` is not read: two units would leave this inversion undecided."""
         monkeypatch.setenv("JEOPARDY_FUEL", "2")
-        code, _, _ = run_cli(
+        assert run_cli(
             capsys, "run", "--invert", str(corpus_dir / "arith.jeo"), "[suc [zero]]"
-        )
-        assert code == 4, "tiny budget from the environment"
+        ) == (0, "([zero], [suc [zero]])\n", "")
 
     def test_fuel_flag_beats_env_var(self, capsys, corpus_dir, monkeypatch):
-        monkeypatch.setenv("JEOPARDY_FUEL", "2")
-        code, out, err = run_cli(
+        """The budget comes from `--fuel` alone, whatever the variable says."""
+        monkeypatch.setenv("JEOPARDY_FUEL", "100000")
+        code, _, _ = run_cli(
             capsys,
             "run",
             "--invert",
             "--fuel",
-            "100000",
+            "2",
             str(corpus_dir / "arith.jeo"),
             "[suc [zero]]",
         )
-        assert (code, out, err) == (0, "([zero], [suc [zero]])\n", "")
+        assert code == 4, "tiny budget from the flag"
+
+    @pytest.mark.parametrize("setting", ["lots"])
+    def test_the_fuel_variable_is_ignored(self, capsys, corpus_dir, monkeypatch, setting):
+        """A non-numeric setting draws no warning and leaves the default budget."""
+        monkeypatch.setenv("JEOPARDY_FUEL", setting)
+        assert run_cli(
+            capsys, "run", "--invert", str(corpus_dir / "arith.jeo"), "[suc [zero]]"
+        ) == (0, "([zero], [suc [zero]])\n", "")
 
     def test_a_violation_of_the_main_call_is_placed_at_main(self, capsys, tmp_path, monkeypatch):
         """At `pred` in `main pred.`, not where `[zero]` starts in the value."""
@@ -229,15 +238,29 @@ class TestRun:
             " argument [zero] does not match the parameter of 'pred'\n",
         )
 
-    def test_garbage_fuel_env_var_is_ignored_with_warning(
-        self, capsys, corpus_dir, monkeypatch
+    @pytest.mark.parametrize(
+        "main, flags, value, message",
+        [
+            ("inc", (), "[true]", "T005]: constructor 'true' belongs to 'bool', not 'nat'"),
+            ("inc", (), "[suc [zero] [zero]]", "V005]: constructor 'suc' takes 1 arguments, got 2"),
+            ("inc", ("--invert",), "[suc [true]]",
+             "T005]: constructor 'true' belongs to 'bool', not 'nat'"),
+            ("same", (), "[Zero]", "V005]: unknown constructor 'Zero'"),
+        ],
+    )
+    def test_a_value_outside_mains_input_type_is_refused(
+        self, capsys, tmp_path, main, flags, value, message
     ):
-        monkeypatch.setenv("JEOPARDY_FUEL", "lots")
-        code, out, err = run_cli(
-            capsys, "run", str(corpus_dir / "invertibles.jeo"), "[true]"
+        """The checker's guarantee covers only values of `main`'s input type,
+        which `--invert` swaps for its result type."""
+        source = read_corpus_file("invertibles.jeo").replace(
+            "main not.", f"same (n : nat) : nat = n.\nmain {main}."
         )
-        assert (code, out) == (0, "[false]\n")
-        assert "JEOPARDY_FUEL" in err
+        path = tmp_path / "f.jeo"
+        path.write_text(source, encoding="utf-8")
+        assert run_cli(capsys, "run", *flags, str(path), value) == (
+            3, "", f"<value>: error[{message}\n"
+        )
 
 
 class TestAst:
@@ -362,6 +385,15 @@ class TestDeepValue:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "[suc " * k + "[zero]" + "]" * k + "\n"
 
+    def test_deep_ill_typed_literal_is_refused(self, tmp_path):
+        """The value's type is checked without recursion, at any depth."""
+        program = tmp_path / "inc.jeo"
+        program.write_text(NAT_INC, encoding="utf-8")
+        value = "[suc " * 100_000 + "[true]" + "]" * 100_000
+        proc = run_process("run", str(program), "-", stdin=value)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "<stdin>: error[V005]: unknown constructor 'true'\n"
+
     @pytest.mark.parametrize("n", [250, 300, 900])
     def test_deep_ground_body_decides(self, tmp_path, n):
         """Branch 1's body is the n-deep literal and branch 2 maps it to
@@ -471,7 +503,7 @@ class TestTest:
         assert out == ""
         assert "no suite matches" in err
 
-    def test_the_fuel_variable_is_for_run_only(self, capsys, monkeypatch):
+    def test_the_fuel_variable_leaves_the_summaries_alone(self, capsys, monkeypatch):
         """The suites run at the default budget whatever `JEOPARDY_FUEL` says,
         so runs with the same seed print the same text."""
         monkeypatch.delenv("JEOPARDY_FUEL", raising=False)

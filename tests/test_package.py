@@ -115,3 +115,18 @@ def test_no_module_level_name_is_bound_twice():
                 found.append(f"{path.name}: {name!r} at lines {first[name]} and {line}")
             first.setdefault(name, line)
     assert found == []
+
+
+def test_the_package_reads_no_environment():
+    """A command depends only on its program, its value and its flags:
+    no module reads `os.environ` or `os.getenv`, under any name."""
+    found = []
+    for path in sorted((ROOT / "src" / "jeopardy").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & {"environ", "getenv"}:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []

@@ -39,7 +39,7 @@ NAT = DataDecl("nat", (Ctor("zero"), Ctor("suc", ("nat",))), S)
 MAIN = MainDecl(FunRef("f"), S)
 CLAUSE = Clause("f", Var("x", S), "nat", None, Var("x"), S)
 FUN = FunDef("f", Var("x", S), "nat", "nat", Apply(REF, Var("x"), S), S)
-DIAG = Diagnostic("error", "T002", "variable 'x' used twice", S)
+DIAG = Diagnostic("T002", "variable 'x' used twice", S)
 VERDICT = FunctionVerdict("f", False, (DIAG,))
 OUTCOME = Outcome("violation", None, "PsiViolation", "no", S)
 
@@ -103,25 +103,25 @@ REPRS = [
     (InferResult("none"), "InferResult(kind='none', env=None, violation=None, message='')"),
     (
         VERDICT,
-        "FunctionVerdict(name='f', accepted=False, diagnostics=(Diagnostic(severity='error',"
-        " code='T002', message=\"variable 'x' used twice\","
+        "FunctionVerdict(name='f', accepted=False, diagnostics=(Diagnostic(code='T002',"
+        " message=\"variable 'x' used twice\","
         " span=Span(line=2, col=3, end_line=2, end_col=9)),))",
     ),
     (
         TypeReport((VERDICT,)),
         "TypeReport(functions=(FunctionVerdict(name='f', accepted=False,"
-        " diagnostics=(Diagnostic(severity='error', code='T002',"
+        " diagnostics=(Diagnostic(code='T002',"
         " message=\"variable 'x' used twice\","
         " span=Span(line=2, col=3, end_line=2, end_col=9)),)),))",
     ),
     (
-        Expectation("arith.jeo", "[zero]", "forward", "enforce", "[suc [zero]]", 7),
+        Expectation("arith.jeo", "[zero]", "forward", "enforce", "[suc [zero]]"),
         "Expectation(file='arith.jeo', value_text='[zero]', direction='forward',"
-        " psi_mode='enforce', expect='[suc [zero]]', line=7)",
+        " psi_mode='enforce', expect='[suc [zero]]')",
     ),
     (
         DIAG,
-        "Diagnostic(severity='error', code='T002', message=\"variable 'x' used twice\","
+        "Diagnostic(code='T002', message=\"variable 'x' used twice\","
         " span=Span(line=2, col=3, end_line=2, end_col=9))",
     ),
 ]
@@ -147,8 +147,8 @@ MATCH_ARGS = {
     InferResult: ("kind", "env", "violation", "message"),
     FunctionVerdict: ("name", "accepted", "diagnostics"),
     TypeReport: ("functions",),
-    Expectation: ("file", "value_text", "direction", "psi_mode", "expect", "line"),
-    Diagnostic: ("severity", "code", "message", "span"),
+    Expectation: ("file", "value_text", "direction", "psi_mode", "expect"),
+    Diagnostic: ("code", "message", "span"),
 }
 
 

@@ -77,7 +77,7 @@ class TestSuitesAreGreen:
     def test_an_undecided_row_holds_only_when_undecided(self, arith):
         """No bundled row expects `undecided`: one unit of fuel leaves this
         inversion undecided, the default budget decides it."""
-        exp = suites.Expectation("arith.jeo", "[suc [zero]]", "invert", "enforce", "undecided", 1)
+        exp = suites.Expectation("arith.jeo", "[suc [zero]]", "invert", "enforce", "undecided")
         assert suites._run_value_expectation(exp, arith, 1) is None
         assert suites._run_value_expectation(exp, arith, None) == "got ([zero], [suc [zero]])"
 
