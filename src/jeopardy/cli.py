@@ -191,9 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     except _Stop as stop:
         return stop.args[0]
     except RecursionError:
-        # The parser reads `[ … ]` at any depth and raises P005 itself for
-        # `( … )`, `case` and `let`, which it still reads by recursion; the
-        # passes after it recurse once per level of a term.
+        # `compile_source` reports its own passes' overflow as P005; the
+        # checker and the AST emitter recurse once per level of a term.
         too_deep = Diagnostic("P005", "nesting too deep")
         return _report(EXIT_SOURCE_ERROR, getattr(args, "file", "jeopardy"), [too_deep])
 

@@ -115,12 +115,13 @@ class _Refusal(Exception):
 
 
 class _Violation(_Refusal):
-    """A premise fails: inside a search, only that no derivation exists."""
+    """A premise fails (no match, a psi clash): inside a search, only that
+    no derivation exists."""
 
 
 class _Fault(_Refusal):
-    """The program's own fault (a linearity clash, an unknown callee): it
-    escapes every search."""
+    """The program's own fault (a linearity clash, an unknown callee, an
+    unbound variable): it escapes every search."""
 
 
 class _Undecided(Exception):
@@ -305,7 +306,7 @@ def _var(x: str, span: Span) -> tuple:
             s.fuel -= 1
         v = env.get(x)
         if v is None:
-            raise _Violation(UNBOUND_VARIABLE, f"unbound variable {x!r}", span)
+            raise _Fault(UNBOUND_VARIABLE, f"unbound variable {x!r}", span)
         if s.trace is not None:
             s._emit("eval-variable", span, v)
         return v
@@ -636,8 +637,8 @@ def _bind(t: Case, code: dict, heads: dict) -> tuple:
         if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:  # the pattern variable's rule, at d + 1
             _stop(d + 1)
         s.fuel -= 1
-        if (v_sel := env_body.pop(x, None)) is None:
-            return None
+        if (v_sel := env_body.pop(x, None)) is None:  # as `_var.down` refuses it
+            raise _Fault(UNBOUND_VARIABLE, f"unbound variable {x!r}", p.span)
         if s.trace is not None:
             s._emit("eval-variable", p.span, v_sel)
         if (env_sel := sel_infer(s, v_sel, d + 1)) is None:

@@ -15,7 +15,8 @@ written in a source file or a value.
 The token pattern tries punctuation (never a name's start) first, and its
 repeats are possessive (`*+`, `++`; Python 3.11): a token always follows the
 blanks, and nothing later in a token could take what a repeat gave back, so
-no place to return to is kept.  The value reader checks each name with `_NAME` too.
+no place to return to is kept.  `is_name` states the rule for one text, and
+both the value reader and `syntax.is_valid_name` ask it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ _NAME = r"[^\W\d_][\w']*+(?:-[\w']++)*+"
 # a newline, a comment (it runs to the end of the line), any other single
 # character (always an error), or the empty end.  No tuple per match.
 _SOURCE = re.compile(rf"[ \t\r]*+(?:->|[][()=.:,;]|{_NAME}|\n|--[^\n]*+|.|\Z)")
+_WHOLE_NAME = re.compile(_NAME).fullmatch
+
+
+def is_name(text: str) -> bool:
+    """Whether `lex` reads all of `text` as one name: a `_NAME`, a letter first."""
+    return text[:1].isalpha() and _WHOLE_NAME(text) is not None
 
 
 class Tokens(list):

@@ -28,7 +28,7 @@ import re
 from collections.abc import Callable
 
 from .diagnostics import NO_SPAN, SourceError
-from .lexer import _NAME, PUNCT, Tokens, lex
+from .lexer import PUNCT, Tokens, is_name, lex
 from .syntax import (
     RESERVED,
     Apply,
@@ -355,10 +355,9 @@ def parse_value(source: str) -> Con:
 # as in `lex`.  A text with a blank `lex` refuses is refused whole (`\s` is
 # `str.split`'s predicate).  The punctuation a value uses, spaced apart, then
 # splits from the names at the blanks, and each distinct name is checked once:
-# all of it `_NAME`, no keyword, a letter first.
+# a name to `lex` and no keyword.
 _COMMENT = re.compile(r"--[^\n]*+")
 _FOREIGN_BLANK = re.compile(r"[^\S \t\r\n]")
-_IS_NAME = re.compile(_NAME).fullmatch
 
 # What the reader expects next: an atom in a cons chain, a constructor's
 # next argument or its `]`, or a `:` or the chain's end.
@@ -394,7 +393,7 @@ def _read_value(source: str) -> Con | None:
             if name == "]":
                 items.append(new(Con, ("nil", (), NO_SPAN)))
                 mode = _NEXT if top[0] is None else _ARGS
-            elif name in names or _IS_NAME(name) and name not in RESERVED and name[0].isalpha():
+            elif name in names or is_name(name) and name not in RESERVED:
                 names.add(name)
                 top = [name, []]
                 frames.append(top)

@@ -25,6 +25,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .diagnostics import NO_SPAN, Span
+from .lexer import is_name
 
 RESERVED = frozenset({"data", "main", "case", "of", "invert", "let", "in"})
 
@@ -397,8 +398,4 @@ def unify(value: Con, pattern: Term) -> Env | None:
 
 def is_valid_name(name: str) -> bool:
     """A name a source file can declare; the desugarer's `%N` is none."""
-    if not name or name in RESERVED:
-        return False
-    if not name[0].isalpha() or not name[0].islower():
-        return False
-    return all(c.isalnum() or c in "_'-" for c in name[1:])
+    return is_name(name) and name[0].islower() and name not in RESERVED

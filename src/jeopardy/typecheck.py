@@ -60,16 +60,12 @@ class TypeReport(NamedTuple):
         return all(v.accepted for v in self.functions)
 
 
-def _fail(code: str, message: str, span: Span) -> SourceError:
-    return SourceError.single(code, message, span)
-
-
 def _merge(into: TypingEnv, env: TypingEnv, span: Span) -> None:
     """Add env to into, disjointly: T002 names the first variable of env
     that into already has."""
     for x in env:
         if x in into:
-            raise _fail("T002", f"variable {x!r} is consumed more than once", span)
+            raise SourceError.single("T002", f"variable {x!r} is consumed more than once", span)
         into[x] = env[x]
 
 
@@ -92,7 +88,7 @@ def _constructor(program: Program, c: Con, tau: str) -> tuple[str, ...]:
     """
     owner, ctor = program.ctor(c.name)
     if owner.name != tau:
-        raise _fail(
+        raise SourceError.single(
             "T005",
             f"constructor {c.name!r} belongs to {owner.name!r}, not {tau!r}",
             c.span,
@@ -126,7 +122,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
     if kind is Var:
         ty = scope.get(t.name)
         if ty is None:
-            raise _fail("T001", f"unbound variable {t.name!r}", t.span)
+            raise SourceError.single("T001", f"unbound variable {t.name!r}", t.span)
         return {t.name: ty}, ty
     if kind is Con:
         owner, ctor = program.ctor(t.name)  # resolved by `validate`
@@ -134,7 +130,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
         for a, expected in zip(t.args, ctor.arg_types):
             req_a, ty_a = _synth(program, scope, a)
             if ty_a != expected:
-                raise _fail(
+                raise SourceError.single(
                     "T005",
                     f"argument of {t.name!r} has type {ty_a!r}, expected {expected!r}",
                     t.span,
@@ -149,7 +145,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
         t_in, t_out = effective_signature(program, ref)
         req_a, ty_a = _synth(program, scope, t.arg)
         if ty_a != t_in:
-            raise _fail(
+            raise SourceError.single(
                 "T005",
                 f"argument to {ref.base!r} has type {ty_a!r}, expected {t_in!r}",
                 t.span,
@@ -160,7 +156,7 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
     annotation, span = t.type_name, t.span
     req_sel, ty_sel = _synth(program, scope, t.selector)
     if ty_sel != annotation:
-        raise _fail(
+        raise SourceError.single(
             "T005",
             f"selector has type {ty_sel!r}, annotation says {annotation!r}",
             span,
@@ -175,18 +171,18 @@ def _synth(program: Program, scope: TypingEnv, t: Term) -> tuple[TypingEnv, str]
         if result is None:
             result = ty_b
         elif ty_b != result:
-            raise _fail(
+            raise SourceError.single(
                 "T004", f"branch bodies disagree: {result!r} vs {ty_b!r}", span
             )
         for x in bound:
             if x not in req_b:
-                raise _fail("T003", f"pattern variable {x!r} is never used", span)
+                raise SourceError.single("T003", f"pattern variable {x!r} is never used", span)
         leftover = {x: ty for x, ty in req_b.items() if x not in bound}
         if residual is None:
             residual = leftover
         elif leftover != residual:
             off = sorted(set(leftover) ^ set(residual))[0]
-            raise _fail(
+            raise SourceError.single(
                 "T003", f"variable {off!r} is consumed in some branches only", span
             )
     assert residual is not None and result is not None
@@ -199,7 +195,7 @@ def check_term(program: Program, sigma: TypingEnv, t: Term) -> str:
     req, tau = _synth(program, dict(sigma), t)
     for x in sigma:
         if x not in req:
-            raise _fail("T003", f"variable {x!r} is never used", t.span)
+            raise SourceError.single("T003", f"variable {x!r} is never used", t.span)
     return tau
 
 
@@ -220,7 +216,7 @@ def check_program(program: Program) -> TypeReport:
             sigma = bind_types(program, f.param, f.arg_type)
             tau = check_term(program, sigma, f.body)
             if tau != f.result_type:
-                raise _fail(
+                raise SourceError.single(
                     "T005",
                     f"body of {f.name!r} has type {tau!r}, declared {f.result_type!r}",
                     f.span,

@@ -458,10 +458,20 @@ class TestDeepNesting:
         program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")
         self.assert_one_p005(run_process(argv[0], str(program), *argv[1:]))
 
+    def test_deep_constructor_body_in_the_library(self):
+        """`compile_source` turns the desugarer's `RecursionError` into the
+        parser's P005, so a library caller gets a `SourceError` too."""
+        body = "[suc " * 1_000 + "n" + "]" * 1_000
+        with pytest.raises(jeopardy.SourceError) as info:
+            jeopardy.compile_source(SAME.replace("= n.", f"= {body}."))
+        assert [(d.code, d.message) for d in info.value.diagnostics] == [
+            ("P005", "nesting too deep")
+        ]
+
     def test_deep_constructor_body_in_process(self, capsys, tmp_path):
-        """`main`'s own net: the desugarer's `RecursionError` becomes a P005.
-        The iterative fold over core terms that ROADMAP.md plans would make
-        this body check like any other."""
+        """The desugarer's overflow is `compile_source`'s P005, reported as
+        any source error is.  The iterative fold over core terms that
+        ROADMAP.md plans would make this body check like any other."""
         program = tmp_path / "deep.jeo"
         body = "[suc " * 1_000 + "n" + "]" * 1_000
         program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")

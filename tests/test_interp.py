@@ -906,6 +906,22 @@ class TestBoundary:
         assert (res.kind, res.violation) == ("violation", LINEARITY_FAULT)
         assert res.message == "variable 'x' inferred more than once"
 
+    def test_an_unbound_variable_escapes_the_psi_search(self):
+        """psi asks whether branch 1's body can produce `[suc [zero]]`;
+        inverting its `let` finds no `y`, a fault of the program (T003),
+        not a missing derivation, so `g` does not map two inputs to one output."""
+        program = jeopardy.compile_source(
+            "data nat = [zero] [suc nat].\n"
+            "inc (n : nat) : nat = [suc n].\n"
+            "g (x : nat) : nat = case x : nat of"
+            " [zero] -> (let y : nat = inc x in [suc [zero]]) ; [suc n] -> [suc n].\n"
+            "main g.\n"
+        )
+        assert run_main(program, nat(0)).value == nat(1)
+        out = run_main(program, nat(1))
+        assert (out.violation, out.message) == (UNBOUND_VARIABLE, "unbound variable 'y'")
+        assert (out.span.line, out.span.col) == (3, 52)
+
     @staticmethod
     def case_on_a_call(callee):
         """`f x = case x of callee y -> y`; case inference rebuilds the

@@ -130,3 +130,18 @@ def test_the_package_reads_no_environment():
             if names & {"environ", "getenv"}:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert found == []
+
+
+def test_no_module_imports_a_private_name():
+    """A module's `_name` is for that module alone: a rule another module
+    needs is exported under a public name (`lexer.is_name`), so it is said
+    once.  Private names of the standard library are another matter."""
+    found = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted((ROOT / "src" / "jeopardy").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

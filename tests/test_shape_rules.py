@@ -101,8 +101,8 @@ main dup.
 )
 def test_faults_of_unchecked_programs(name, value, inversions):
     """A selector variable the body also binds is the generic `LinearityFault`
-    (same message and span), a `let` whose body drops its variable infers
-    nothing, a constructor of repeated variables keeps its join, and a `let`
+    (same message and span), a `let` whose body drops its variable faults,
+    a constructor of repeated variables keeps its join, and a `let`
     that shadows a variable leaves the environment around it alone."""
     program = jeopardy.compile_source(FAULTS)
     assert_same(program, name, value, inversions)
@@ -120,6 +120,18 @@ def test_a_selector_variable_bound_twice_is_a_linearity_fault(name, where):
         "variable 'x' inferred more than once",
     )
     assert (span.line, span.col) == where
+
+
+def test_a_let_whose_body_drops_its_variable_faults():
+    """Inverting `drop` cannot determine `y`: the generic rules evaluate the
+    pattern `y` and find it unbound, and `_bind` says so at the same place."""
+    program = jeopardy.compile_source(FAULTS)
+    term = Apply(FunRef("drop", 1), nat(0))
+    shaped = observe(copy_of(program), term, AMPLE, True, False)
+    assert shaped == generic(program, term, AMPLE, True, False)
+    kind, violation, message, span = shaped[:4]
+    assert (kind, violation, message) == ("violation", "UnboundVariable", "unbound variable 'y'")
+    assert (span.line, span.col) == (4, 28)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

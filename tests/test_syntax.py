@@ -13,6 +13,7 @@ from jeopardy.syntax import (
     Let,
     MainDecl,
     Program,
+    RESERVED,
     Var,
     ensure_value,
     is_pattern,
@@ -21,7 +22,8 @@ from jeopardy.syntax import (
     pattern_vars,
     unify,
 )
-from jeopardy.diagnostics import Span
+from jeopardy.diagnostics import SourceError, Span
+from jeopardy.lexer import lex
 from terms import instantiate, is_core
 
 ZERO = Con("zero")
@@ -175,6 +177,19 @@ class TestNames:
         assert not is_valid_name("Case")
         assert not is_valid_name("case"), "reserved"
         assert not is_valid_name("3x")
+
+    @pytest.mark.parametrize(
+        "name", ["x-", "a--b", "a-'", "map-f", "x_1", "é", "a²", "²x", "Zero", "case"]
+    )
+    def test_a_valid_name_is_what_lex_reads_as_one(self, name):
+        """A dash that nothing continues (`x-`, `a--b`) or a digit-like
+        first character (`²x`) leaves `lex` without one name token."""
+        try:
+            tokens = lex(name)
+        except SourceError:
+            tokens = []
+        declarable = list(tokens) == [name, ""] and name[0].islower() and name not in RESERVED
+        assert is_valid_name(name) == declarable
 
     def test_internal_names(self):
         # The desugarer's fresh names are variables, never declared names.

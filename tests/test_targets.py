@@ -45,7 +45,7 @@ CALLEES = {
     "push": ("rle.jeo", ["T003"]),
 }
 
-NO_PREIMAGE = "no preimage: {!r} cannot produce {}"
+UNBOUND = "unbound variable {!r}"
 TWICE = "variable {!r} inferred more than once"
 
 # (target, inversions, value): (kind, violation, message, value).  Each
@@ -60,15 +60,10 @@ RUNS = {
         "violation", "LinearityFault", TWICE.format("n"), None
     ),
     ("len", 0, "[zero] : []"): ("success", None, "", "[suc [zero]]"),
-    ("len", 1, "[suc [zero]]"): (
-        "violation", "MatchFailure", NO_PREIMAGE.format("len", "[suc [zero]]"), None
-    ),
+    ("len", 1, "[suc [zero]]"): ("violation", "UnboundVariable", UNBOUND.format("x"), None),
     ("keep", 0, "[zero] : []"): ("success", None, "", "([zero] : [], [suc [zero]])"),
     ("keep", 1, "([zero] : [], [suc [zero]])"): (
-        "violation",
-        "MatchFailure",
-        NO_PREIMAGE.format("keep", "([zero] : [], [suc [zero]])"),
-        None,
+        "violation", "UnboundVariable", UNBOUND.format("x"), None
     ),
     ("keep", 1, "([zero] : [], [zero])"): (
         "violation", "LinearityFault", TWICE.format("xs"), None
@@ -78,15 +73,13 @@ RUNS = {
         "violation", "PsiViolation", "branch 1 can also produce [suc [suc [zero]]]", None
     ),
     ("fib", 1, "([zero], [suc [zero]])"): (
-        "violation", "MatchFailure", NO_PREIMAGE.format("fib", "([zero], [suc [zero]])"), None
+        "violation", "UnboundVariable", UNBOUND.format("b"), None
     ),
     ("first", 0, "([zero], [suc [zero]])"): ("success", None, "", "[zero]"),
-    ("first", 1, "[zero]"): (
-        "violation", "MatchFailure", NO_PREIMAGE.format("first", "[zero]"), None
-    ),
+    ("first", 1, "[zero]"): ("violation", "UnboundVariable", UNBOUND.format("b"), None),
     ("swap", 0, "([zero], [suc [zero]])"): ("success", None, "", "([suc [zero]], [zero])"),
     ("swap", 1, "([suc [zero]], [zero])"): (
-        "violation", "MatchFailure", NO_PREIMAGE.format("swap", "([suc [zero]], [zero])"), None
+        "violation", "UnboundVariable", UNBOUND.format("a"), None
     ),
     # Forward, push's two branches overlap under psi, and so do eq's [true] bodies.
     ("rle", 0, "[zero] : [zero] : [suc [zero]] : []"): (
@@ -107,6 +100,16 @@ RUNS = {
     ("rle", 1, "[run ([suc [zero]], [suc [zero]]) [run ([zero], [suc [zero]]) [none]]]"): (
         "violation", "LinearityFault", TWICE.format("y"), None
     ),
+}
+
+# Where each inverse that cannot determine a variable places it: the
+# pattern variable its body never binds (`second`'s, for `swap`).
+UNBOUND_AT = {
+    ("len", 1, "[suc [zero]]"): "13:6",
+    ("keep", 1, "([zero] : [], [suc [zero]])"): "13:6",
+    ("fib", 1, "([zero], [suc [zero]])"): "17:47",
+    ("first", 1, "[zero]"): "17:47",
+    ("swap", 1, "([suc [zero]], [zero])"): "12:45",
 }
 
 # Targets the checker accepts, and targets whose inverse takes their
@@ -144,6 +147,13 @@ def test_runs(target, inversions, text):
     out = run(target, inversions, jeopardy.parse_value(text))
     value = out.value and jeopardy.pretty_value(out.value)
     assert (out.kind, out.violation, out.message, value) == RUNS[target, inversions, text]
+
+
+@pytest.mark.parametrize("target, inversions, text", UNBOUND_AT)
+def test_an_undetermined_variable_is_placed(target, inversions, text):
+    out = run(target, inversions, jeopardy.parse_value(text))
+    where = UNBOUND_AT[target, inversions, text]
+    assert (out.violation, str(out.span)) == ("UnboundVariable", where)
 
 
 def test_the_scoreboard():

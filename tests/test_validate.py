@@ -84,6 +84,19 @@ def test_duplicate_function_definition_reported():
     assert "V003" in codes(exc)
 
 
+def test_a_name_no_source_can_spell_is_invalid():
+    """`lex` reads `a--b` as `a` and a comment, so no file declares it."""
+    from jeopardy.syntax import Ctor, DataDecl, FunDef, FunRef, MainDecl, Program, Var
+
+    nat = DataDecl("nat", (Ctor("zero", ()), Ctor("suc", ("nat",))))
+    f = FunDef("a--b", Var("n"), "nat", "nat", Var("n"))
+    with pytest.raises(SourceError) as exc:
+        validate(Program((nat,), (f,), MainDecl(FunRef("a--b"))))
+    assert [(d.code, d.message) for d in exc.value.diagnostics] == [
+        ("V007", "invalid function name 'a--b'")
+    ]
+
+
 def test_unknown_type_in_constructor_fields():
     with pytest.raises(SourceError) as exc:
         run("data t = [box wat].\nf (x : t) : t = x.\nmain f.")
