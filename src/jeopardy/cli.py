@@ -144,6 +144,15 @@ def cmd_test(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION
 
 
+class _AtLeastZero(argparse.Action):
+    """A count or budget: a negative one is a usage error, as a non-numeric one is."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"argument {option_string}: must not be negative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jeopardy",
@@ -159,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.add_argument("value", help="value literal, or - to read it from standard input")
     run.add_argument("--invert", action="store_true", help="run main's inverse")
-    run.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="search budget")
+    run.add_argument(
+        "--fuel", type=int, default=DEFAULT_FUEL, action=_AtLeastZero, help="search budget"
+    )
     run.add_argument(
         "--skip-psi",
         action="store_true",
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     test = sub.add_parser("test", help="run the bundled corpus and property suites")
     test.add_argument("--filter", default=None, help="run only suites whose name contains this")
     test.add_argument("--seed", type=int, default=42)
-    test.add_argument("--cases", type=int, default=100)
+    test.add_argument("--cases", type=int, default=100, action=_AtLeastZero)
     test.set_defaults(handler=cmd_test)
 
     return parser

@@ -33,9 +33,10 @@ iterative equality test, settles it in one rule application either way (traced,
 one line per node) and for free in psi, so no value is compared by `==`; a psi
 search for a value whose constructor a body cannot produce is not run.  Three
 shapes run their variables' rules inline, at the generic closures' exact cost
-but with no closure, dict or join per variable: a `let`, `case t of x -> body`
-(`_bind`, no first-match search), and in inference `[c x1 .. xn]` of distinct
-variables and any other case's variable selector.  Fuel and depth are spent
+but with no closure, dict or join per variable: a case's variable pattern (a
+`let` is `case t of x -> body`, and its one branch has no psi search), a case's
+variable selector, and in inference `[c x1 .. xn]` of distinct variables.
+Every case, a `let` too, compiles through `_case`.  Fuel and depth are spent
 only by the rules that run, so a decided outcome is the one an unbounded run
 gives.  Against term walking, a depth-6 `mirror` round trip fell from 2.0 to
 1.1 ms (CPython 3.11, 2-core x86-64, `BENCH_14.json`).
@@ -280,8 +281,6 @@ def _node(t: Term, code: dict, ground: set[int], heads: dict, program: Program) 
     if kind is Apply:
         return _apply(t.ref.base, t.ref.inversions, t.span, *code[id(t.arg)], program)
     if kind is Case:
-        if len(t.branches) == 1 and _variables([t.branches[0][0]]):
-            return _bind(t, code, heads)
         return _case(t, code, ground, heads)
     # Only the desugarer's core reaches the rules; anything else is a
     # caller's bug, reported where it is reached.
@@ -515,7 +514,13 @@ def _call(fn: _Fn, arg_down, arg_infer, base: str, span: Span) -> tuple:
     return down, up, search(0, "infer-apply"), search(1, "inverse-infer-apply")
 
 
+def _clash(j: int, v: Con, span: Span) -> _Violation:
+    # Apart from `case_down`: its frame size sets how many stack chunks a deep run maps.
+    return _Violation(PSI_VIOLATION, f"branch {j} can also produce {pretty_value(v)}", span)
+
+
 def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
+    """Every case, a `let` (`case t of x -> body`) among them."""
     sel_down, sel_infer = code[id(t.selector)]
     span, (y,) = t.span, _variables([t.selector]) or [None]
     matches = [_matcher(p) for p, _ in t.branches]
@@ -526,14 +531,14 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
         (j + 1, same.get(id(body)), heads.get(id(body)), code[id(body)][1])
         for j, (_, body) in enumerate(t.branches)
     ]
-    picks = [
-        (p.name if type(p) is Con else None, matches[i], code[id(body)][0], probes[:i])
-        for i, (p, body) in enumerate(t.branches)
-    ]
-    arms = [
-        (heads.get(id(body)), code[id(body)][1], code[id(p)][0], set(pattern_vars(p)), matches[:i])
-        for i, (p, body) in enumerate(t.branches)
-    ]
+    picks, arms = [], []
+    for i, (p, body) in enumerate(t.branches):
+        # A variable pattern's rules run inline: forward binds it into one
+        # copy of the environment, inference pops it from the body's.
+        x, (body_down, body_infer) = (_variables([p]) or [None])[0], code[id(body)]
+        picks.append((p.name if type(p) is Con else None, x, matches[i], body_down, probes[:i]))
+        rest = (x, p.span, code[id(p)][0], set(pattern_vars(p)), matches[:i])
+        arms.append((heads.get(id(body)), body_infer, rest))
 
     def case_down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
@@ -541,25 +546,28 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
         if k:
             s.fuel -= 1
         v_sel = sel_down(s, env, d + 1, k)
-        for head, match, body, earlier in picks:
+        for head, x, match, body, earlier in picks:
             if head is not None and head != v_sel.name:
                 continue
-            binding = match(v_sel)
-            if binding is None:
-                continue
-            v = body(s, env | binding, d + 1, k)  # the pattern shadows, as the checker scopes it
+            if x is None:
+                if (inner := match(v_sel)) is None:
+                    continue
+                inner = env | inner  # the pattern shadows, as the checker scopes it
+            else:
+                inner = env.copy()
+                inner[x] = v_sel
+            v = body(s, inner, d + 1, k)
             # psi is obligatory inside inference: a skipped check there
-            # would let a non-unique derivation pass as found.
-            if k or s.enforce_psi:
+            # would let a non-unique derivation pass as found.  A first
+            # branch, a `let`'s among them, has no earlier body to search.
+            if earlier and (k or s.enforce_psi):
                 for j, literal, hs, probe in earlier:
                     if literal is not None:
                         if literal(v) is None:
                             continue
                     elif hs is not None and v.name not in hs or probe(s, v, d + 1) is None:
                         continue
-                    raise _Violation(
-                        PSI_VIOLATION, f"branch {j} can also produce {pretty_value(v)}", span
-                    )
+                    raise _clash(j, v, span)
             if s.trace is not None:
                 s._emit("eval-case", span, v)
             return v
@@ -571,7 +579,7 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
         if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
             _stop(d)
         s.fuel -= 1
-        for hs, body, pattern, drop, earlier in arms:
+        for hs, body, rest in arms:
             if hs is not None and v.name not in hs:
                 continue
             env_body = body(s, v, d + 1)
@@ -579,15 +587,25 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
                 break
         else:
             return None
-        try:
-            v_sel = pattern(s, env_body, d + 1, True)
-        except _Violation:
-            return None
+        x, x_span, pattern, drop, earlier = rest
+        if x is None:
+            try:
+                v_sel = pattern(s, env_body, d + 1, True)
+            except _Violation:
+                return None
+            for x in drop:  # `env_body` is fresh, as every inference's result is
+                del env_body[x]
+        else:  # the pattern variable's rule, at d + 1, taking `x` out of the body's environment
+            if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:
+                _stop(d + 1)
+            s.fuel -= 1
+            if (v_sel := env_body.pop(x, None)) is None:  # as `_var.down` refuses it
+                raise _Fault(UNBOUND_VARIABLE, f"unbound variable {x!r}", x_span)
+            if s.trace is not None:
+                s._emit("eval-variable", x_span, v_sel)
         for match in earlier:  # an earlier pattern takes the selector value
             if match(v_sel) is not None:
                 return None
-        for x in drop:  # `env_body` is fresh, as every inference's result is
-            del env_body[x]
         if y is None:
             if (env_sel := sel_infer(s, v_sel, d + 1)) is None:
                 return None
@@ -606,49 +624,6 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
         return env_body
 
     return case_down, infer
-
-
-def _bind(t: Case, code: dict, heads: dict) -> tuple:
-    """A `let`, `case t of x -> body`: `_case`'s rules for a pattern that always matches.
-    Kept apart: folded into `_case`, `wide` ran 3.4% slower (op_ms_p50, CPython 3.11, 2 cores),
-    so an inference rule added to one goes in both (`test_shape_rules.generic` compares them)."""
-    ((p, body),) = t.branches
-    (sel_down, sel_infer), (body_down, body_infer) = code[id(t.selector)], code[id(body)]
-    x, hs, span = p.name, heads.get(id(body)), t.span
-
-    def down(s, env, d, k):
-        if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
-            _stop(d)
-        if k:
-            s.fuel -= 1
-        inner = env.copy()
-        inner[x] = sel_down(s, env, d + 1, k)
-        v = body_down(s, inner, d + 1, k)
-        if s.trace is not None:
-            s._emit("eval-case", span, v)
-        return v
-
-    def infer(s, v, d):
-        if d > DEFAULT_MAX_DEPTH or s.fuel <= 0:
-            _stop(d)
-        s.fuel -= 1
-        if hs is not None and v.name not in hs or (env_body := body_infer(s, v, d + 1)) is None:
-            return None
-        if d >= DEFAULT_MAX_DEPTH or s.fuel <= 0:  # the pattern variable's rule, at d + 1
-            _stop(d + 1)
-        s.fuel -= 1
-        if (v_sel := env_body.pop(x, None)) is None:  # as `_var.down` refuses it
-            raise _Fault(UNBOUND_VARIABLE, f"unbound variable {x!r}", p.span)
-        if s.trace is not None:
-            s._emit("eval-variable", p.span, v_sel)
-        if (env_sel := sel_infer(s, v_sel, d + 1)) is None:
-            return None
-        _join(env_body, env_sel, span)
-        if s.trace is not None:
-            s._emit("infer-case", span, v)
-        return env_body
-
-    return down, infer
 
 
 # ---------------------------------------------------------------------------

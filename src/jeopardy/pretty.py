@@ -27,7 +27,8 @@ from .syntax import (
 
 def pretty_value(v: Con) -> str:
     """One loop over an explicit stack of nodes still to print and text to
-    emit after them, so a value prints at any depth."""
+    emit after them, so a value prints at any depth; a run of one-argument
+    constructors (a nat) pushes one string that closes the whole run."""
     out: list[str] = []
     todo: list[Con | str] = [v]
     emit, push = out.append, todo.append
@@ -39,6 +40,16 @@ def pretty_value(v: Con) -> str:
         name, args = node.name, node.args
         # A cons chain in an atom position (a cons head or a constructor's
         # argument) is parenthesised; a pair's parts and a tail are not.
+        if len(args) == 1:
+            k = 0
+            while len(args) == 1:
+                emit(f"[{name} ")
+                k += 1
+                name, args = (node := args[0]).name, node.args
+            push("]" * k)
+            if name == "cons" and len(args) == 2:
+                emit("(")
+                push(")")
         if not args:
             emit("[]" if name == "nil" else f"[{name}]")
         elif len(args) == 2 and name == "pair":

@@ -312,6 +312,8 @@ class TestUsage:
             (["run", "x.jeo"], "the following arguments are required: value"),
             (["run", "--fuel", "abc", "a", "b"], "argument --fuel: invalid int value: 'abc'"),
             ([], "the following arguments are required: command"),
+            (["run", "--fuel", "-1", "a", "b"], "argument --fuel: must not be negative, got -1"),
+            (["test", "--cases", "-1"], "argument --cases: must not be negative, got -1"),
         ],
     )
     def test_usage_errors_exit_3(self, capsys, argv, message):

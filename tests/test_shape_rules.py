@@ -1,13 +1,13 @@
 """The interpreter's shape rules change nothing a run shows.
 
-Three node shapes compile to closures of their own: a single-branch case
-on a variable pattern (`let`, `_bind`), inference of a constructor of
-distinct variables (`_con`), and inference of any other case whose
-selector is a variable (`_case`).  Each runs the generic rules inline, so
-with the shapes compiled away (`generic`, which also leaves flat patterns
-to `unify`) every run gives the same outcome, value, violation, message,
-span, fuel left and trace lines, at fuels below and above what the run
-costs."""
+Three node shapes run their variables' rules inline: a case branch whose
+pattern is a variable (every `let` is such a case of one branch),
+inference of a constructor of distinct variables (`_con`), and
+inference of a case whose selector is a variable (`_case`).  Each runs
+the generic rules inline, so with the shapes compiled away (`generic`,
+which also leaves flat patterns to `unify`) every run gives the same
+outcome, value, violation, message, span, fuel left and trace lines, at
+fuels below and above what the run costs."""
 
 import random
 from unittest import mock
@@ -124,7 +124,7 @@ def test_a_selector_variable_bound_twice_is_a_linearity_fault(name, where):
 
 def test_a_let_whose_body_drops_its_variable_faults():
     """Inverting `drop` cannot determine `y`: the generic rules evaluate the
-    pattern `y` and find it unbound, and `_bind` says so at the same place."""
+    pattern `y` and find it unbound, and the inline rule says so at the same place."""
     program = jeopardy.compile_source(FAULTS)
     term = Apply(FunRef("drop", 1), nat(0))
     shaped = observe(copy_of(program), term, AMPLE, True, False)
@@ -160,3 +160,22 @@ def test_a_let_skips_a_value_its_body_cannot_produce():
     out = jeopardy.run_main(program, nat(0), inverted=True, fuel=1)
     assert (out.violation, out.message) == (MATCH_FAILURE, "no preimage: 'g' cannot produce [zero]")
     assert_same(program, "g", nat(0), 1)
+
+
+LATE_VARIABLE = """\
+data nat = [zero] [suc nat].
+inc (n : nat) : nat = [suc n].
+clamp (x : nat) : nat = case x : nat of [zero] -> [suc [zero]] ; n -> n.
+g (x : nat) : nat = case inc x : nat of [suc [zero]] -> [zero] ; n -> [suc n].
+main clamp.
+"""
+
+
+@pytest.mark.parametrize("name", ["clamp", "g"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("inversions", [0, 1])
+def test_a_variable_pattern_after_a_constructor_branch(name, k, inversions):
+    """The inline variable rule with an earlier branch: forward runs psi
+    against the earlier body, and inference checks the earlier pattern
+    against the popped value, on a variable selector and on a call."""
+    assert_same(jeopardy.compile_source(LATE_VARIABLE), name, nat(k), inversions)
