@@ -661,7 +661,7 @@ def evaluate(
     fuel: int = DEFAULT_FUEL,
     trace: Trace = None,
 ) -> Outcome:
-    env = {x: ensure_value(v) for x, v in (env or {}).items()}
+    env = {x: ensure_value(v) for x, v in env.items()} if env else {}
     s = Evaluator(fuel=fuel, trace=trace)
     return _to_outcome(_code(program, term, s)[0], s, env, 1, False)
 

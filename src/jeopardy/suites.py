@@ -9,8 +9,10 @@ returns its verdict (passed, skipped, failed or undecided) and, for the
 last two only, the counterexample's text; `SuiteResult.record` counts it.
 Each corpus file is compiled once per process, and its functions once
 into that program; the recorded expectations are read, and their values
-parsed, once per process too.  Neither `import jeopardy` nor the other
-commands load this module.
+parsed, once per process too.  A value generator's tables are built once
+per program, and each pick takes the bits `Random.choice` would take, so a
+seed draws the values `choice` would draw.  Neither `import jeopardy` nor
+the other commands load this module.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .diagnostics import NO_SPAN, SourceError
 from .interp import DEFAULT_FUEL, VIOLATION_KINDS, Outcome, evaluate, infer_env_down, run_main
 from .parser import parse_program, parse_value
 from .pretty import pretty_fun_ref, pretty_program, pretty_value
-from .syntax import Apply, Con, Ctor, Env, FunRef, Program, Term
+from .syntax import Apply, Con, Env, FunRef, Program, Term
 from .typecheck import bind_types, check_program
 
 MAX_VALUE_DEPTH = 6
@@ -40,7 +42,9 @@ MAX_VALUE_DEPTH = 6
 _CORPUS = resources.files(__package__).joinpath("corpus")
 
 
+@cache
 def corpus_file_names() -> list[str]:
+    """Listed once per process; callers share the list and do not change it."""
     return sorted(
         entry.name for entry in _CORPUS.iterdir() if entry.name.endswith(".jeo")
     )
@@ -86,11 +90,13 @@ class ValueGenerator:
 
     def __init__(self, program: Program, rng: random.Random, max_depth: int = MAX_VALUE_DEPTH):
         self.program = program
-        self.rng = rng
         self.max_depth = max_depth
-        self._heights = self._min_heights(program)
-        # The constructors that fit each (type, budget), worked out once.
-        self._feasible: dict[tuple[str, int], list[Ctor]] = {}
+        self._bits = rng.getrandbits
+        # Kept in the program's instance dict, like `check_program`'s report.
+        tables = program.__dict__.get("_values")
+        if tables is None:
+            tables = program.__dict__["_values"] = (self._min_heights(program), {})
+        self._heights, self._fits = tables
 
     @staticmethod
     def _min_heights(program: Program) -> dict[str, float]:
@@ -107,24 +113,30 @@ class ValueGenerator:
         return heights
 
     def value(self, type_name: str) -> Con:
-        return self._draw(type_name, self.max_depth)
+        return self._draw((type_name, self.max_depth))
 
-    def _draw(self, type_name: str, budget: int) -> Con:
-        feasible = self._feasible.get((type_name, budget))
-        if feasible is None:
-            decl = self.program.datatype(type_name)
-            if decl is None:
-                raise ValueError(f"unknown datatype {type_name!r}")
-            feasible = self._feasible[type_name, budget] = [
-                c
-                for c in decl.ctors
-                if 1 + max((self._heights[t] for t in c.arg_types), default=0) <= budget
-            ]
-        if not feasible:
+    def _draw(self, key: tuple[str, int]) -> Con:
+        ctors, n, k = self._fits.get(key) or self._fitting(key)
+        r = self._bits(k)
+        while r >= n:  # `Random.choice`'s own loop, so the stream is the same
+            r = self._bits(k)
+        name, below = ctors[r]
+        return tuple.__new__(Con, (name, tuple(map(self._draw, below)), NO_SPAN))
+
+    def _fitting(self, key: tuple[str, int]) -> tuple[list, int, int]:
+        """The constructors that fit `key`, each with its arguments' keys."""
+        type_name, budget = key
+        decl = self.program.datatype(type_name)
+        if decl is None:
+            raise ValueError(f"unknown datatype {type_name!r}")
+        ctors = [
+            (c.name, [(t, budget - 1) for t in c.arg_types])
+            for c in decl.ctors
+            if 1 + max((self._heights[t] for t in c.arg_types), default=0) <= budget
+        ]
+        if not ctors:
             raise ValueError(f"no value of type {type_name!r} fits depth {budget}")
-        ctor = self.rng.choice(feasible)
-        args = tuple(self._draw(t, budget - 1) for t in ctor.arg_types)
-        return tuple.__new__(Con, (ctor.name, args, NO_SPAN))  # skips `Con.__new__`
+        return self._fits.setdefault(key, (ctors, len(ctors), len(ctors).bit_length()))
 
 
 def _derived_rng(seed: int, *parts: str) -> random.Random:
@@ -149,8 +161,12 @@ class SuiteResult:
         """Count one case as "passed", "skipped", "failed" or "undecided";
         a failed or undecided case keeps `detail`, its counterexample."""
         self.total += 1
-        setattr(self, verdict, getattr(self, verdict) + 1)
-        if verdict == "failed" or verdict == "undecided":
+        if verdict == "passed":
+            self.passed += 1
+        elif verdict == "skipped":
+            self.skipped += 1
+        else:
+            setattr(self, verdict, getattr(self, verdict) + 1)
             self.failures.append(detail)
 
     def summary_line(self) -> str:
@@ -282,7 +298,7 @@ def expectation_suite(fuel: int | None = None) -> SuiteResult:
 
 
 def _env_case(program: Program, body: Term, where: str, env: Env) -> tuple[str, str]:
-    forward = evaluate(program, body, dict(env))
+    forward = evaluate(program, body, env)  # `evaluate` copies the environment
     if forward.kind == "violation":
         return "skipped", ""
     if forward.kind == "undecided":
@@ -296,7 +312,7 @@ def _env_case(program: Program, body: Term, where: str, env: Env) -> tuple[str, 
         return "failed", (
             f"{where}: evaluated {_show_env(env)} to {pretty_value(forward.value)}, inferred {got}"
         )
-    replay = evaluate(program, body, dict(inferred.env))
+    replay = evaluate(program, body, inferred.env)
     if not replay.ok or replay.value != forward.value:
         return "failed", f"{where}: replay of inferred environment gave {_show_outcome(replay)}"
     return "passed", ""
@@ -328,10 +344,10 @@ INVERSION_CORPUS = "invertibles.jeo"
 def _returned(program: Program, there: FunRef, back: FunRef, v: Con) -> tuple[str, str]:
     """One leg: `back` must undo `there` on `v`.  The invertible functions
     are total forwards, so only an inverse may refuse `v` or stay undecided."""
-    first = evaluate(program, Apply(there, v))
+    first = evaluate(program, tuple.__new__(Apply, (there, v, NO_SPAN)))  # skips `Apply.__new__`
     if first.ok:
         assert first.value is not None
-        second = evaluate(program, Apply(back, first.value))
+        second = evaluate(program, tuple.__new__(Apply, (back, first.value, NO_SPAN)))
         if second.ok and second.value == v:
             return "passed", ""
         shown = pretty_value(v)

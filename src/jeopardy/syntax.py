@@ -300,14 +300,11 @@ def is_pattern(t: Term) -> bool:
 def first_hole(t: Term) -> Term | None:
     """The first node of `t`, level by level, that is not a constructor;
     None when `t` is a value.  No recursion, so at any depth."""
-    level = [t]
-    while level:
-        below: list[Term] = []
-        for node in level:
-            if type(node) is not Con:
-                return node
-            below += node.args
-        level = below
+    nodes = [t]
+    for node in nodes:  # level by level: the list grows as it is read
+        if type(node) is not Con:
+            return node
+        nodes += node.args
     return None
 
 

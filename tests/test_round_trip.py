@@ -23,6 +23,7 @@ and the run time are the same on every run.
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import jeopardy
@@ -269,6 +270,26 @@ def test_a_violation_inside_an_inverted_call_means_no_preimage():
         "no preimage: 'f' cannot produce [suc [zero]]",
     )
     assert_saves(program, "f", value, True)
+
+
+@pytest.mark.parametrize("fuel, reason", [
+    (10, "fuel exhausted"),
+    (1_000, "recursion depth limit reached"),
+    (100_000, "recursion depth limit reached"),
+])
+def test_a_repeated_goal_is_undecided_not_underivable(fuel, reason):
+    """Pinned for ROADMAP item 5: a prototype rule that gave a goal already
+    on its own search path no derivation broke property 2 on `f0`, whose
+    first branch repeats the goal it was asked.  A cycle rule must leave
+    that goal undecided, as the budget does today in both directions."""
+    program = jeopardy.compile_source(
+        DATA + "f0 ([suc x1] : nat) : nat = (f0 x1).\nf0 x2 = x2.\nmain f0.\n"
+    )
+    assert check_program(program).accepted
+    for text in ("[zero]", "[suc [zero]]", "[suc [suc [zero]]]"):
+        for inverted in (False, True):
+            out = jeopardy.run_main(program, jeopardy.parse_value(text), inverted, fuel=fuel)
+            assert (out.kind, out.message) == ("undecided", reason), (text, inverted)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

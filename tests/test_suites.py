@@ -1,9 +1,12 @@
 """The seeded suites themselves: green, deterministic, well-scoped."""
 
 import random
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+import jeopardy
 import jeopardy.interp
 from jeopardy import suites
 from jeopardy.diagnostics import SourceError
@@ -380,6 +383,67 @@ class TestFailureReports:
             " got undecided: forced",
             "arith.jeo forward ([zero], [zero]) [enforce] -> [zero]: got undecided: forced",
         ]
+
+
+class ReferenceDrawer:
+    """The drawer `ValueGenerator` replaced: `rng.choice` among the
+    constructors that fit, then each argument in a generator expression.
+    Its draws are the values the seeded suites have always drawn."""
+
+    def __init__(self, program):
+        self.program = program
+        self.heights = ValueGenerator._min_heights(program)
+        self.feasible = {}
+
+    def draw(self, rng, type_name, budget):
+        feasible = self.feasible.get((type_name, budget))
+        if feasible is None:
+            decl = self.program.datatype(type_name)
+            if decl is None:
+                raise ValueError(f"unknown datatype {type_name!r}")
+            feasible = self.feasible[type_name, budget] = [
+                c
+                for c in decl.ctors
+                if 1 + max((self.heights[t] for t in c.arg_types), default=0) <= budget
+            ]
+        if not feasible:
+            raise ValueError(f"no value of type {type_name!r} fits depth {budget}")
+        ctor = rng.choice(feasible)
+        return Con(ctor.name, tuple(self.draw(rng, t, budget - 1) for t in ctor.arg_types))
+
+
+def _draws(value, count=3):
+    """`count` values of `value()` in order, ending early with a `ValueError`'s text."""
+    drawn = []
+    for _ in range(count):
+        try:
+            drawn.append(value())
+        except ValueError as err:
+            drawn.append(str(err))
+            break
+    return drawn
+
+
+def test_generator_draws_what_choice_draws():
+    """Seeds 0-99 and depths 0-6 on every datatype of the corpus and of
+    the target programs: equal values in order, the same `ValueError`
+    where a type fits no depth, and the same bits taken from the stream."""
+    programs = [load_corpus_program(name) for name in corpus_file_names()]
+    targets = sorted((Path(__file__).parent / "targets").glob("*.jeo"))
+    programs += [jeopardy.compile_source(path.read_text(encoding="utf-8")) for path in targets]
+    errors = 0
+    for program in programs:
+        reference = ReferenceDrawer(program)
+        for name in [d.name for d in program.datatypes] + ["ghost"]:
+            for seed in range(100):
+                for depth in range(7):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    got = _draws(partial(ValueGenerator(program, ours, depth).value, name))
+                    want = _draws(partial(reference.draw, theirs, name, depth))
+                    assert got == want, (name, seed, depth)
+                    assert ours.getrandbits(32) == theirs.getrandbits(32), (name, seed, depth)
+                    errors += isinstance(want[-1], str)
+    assert errors > 0  # depth 0 fits no type
 
 
 class TestValueGenerator:

@@ -16,6 +16,7 @@ from jeopardy.syntax import (
     RESERVED,
     Var,
     ensure_value,
+    first_hole,
     is_pattern,
     is_valid_name,
     is_value,
@@ -57,6 +58,22 @@ class TestShapes:
         assert ensure_value(ONE) is ONE
         with pytest.raises(ValueError):
             ensure_value(Var("x"))
+
+    def test_first_hole_goes_level_by_level(self):
+        """`b` is one level down and `a` two: the shallower hole comes first,
+        whichever is leftmost, and `ensure_value` names it."""
+        term = pair(Con("suc", (Var("a"),)), Var("b"))
+        assert first_hole(term) == Var("b")
+        with pytest.raises(ValueError, match=r"not a ground value: Var\(name='b'\)"):
+            ensure_value(term)
+
+    def test_first_hole_at_any_depth(self):
+        chain, ground = Var("x"), ZERO
+        for _ in range(100_000):
+            chain, ground = Con("suc", (chain,)), Con("suc", (ground,))
+        assert first_hole(chain) == Var("x")
+        assert first_hole(ground) is None
+        assert ensure_value(ground) is ground
 
     def test_pattern_vars_keeps_duplicates(self):
         p = pair(Var("x"), Con("suc", (Var("x"),)))
