@@ -38,12 +38,8 @@ __version__ = "0.1.0"
 
 def compile_source(source: str) -> Program:
     """Parse, desugar, and validate a program text.  Nesting too deep for
-    the passes after the parser is a P005, as it is in the parser."""
-    surface = parse_program(source)
-    try:
-        return validate(desugar(surface))
-    except RecursionError:
-        raise SourceError.single("P005", "nesting too deep") from None
+    any of the passes is a P005 `SourceError`."""
+    return validate(desugar(parse_program(source)))
 
 
 __all__ = [

@@ -194,4 +194,9 @@ class Desugarer:
 
 
 def desugar(surface: SurfaceProgram) -> Program:
-    return Desugarer(surface).run()
+    """The walk recurses once per level of a term: too deep is a P005, as
+    it is in the parser, not a crash (`validate` works on a stack)."""
+    try:
+        return Desugarer(surface).run()
+    except RecursionError:
+        raise SourceError.single("P005", "nesting too deep") from None

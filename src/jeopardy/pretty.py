@@ -94,9 +94,7 @@ def _term(t: Term, ground: set[int]) -> str:
     if kind is Var:
         return t.name
     if kind is Con:
-        if id(t) in ground:
-            return pretty_value(t)
-        return f"[{t.name} " + " ".join(_atom(a, ground) for a in t.args) + "]"
+        return pretty_value(t) if id(t) in ground else _con(t, ground)
     if kind is Apply:
         return f"{pretty_fun_ref(t.ref)} {_atom(t.arg, ground)}"
     if kind is Case:
@@ -117,6 +115,30 @@ def _term(t: Term, ground: set[int]) -> str:
             f" in {_term(t.body, ground)}"
         )
     raise AssertionError(f"unhandled term {t!r}")
+
+
+def _con(t: Con, ground: set[int]) -> str:
+    """A constructor that is not ground, in bracket form, from an explicit
+    stack like `pretty_value`'s, so such constructors nest to any depth;
+    a ground value, call, case or let among them prints through `_atom`."""
+    out: list[str] = []
+    todo: list[Term | str] = [t]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is str:
+            out.append(node)
+        elif node.__class__ is Con and id(node) not in ground:
+            out.append(f"[{node.name} ")
+            todo.append("]")
+            args = node.args
+            for a in args[:0:-1]:
+                todo += (a, " ")
+            todo.append(args[0])
+        elif node.__class__ is Var:
+            out.append(node.name)
+        else:
+            out.append(_atom(node, ground))
+    return "".join(out)
 
 
 def _atom(t: Term, ground: set[int]) -> str:

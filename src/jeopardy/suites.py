@@ -7,12 +7,13 @@ and parse/print stability.  All generation is seeded, so two runs with
 the same seed produce identical summaries.  Each case is a call that
 returns its verdict (passed, skipped, failed or undecided) and, for the
 last two only, the counterexample's text; `SuiteResult.record` counts it.
-Each corpus file is compiled once per process, and its functions once
-into that program; the recorded expectations are read, and their values
-parsed, once per process too.  A value generator's tables are built once
-per program, and each pick takes the bits `Random.choice` would take, so a
-seed draws the values `choice` would draw.  Neither `import jeopardy` nor
-the other commands load this module.
+Each corpus file is read, parsed and compiled once per process, and its
+functions once into that program; the parse-print suite reprints that
+parse at every call.  The recorded expectations are read, and their
+values parsed, once per process too.  A value generator's tables are
+built once per program, and each pick takes the bits `Random.choice`
+would take, so a seed draws the values `choice` would draw.  Neither
+`import jeopardy` nor the other commands load this module.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from functools import cache
 from importlib import resources
 from typing import NamedTuple
 
-from . import compile_source
+from .desugar import desugar
 from .diagnostics import NO_SPAN, SourceError
 from .interp import DEFAULT_FUEL, VIOLATION_KINDS, Outcome, evaluate, infer_env_down, run_main
 from .parser import parse_program, parse_value
 from .pretty import pretty_fun_ref, pretty_program, pretty_value
-from .syntax import Apply, Con, Env, FunRef, Program, Term
+from .syntax import Apply, Con, Env, FunRef, Program, SurfaceProgram, Term
 from .typecheck import bind_types, check_program
+from .validate import validate
 
 MAX_VALUE_DEPTH = 6
 
@@ -55,9 +57,21 @@ def read_corpus_file(name: str) -> str:
 
 
 @cache
-def _load(name: str) -> Program | SourceError:
+def _parsed(name: str) -> SurfaceProgram | SourceError:
+    """Read and parsed once per process, for `_load` and the parse-print suite."""
     try:
-        return compile_source(read_corpus_file(name))
+        return parse_program(read_corpus_file(name))
+    except SourceError as err:
+        return err
+
+
+@cache
+def _load(name: str) -> Program | SourceError:
+    surface = _parsed(name)
+    if isinstance(surface, SourceError):
+        return surface
+    try:
+        return validate(desugar(surface))
     except SourceError as err:
         return err
 
@@ -381,7 +395,10 @@ def corollary_inversion_round_trip(seed: int, cases: int) -> SuiteResult:
 
 
 def _reprinted(name: str) -> tuple[str, str]:
-    first = parse_program(read_corpus_file(name))
+    """The check runs in full at every call, from the file's one parse."""
+    first = _parsed(name)
+    if isinstance(first, SourceError):
+        return "failed", f"{name}: does not parse: {first}"
     printed = pretty_program(first)
     try:
         second = parse_program(printed)

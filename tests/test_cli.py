@@ -461,19 +461,25 @@ class TestDeepNesting:
         self.assert_one_p005(run_process(argv[0], str(program), *argv[1:]))
 
     def test_deep_constructor_body_in_the_library(self):
-        """`compile_source` turns the desugarer's `RecursionError` into the
-        parser's P005, so a library caller gets a `SourceError` too."""
+        """`desugar` turns its own `RecursionError` into the parser's P005,
+        so a library caller of it or of `compile_source` gets a `SourceError`."""
         body = "[suc " * 1_000 + "n" + "]" * 1_000
-        with pytest.raises(jeopardy.SourceError) as info:
-            jeopardy.compile_source(SAME.replace("= n.", f"= {body}."))
-        assert [(d.code, d.message) for d in info.value.diagnostics] == [
-            ("P005", "nesting too deep")
-        ]
+        source = SAME.replace("= n.", f"= {body}.")
+
+        def desugared(text):
+            return jeopardy.desugar(jeopardy.parse_program(text))
+
+        for lower in (jeopardy.compile_source, desugared):
+            with pytest.raises(jeopardy.SourceError) as info:
+                lower(source)
+            assert [(d.code, d.message) for d in info.value.diagnostics] == [
+                ("P005", "nesting too deep")
+            ]
 
     def test_deep_constructor_body_in_process(self, capsys, tmp_path):
-        """The desugarer's overflow is `compile_source`'s P005, reported as
-        any source error is.  The iterative fold over core terms that
-        ROADMAP.md plans would make this body check like any other."""
+        """The desugarer's overflow is a P005, reported as any source error
+        is.  The iterative fold over core terms that ROADMAP.md plans would
+        make this body check like any other."""
         program = tmp_path / "deep.jeo"
         body = "[suc " * 1_000 + "n" + "]" * 1_000
         program.write_text(SAME.replace("= n.", f"= {body}."), encoding="utf-8")

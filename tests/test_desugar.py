@@ -2,10 +2,10 @@
 
 import pytest
 
+from jeopardy import compile_source
 from jeopardy.desugar import Desugarer, desugar
 from jeopardy.diagnostics import SourceError
 from jeopardy.parser import parse_program
-from jeopardy.suites import compile_source
 from jeopardy.syntax import Apply, Case, Con, FunRef, Var
 from terms import is_core
 

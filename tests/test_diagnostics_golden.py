@@ -19,8 +19,9 @@ import re
 import sys
 from pathlib import Path
 
+from jeopardy import compile_source
 from jeopardy.diagnostics import SourceError
-from jeopardy.suites import compile_source, corpus_file_names, read_corpus_file
+from jeopardy.suites import corpus_file_names, read_corpus_file
 from jeopardy.typecheck import check_program
 
 GOLDEN = Path(__file__).parent / "golden" / "diagnostics.txt"

@@ -126,9 +126,29 @@ def argument_reads(monkeypatch, depth):
 
 def test_printing_is_linear_in_nesting_depth(monkeypatch):
     """Groundness is decided once per node.  Walking the subtree below
-    every constructor made the reads quadratic (4x for twice the depth).
-    Depth 400 still exceeds Python's stack: printing recurses per level."""
+    every constructor made the reads quadratic (4x for twice the depth)."""
     shallow = argument_reads(monkeypatch, 100)
     deep = argument_reads(monkeypatch, 200)
     assert shallow >= 100
     assert deep <= 2.1 * shallow
+
+
+def test_deep_constructors_round_trip():
+    """A body and a pattern 10**4 constructors deep around a variable print
+    from a stack, not a frame per level, reparse to an equal tree and print
+    again to the same text.  Nesting through a call (`[suc (g …)]`) still
+    recurses per level."""
+    depth = 10**4
+    chain = "[suc " * depth + "x" + "]" * depth
+    pairs = "[pair " * depth + "x" + " [zero]]" * depth
+    src = (
+        "data nat = [zero] [suc nat].\n"
+        f"f ({chain} : nat) : nat = {chain}.\n"
+        f"g [pair x y] = {pairs}.\n"
+    )
+    surface = parse_program(src)
+    printed = pretty_program(surface)
+    assert printed == src
+    reparsed = parse_program(printed)
+    assert reparsed == surface
+    assert pretty_program(reparsed) == printed

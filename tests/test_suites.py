@@ -11,6 +11,7 @@ import jeopardy.interp
 from jeopardy import suites
 from jeopardy.diagnostics import SourceError
 from jeopardy.interp import InferResult, Outcome
+from jeopardy.pretty import pretty_program
 from jeopardy.suites import (
     SuiteResult,
     ValueGenerator,
@@ -86,18 +87,19 @@ class TestSuitesAreGreen:
 
     def test_expectations_compile_each_file_once(self, monkeypatch):
         """`load_corpus_program`'s memo is the only cache: each file named is
-        compiled once, a broken one too, however many rows name it."""
-        names = {read_corpus_file(name): name for name in corpus_file_names()}
+        compiled once from its one parse, a broken one too, however many
+        rows name it."""
+        names = {id(suites._parsed(name)): name for name in corpus_file_names()}
         compiled = []
-        compile_source = suites.compile_source
+        lower = suites.desugar
 
-        def compiling(src):
-            compiled.append(names[src])
-            if names[src] == "arith.jeo":
+        def lowering(surface):
+            compiled.append(names[id(surface)])
+            if names[id(surface)] == "arith.jeo":
                 raise SourceError.single("P001", "broken")
-            return compile_source(src)
+            return lower(surface)
 
-        monkeypatch.setattr(suites, "compile_source", compiling)
+        monkeypatch.setattr(suites, "desugar", lowering)
         suites._load.cache_clear()
         try:
             result = expectation_suite()
@@ -175,11 +177,11 @@ class TestDeterminism:
         """Across the suites and across calls: the second run reuses the
         programs of the first, and compiles no node again, since every call
         it makes is on a value or runs a body the first run compiled."""
-        names = {read_corpus_file(name): name for name in corpus_file_names()}
+        names = {id(suites._parsed(name)): name for name in corpus_file_names()}
         compiled, built = [], []
-        compile_source = suites.compile_source
+        lower = suites.desugar
         monkeypatch.setattr(
-            suites, "compile_source", lambda src: compiled.append(names[src]) or compile_source(src)
+            suites, "desugar", lambda surface: compiled.append(names[id(surface)]) or lower(surface)
         )
         suites._load.cache_clear()
         first = [r.summary_line() for r in run_suites(seed=3, cases=5)]
@@ -190,6 +192,26 @@ class TestDeterminism:
         assert [r.summary_line() for r in run_suites(seed=3, cases=5)] == first
         assert sorted(compiled) == corpus_file_names()
         assert built == []
+
+    def test_each_corpus_file_is_read_and_parsed_once_per_process(self, monkeypatch):
+        """Across two `run_suites` calls each corpus file is read once and its
+        text parsed once; the parse-print suite parses each printed text at
+        every call, since that parse is the check it makes."""
+        names = corpus_file_names()
+        sources = {read_corpus_file(name): name for name in names}
+        read, parsed = [], []
+        read_file, parse = suites.read_corpus_file, suites.parse_program
+        monkeypatch.setattr(suites, "read_corpus_file", lambda n: read.append(n) or read_file(n))
+        monkeypatch.setattr(suites, "parse_program", lambda t: parsed.append(t) or parse(t))
+        suites._parsed.cache_clear()
+        suites._load.cache_clear()
+        first = [r.summary_line() for r in run_suites(seed=3, cases=5)]
+        assert [r.summary_line() for r in run_suites(seed=3, cases=5)] == first
+        printed = {pretty_program(suites._parsed(name)): name for name in names}
+        assert not printed.keys() & sources.keys()  # so the two kinds of parse are told apart
+        assert sorted(n for n in read if n.endswith(".jeo")) == names
+        assert sorted(sources[t] for t in parsed if t in sources) == names
+        assert sorted(printed[t] for t in parsed if t not in sources) == sorted(names * 2)
 
     def test_env_suite_sample_counts_are_stable(self):
         result = theorem_env_round_trip(seed=42, cases=10)
@@ -373,6 +395,36 @@ class TestFailureReports:
         assert report(parse_print_round_trip()) == [
             "parse-print-round-trip: FAIL total=6 passed=0 failed=6 skipped=0 undecided=0",
             line,
+        ]
+
+    def test_the_parse_print_check_runs_at_every_call(self, monkeypatch):
+        """Only the first parse is kept: a printer that drops one clause of
+        one file fails that file alone at the next call, and once it is
+        mended the call after passes again."""
+        assert parse_print_round_trip().ok
+        pretty, target = suites.pretty_program, suites._parsed("lists.jeo")
+
+        def dropping(p):
+            lines = pretty(p).splitlines(keepends=True)
+            if p is target:
+                clause = next(i for i, line in enumerate(lines) if not line.startswith("data "))
+                del lines[clause]
+            return "".join(lines)
+
+        monkeypatch.setattr(suites, "pretty_program", dropping)
+        assert report(parse_print_round_trip(), 2) == [
+            "parse-print-round-trip: FAIL total=6 passed=5 failed=1 skipped=0 undecided=0",
+            "lists.jeo: reparsed program differs",
+        ]
+        monkeypatch.undo()
+        assert parse_print_round_trip().ok
+
+    def test_a_file_that_does_not_parse_fails_its_reprint(self, monkeypatch):
+        parsed, broken = suites._parsed, SourceError.single("P001", "broken")
+        monkeypatch.setattr(suites, "_parsed", lambda n: broken if n == "fib.jeo" else parsed(n))
+        assert report(parse_print_round_trip(), 2) == [
+            "parse-print-round-trip: FAIL total=6 passed=5 failed=1 skipped=0 undecided=0",
+            "fib.jeo: does not parse: <input>: error[P001]: broken",
         ]
 
     def test_expectation_mismatch(self, monkeypatch):
