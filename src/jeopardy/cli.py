@@ -95,6 +95,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         value = parse_value(sys.stdin.read() if args.value == "-" else args.value)
     except SourceError as err:
         return _report(EXIT_SOURCE_ERROR, origin, err.diagnostics)
+    except UnicodeDecodeError as err:  # a strict standard input, as a file is read
+        print(f"{origin}: {err}", file=sys.stderr)
+        return EXIT_SOURCE_ERROR
     ref = program.main.ref
     arg_type, _ = effective_signature(program, FunRef(ref.base, ref.inversions + args.invert))
     if (wrong := _ill_typed(program, value, arg_type)) is not None:

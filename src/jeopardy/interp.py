@@ -26,15 +26,16 @@ The judgements are compiled, not walked (Feeley & Lapalme, "Using closures for
 code generation", 1987): on its first call a function becomes two closures per
 node, one per direction, kept in `Program._table` by the node's `id()`.  A
 closure call is one rule application.  Dispatch, callee, `invert`s, matchers
-and what the text settles (`_facts`) are fixed when it is built.  A call on a
-value is compiled once per function, `invert`s and call span, never walking the
-value, which each run hands it in `Evaluator.arg`.  A ground term's matcher, an
-iterative equality test, settles it in one rule application either way (traced,
-one line per node) and for free in psi, so no value is compared by `==`; a psi
-search for a value whose constructor a body cannot produce is not run.  Three
-shapes run their variables' rules inline, at the generic closures' exact cost
-but with no closure, dict or join per variable: a case's variable pattern (a
-`let` is `case t of x -> body`, and its one branch has no psi search), a case's
+and what the text settles (head sets, groundness) are fixed when it is built,
+in one children-first walk (`_compile`).  A call on a value is compiled once
+per function, `invert`s and call span, never walking the value, which each run
+hands it in `Evaluator.arg`.  A ground term's matcher, an iterative equality
+test, settles it in one rule application either way (traced, one line per
+node) and for free in psi, so no value is compared by `==`; a psi search for
+a value whose constructor a body cannot produce is not run.  Three shapes run
+their variables' rules inline, at the generic closures' exact cost but with no
+closure, dict or join per variable: a case's variable pattern (a `let` is
+`case t of x -> body`, and its one branch has no psi search), a case's
 variable selector, and in inference `[c x1 .. xn]` of distinct variables.
 Every case, a `let` too, compiles through `_case`.  Fuel and depth are spent
 only by the rules that run, so a decided outcome is the one an unbounded run
@@ -59,7 +60,6 @@ from .syntax import (
     Term,
     Var,
     ensure_value,
-    ground_nodes,
     is_value,
     pattern_vars,
     subterms,
@@ -173,28 +173,15 @@ def _join(env: Env, more: Env, span: Span) -> None:
 # The compiler
 
 
-def _facts(roots) -> tuple[set[int], dict[int, frozenset[str]]]:
-    """What the text under `roots` settles: its ground constructor nodes,
-    and each node's head set, the constructors it can produce (none where a
-    `Var` or an `Apply` lies on its result path)."""
-    ground = ground_nodes(roots)
-    heads: dict[int, frozenset[str]] = {}
-    for t in reversed(subterms(roots, ground)):
-        if type(t) is Con:
-            heads[id(t)] = frozenset((t.name,))
-        elif type(t) is Case:
-            below = [heads.get(id(body)) for _, body in t.branches]
-            if None not in below:
-                heads[id(t)] = frozenset().union(*below)
-    return ground, heads
-
-
 def _compile(program: Program, roots, code: dict) -> dict:
     """Enter every node under `roots` into `code`, children first and
-    without recursion; the nodes below a ground one need no code."""
-    ground, heads = _facts(roots)
-    for t in reversed(subterms(roots, ground)):
-        code[id(t)] = _node(t, code, ground, heads, program)
+    without recursion.  An entry is `(down, infer, heads, same)`: the
+    closures, the constructors the node can produce (None where a `Var` or
+    an `Apply` lies on its result path) and a ground term's matcher (None
+    otherwise), the last two read off the children's entries.  The nodes
+    below a ground one get entries that nothing calls."""
+    for t in reversed(subterms(roots)):
+        code[id(t)] = _node(t, code, program)
     return code
 
 
@@ -222,7 +209,7 @@ def _on_value(program: Program, base: str, inversions: int, span: Span) -> tuple
     key = (base, inversions, span)
     code = program._table.get(key)
     if code is None:
-        code = program._table[key] = _apply(base, inversions, span, *_literal(None), program)
+        code = program._table[key] = _apply(base, inversions, span, *_literal(None)[:2], program)
     return code
 
 
@@ -272,19 +259,20 @@ def _matcher(p: Term) -> Callable[[Con], Env | None]:
     return lambda v: unify(v, p)
 
 
-def _node(t: Term, code: dict, ground: set[int], heads: dict, program: Program) -> tuple:
+def _node(t: Term, code: dict, program: Program) -> tuple:
     kind = type(t)
     if kind is Var:
         return _var(t.name, t.span)
-    if kind is Con:
-        return _literal(t) if id(t) in ground else _con(t, [code[id(a)] for a in t.args])
+    if kind is Con:  # ground when each child has a matcher
+        kids = [code[id(a)] for a in t.args]
+        return _literal(t) if all(kid[3] for kid in kids) else _con(t, kids)
     if kind is Apply:
-        return _apply(t.ref.base, t.ref.inversions, t.span, *code[id(t.arg)], program)
+        return _apply(t.ref.base, t.ref.inversions, t.span, *code[id(t.arg)][:2], program)
     if kind is Case:
-        return _case(t, code, ground, heads)
+        return _case(t, code)
     # Only the desugarer's core reaches the rules; anything else is a
     # caller's bug, reported where it is reached.
-    return partial(_refuse, "evaluate", t), partial(_refuse, "infer over", t)
+    return partial(_refuse, "evaluate", t), partial(_refuse, "infer over", t), None, None
 
 
 def _refuse(what: str, t: Term, *_):
@@ -318,7 +306,7 @@ def _var(x: str, span: Span) -> tuple:
             s._emit("infer-variable", span, v)
         return {x: v}
 
-    return down, infer
+    return down, infer, None, None
 
 
 def _literal(t: Con | None) -> tuple:
@@ -346,7 +334,7 @@ def _literal(t: Con | None) -> tuple:
             _show(s, "infer-constructor", t or s.arg)
         return env
 
-    return down, infer
+    return down, infer, t and frozenset((t.name,)), match
 
 
 def _show(s, rule: str, t: Con) -> None:
@@ -403,7 +391,7 @@ def _con(t: Con, kids: list[tuple]) -> tuple:
             s._emit("infer-constructor", span, v)
         return envs[0]
 
-    return down, infer
+    return down, infer, frozenset((c,)), None
 
 
 def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program: Program) -> tuple:
@@ -431,7 +419,7 @@ def _apply(base: str, inversions: int, span: Span, arg_down, arg_infer, program:
             _step(infer_up, "infer-invert", span),
             _step(infer, "inverse-infer-invert", span),
         )
-    return levels[0], levels[2]
+    return levels[0], levels[2], None, None
 
 
 def _step(inner, rule: str, span: Span):
@@ -519,26 +507,26 @@ def _clash(j: int, v: Con, span: Span) -> _Violation:
     return _Violation(PSI_VIOLATION, f"branch {j} can also produce {pretty_value(v)}", span)
 
 
-def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
-    """Every case, a `let` (`case t of x -> body`) among them."""
-    sel_down, sel_infer = code[id(t.selector)]
+def _case(t: Case, code: dict) -> tuple:
+    """Every case, a `let` (`case t of x -> body`) among them; its head set
+    is its bodies' union, when each has one."""
+    sel_down, sel_infer, *_ = code[id(t.selector)]
     span, (y,) = t.span, _variables([t.selector]) or [None]
     matches = [_matcher(p) for p, _ in t.branches]
+    bodies = [code[id(body)] for _, body in t.branches]
     # How psi treats each body: a ground one by its matcher, for free; one
     # whose head set lacks the value's constructor not at all; else a search.
-    same = {id(body): _matcher(body) for _, body in t.branches if id(body) in ground}
-    probes = [
-        (j + 1, same.get(id(body)), heads.get(id(body)), code[id(body)][1])
-        for j, (_, body) in enumerate(t.branches)
-    ]
+    probes = [(j + 1, same, hs, probe) for j, (_, probe, hs, same) in enumerate(bodies)]
     picks, arms = [], []
-    for i, (p, body) in enumerate(t.branches):
+    for i, ((p, _), (body_down, body_infer, hs, _)) in enumerate(zip(t.branches, bodies)):
         # A variable pattern's rules run inline: forward binds it into one
         # copy of the environment, inference pops it from the body's.
-        x, (body_down, body_infer) = (_variables([p]) or [None])[0], code[id(body)]
+        x = (_variables([p]) or [None])[0]
         picks.append((p.name if type(p) is Con else None, x, matches[i], body_down, probes[:i]))
         rest = (x, p.span, code[id(p)][0], set(pattern_vars(p)), matches[:i])
-        arms.append((heads.get(id(body)), body_infer, rest))
+        arms.append((hs, body_infer, rest))
+    below = [hs for hs, _, _ in arms]
+    heads = None if None in below else frozenset().union(*below)
 
     def case_down(s, env, d, k):
         if d > DEFAULT_MAX_DEPTH or k and s.fuel <= 0:
@@ -623,7 +611,7 @@ def _case(t: Case, code: dict, ground: set[int], heads: dict) -> tuple:
             s._emit("infer-case", span, v)
         return env_body
 
-    return case_down, infer
+    return case_down, infer, heads, None
 
 
 # ---------------------------------------------------------------------------

@@ -84,71 +84,64 @@ def pretty_fun_ref(ref: FunRef) -> str:
     return s
 
 
+_EXTENDS = (Apply, Case, Let)  # parenthesised in an argument position
+_CAPTURES = (Case, Let)  # parenthesised as a selector or a non-final body
+
+
 def pretty_term(t: Term) -> str:
-    # Groundness is decided once per node, so printing stays linear.
-    return _term(t, ground_nodes((t,)))
+    return _print([t], ground_nodes((t,)))
 
 
-def _term(t: Term, ground: set[int]) -> str:
-    kind = type(t)
-    if kind is Var:
-        return t.name
-    if kind is Con:
-        return pretty_value(t) if id(t) in ground else _con(t, ground)
-    if kind is Apply:
-        return f"{pretty_fun_ref(t.ref)} {_atom(t.arg, ground)}"
-    if kind is Case:
-        sel = _term(t.selector, ground)
-        if isinstance(t.selector, (Case, Let)):
-            sel = f"({sel})"
-        rendered = []
-        for k, (p, b) in enumerate(t.branches):
-            body = _term(b, ground)
-            if k + 1 < len(t.branches) and isinstance(b, (Case, Let)):
-                body = f"({body})"
-            rendered.append(f"{_term(p, ground)} -> {body}")
-        return f"case {sel} : {t.type_name} of " + " ; ".join(rendered)
-    if kind is Let:
-        ann = f" : {t.type_name}" if t.type_name else ""
-        return (
-            f"let {_term(t.pattern, ground)}{ann} = {_term(t.bound, ground)}"
-            f" in {_term(t.body, ground)}"
-        )
-    raise AssertionError(f"unhandled term {t!r}")
-
-
-def _con(t: Con, ground: set[int]) -> str:
-    """A constructor that is not ground, in bracket form, from an explicit
-    stack like `pretty_value`'s, so such constructors nest to any depth;
-    a ground value, call, case or let among them prints through `_atom`."""
+def _print(todo: list[Term | str], ground: set[int]) -> str:
+    """The text and terms on the stack `todo`, last first, in one loop, as
+    `pretty_value` prints, so a term prints at any depth.  A term is
+    parenthesised as it is pushed, where its position demands: an argument
+    that is a call, case, let or ground cons chain, a selector or non-final
+    body that is a case or let.  `ground` holds the ground nodes' ids,
+    decided once per node, so printing stays linear."""
     out: list[str] = []
-    todo: list[Term | str] = [t]
+    emit, push = out.append, todo.append
     while todo:
-        node = todo.pop()
-        if node.__class__ is str:
-            out.append(node)
-        elif node.__class__ is Con and id(node) not in ground:
-            out.append(f"[{node.name} ")
-            todo.append("]")
-            args = node.args
-            for a in args[:0:-1]:
-                todo += (a, " ")
-            todo.append(args[0])
-        elif node.__class__ is Var:
-            out.append(node.name)
+        t = todo.pop()
+        kind = t.__class__
+        if kind is str:
+            emit(t)
+        elif kind is Var:
+            emit(t.name)
+        elif kind is Con and id(t) in ground:
+            emit(pretty_value(t))
+        elif kind is Con or kind is Apply:
+            if kind is Con:
+                emit(f"[{t.name}")
+                push("]")
+                args = t.args[::-1]
+            else:
+                emit(pretty_fun_ref(t.ref))
+                args = (t.arg,)
+            for a in args:  # each after a blank
+                if a.__class__ in _EXTENDS or (
+                    id(a) in ground and a.name == "cons" and len(a.args) == 2
+                ):
+                    todo += (")", a, " (")
+                else:
+                    todo += (a, " ")
+        elif kind is Case:
+            emit("case ")
+            last = len(t.branches) - 1
+            for k in range(last, -1, -1):
+                p, b = t.branches[k]
+                todo += (")", b, "(") if k < last and b.__class__ in _CAPTURES else (b,)
+                todo += (" -> ", p, " ; ") if k else (" -> ", p)
+            push(f" : {t.type_name} of ")
+            sel = t.selector
+            todo += (")", sel, "(") if sel.__class__ in _CAPTURES else (sel,)
+        elif kind is Let:
+            emit("let ")
+            ann = f" : {t.type_name}" if t.type_name else ""
+            todo += (t.body, " in ", t.bound, f"{ann} = ", t.pattern)
         else:
-            out.append(_atom(node, ground))
+            raise AssertionError(f"unhandled term {t!r}")
     return "".join(out)
-
-
-def _atom(t: Term, ground: set[int]) -> str:
-    """A term in argument position; parenthesize whatever could extend."""
-    s = _term(t, ground)
-    if isinstance(t, (Apply, Case, Let)):
-        return f"({s})"
-    if id(t) in ground and t.name == "cons" and len(t.args) == 2:
-        return f"({s})"
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +157,15 @@ def _data(d: DataDecl) -> str:
 
 
 def _clause(c: Clause) -> str:
+    ground = ground_nodes((c.pattern, c.body))
+    todo = [".", c.body, " = "]
     if c.arg_type is not None:
-        head = f"{c.name} ({pretty_term(c.pattern)} : {c.arg_type}) : {c.result_type}"
+        todo += (f" : {c.arg_type}) : {c.result_type}", c.pattern, f"{c.name} (")
+    elif id(c.pattern) in ground and c.pattern.name == "cons" and len(c.pattern.args) == 2:
+        todo += (")", c.pattern, f"{c.name} (")
     else:
-        head = f"{c.name} {_atom(c.pattern, ground_nodes((c.pattern,)))}"
-    return f"{head} = {pretty_term(c.body)}."
+        todo += (c.pattern, f"{c.name} ")
+    return _print(todo, ground)
 
 
 def pretty_program(p: SurfaceProgram) -> str:

@@ -312,16 +312,13 @@ def is_value(t: Term) -> bool:
     return first_hole(t) is None
 
 
-def subterms(roots, opaque: set[int] = frozenset()) -> list[Term]:
-    """Every node under `roots`, each before its children, without
-    recursion; a node whose id is in `opaque` is listed but not entered."""
+def subterms(roots) -> list[Term]:
+    """Every node under `roots`, each before its children, without recursion."""
     order: list[Term] = []
     stack = list(roots)
     while stack:
         t = stack.pop()
         order.append(t)
-        if id(t) in opaque:
-            continue
         kind = type(t)
         if kind is Con:
             stack += t.args

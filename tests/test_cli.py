@@ -138,6 +138,16 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", str(corpus_dir / "arith.jeo"), "-")
         assert (code, out) == (0, "[suc [zero]]\n")
 
+    def test_undecodable_stdin_exits_3(self, capsys, corpus_dir, monkeypatch):
+        """A standard input that decodes strictly and holds bad UTF-8 is
+        reported on one line, as an undecodable program file is."""
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff[zero]"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "run", str(corpus_dir / "invertibles.jeo"), "-")
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        assert line.startswith("<stdin>: 'utf-8' codec can't decode byte 0xff")
+
     def test_bad_value_exits_3(self, capsys, corpus_dir):
         code, out, err = run_cli(
             capsys, "run", str(corpus_dir / "arith.jeo"), "[suc n]"

@@ -677,12 +677,12 @@ class TestGroundLiteral:
 
         def node(t, *rest):
             seen.append(t)
-            down, infer = build(t, *rest)
-            return counted(t, down), infer
+            down, infer, *facts = build(t, *rest)
+            return counted(t, down), infer, *facts
 
         def literal(t):
-            down, infer = build_literal(t)
-            return (down if t else counted(None, down)), infer
+            down, infer, *facts = build_literal(t)
+            return (down if t else counted(None, down)), infer, *facts
 
         build, build_literal = jeopardy.interp._node, jeopardy.interp._literal
         monkeypatch.setattr(jeopardy.interp, "_node", node)

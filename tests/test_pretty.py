@@ -136,8 +136,10 @@ def test_printing_is_linear_in_nesting_depth(monkeypatch):
 def test_deep_constructors_round_trip():
     """A body and a pattern 10**4 constructors deep around a variable print
     from a stack, not a frame per level, reparse to an equal tree and print
-    again to the same text.  Nesting through a call (`[suc (g …)]`) still
-    recurses per level."""
+    again to the same text.  So does nesting through a call, `[suc (g …)]`,
+    300 deep (the parser's P005 starts near 327); that tree is compared by
+    its text, since equal text parses to an equal tree and `==` on terms
+    recurses through calls."""
     depth = 10**4
     chain = "[suc " * depth + "x" + "]" * depth
     pairs = "[pair " * depth + "x" + " [zero]]" * depth
@@ -152,3 +154,8 @@ def test_deep_constructors_round_trip():
     reparsed = parse_program(printed)
     assert reparsed == surface
     assert pretty_program(reparsed) == printed
+    calls = "[suc (g " * 300 + "x" + ")]" * 300
+    src = f"g ([suc x] : nat) : nat = {calls}.\n"
+    printed = pretty_program(parse_program(src))
+    assert printed == src
+    assert pretty_program(parse_program(printed)) == printed

@@ -40,8 +40,13 @@ def without_table(program, term, fuel, psi, traced):
     no trace lines where a search would, so a run without it is another
     run, not a dearer one (`test_the_blank_run_spends_more` shows the
     head sets are gone)."""
-    facts = jeopardy.interp._facts
-    with mock.patch.object(jeopardy.interp, "_facts", lambda *a: (facts(*a)[0], {})):
+    node = jeopardy.interp._node
+
+    def blank(*args):
+        down, infer, _, same = node(*args)
+        return down, infer, None, same
+
+    with mock.patch.object(jeopardy.interp, "_node", blank):
         return observe(copy_of(program), term, fuel, psi, traced)
 
 
@@ -175,9 +180,15 @@ def with_main(program, name):
 
 def compiled(monkeypatch, wrap):
     """Compile every node from now on with its closures passed through
-    `wrap(t, down, infer)`, which returns the pair to use instead."""
+    `wrap(t, down, infer)`, which returns the pair to use instead; the
+    entry's other fields pass through."""
     node = jeopardy.interp._node
-    monkeypatch.setattr(jeopardy.interp, "_node", lambda t, *rest: wrap(t, *node(t, *rest)))
+
+    def wrapped(t, *rest):
+        down, infer, *facts = node(t, *rest)
+        return *wrap(t, down, infer), *facts
+
+    monkeypatch.setattr(jeopardy.interp, "_node", wrapped)
 
 
 def psi_searches(monkeypatch):
@@ -248,20 +259,21 @@ class TestSkipped:
         value = Con("b", (nat(0),))
         assert run_main(program, value).violation == PSI_VIOLATION
         f = program.function("f")
-        _, heads = jeopardy.interp._facts((f.param, f.body))
-        assert heads[id(f.body.branches[0][1])] == {"zero", "suc"}
+        entries = jeopardy.interp._compile(program, (f.param, f.body), {})
+        assert entries[id(f.body.branches[0][1])][2] == {"zero", "suc"}
         assert_saves(program, "f", value, False)
 
     def test_head_sets(self, invertibles, arith):
-        def branch_heads(f):
+        def branch_heads(program, name):
+            f = program.function(name)
             assert isinstance(f.body, Case)
-            _, heads = jeopardy.interp._facts((f.param, f.body))
-            return [heads.get(id(body)) for _, body in f.body.branches]
+            entries = jeopardy.interp._compile(program, (f.param, f.body), {})
+            return [entries[id(body)][2] for _, body in f.body.branches]
 
         # [node (mirror r) (mirror l)] desugars to two let-cases around [node %1 %2].
-        assert branch_heads(invertibles.function("mirror")) == [{"leaf"}, {"node"}]
+        assert branch_heads(invertibles, "mirror") == [{"leaf"}, {"node"}]
         # `add`'s bodies end in a variable and a call: neither has a head set.
-        assert branch_heads(arith.function("add")) == [None, None]
+        assert branch_heads(arith, "add") == [None, None]
 
     def test_the_blank_run_spends_more(self, invertibles):
         """Without head sets, inverting `mapsuc` searches the `[]` branch's
@@ -455,3 +467,19 @@ class TestInputWalk:
         assert bool(listed) != inverted and not any(t is value.args[0] for t in listed)
         owned = {key for key in program._table if type(key) is not tuple}
         assert owned <= owned_ids(program) and id(value) not in program._table
+
+    def test_a_function_is_compiled_in_one_walk(self, monkeypatch, invertibles):
+        """Closures, head sets and ground matchers are all built from one
+        `subterms` list per compiled function; groundness is read off the
+        children's entries, not walked for by `ground_nodes`."""
+        program = with_main(invertibles, "mirror")
+        walks, subterms = [], jeopardy.interp.subterms
+        monkeypatch.setattr(
+            jeopardy.interp, "subterms", lambda roots: walks.append(roots) or subterms(roots)
+        )
+        assert run_main(program, balanced(3)).ok
+        cells = [c for c in program._table.values() if type(c) is jeopardy.interp._Fn]
+        done = [c.f for c in cells if c.program is None]
+        assert [f.name for f in done] == ["mirror"]
+        assert walks == [(f.param, f.body) for f in done]
+        assert not hasattr(jeopardy.interp, "ground_nodes")
